@@ -66,15 +66,7 @@ let collapse t ~width ~src msgs =
                dst);
         let w = Array.length payload in
         if w > width then
-          raise
-            (Bandwidth_exceeded
-               {
-                 src;
-                 dst = -1;
-                 words = w;
-                 width;
-                 phase = Mailbox.current_context ();
-               });
+          Mailbox.bandwidth_exceeded ~src ~dst:(-1) ~words:w ~width;
         if not (List.exists (fun p -> p = payload) !distinct) then
           distinct := payload :: !distinct)
       msgs;
@@ -126,15 +118,7 @@ let route ?(width = default_width) t msgs =
         invalid_arg "Broadcast.route: endpoint out of range";
       let w = Array.length payload in
       if w > width then
-        raise
-          (Bandwidth_exceeded
-             {
-               src;
-               dst = -1;
-               words = w;
-               width;
-               phase = Mailbox.current_context ();
-             });
+        Mailbox.bandwidth_exceeded ~src ~dst:(-1) ~words:w ~width;
       per_src.(src) <- per_src.(src) + 1;
       t.words_sent <- t.words_sent + ((t.n - 1) * w);
       inboxes.(dst) <- (src, payload) :: inboxes.(dst))

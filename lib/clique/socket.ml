@@ -1485,15 +1485,8 @@ let raise_first_error ~range_error errors =
   | [] -> ()
   | (_, `Range message) :: _ -> invalid_arg message
   | (_, `Width (o : Shard.overflow)) :: _ ->
-    raise
-      (Mailbox.Bandwidth_exceeded
-         {
-           src = o.src;
-           dst = o.dst;
-           words = o.words;
-           width = o.width;
-           phase = Mailbox.current_context ();
-         })
+    Mailbox.bandwidth_exceeded ~src:o.src ~dst:o.dst ~words:o.words
+      ~width:o.width
 
 (* Collect one reply per live slot; on any death indication, short-circuit
    into [Dead_workers] (stale replies of the aborted round are skipped by
@@ -1562,8 +1555,7 @@ let exchange ?(width = default_width) t outboxes =
 
 let broadcast ?(width = default_width) t values =
   maybe_heartbeat t;
-  if Array.length values <> t.n then
-    invalid_arg "Mailbox.broadcast: values array length mismatch";
+  Mailbox.check_values ~n:t.n values;
   let attempt () =
     t.seq <- t.seq + 1;
     let e = epoch t in

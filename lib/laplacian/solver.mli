@@ -11,6 +11,11 @@
     + run preconditioned Chebyshev (Corollary 2.3): [O(√κ·log(1/ε))]
       iterations of one matvec round plus an internal [L_H]-solve.
 
+    The first three phases do not depend on the right-hand side. They build
+    a {!prepared} handle, and {!solve_prepared} runs the last phase on it;
+    {!solve} is exactly that composition, on a fresh handle. There is no
+    other implementation of the pipeline.
+
     Round accounting: the sparsifier phase charges its Theorem 3.3 cost, and
     every matvec charges {!Runtime.Cost.matvec_rounds}; all charges flow
     through one clique-runtime ledger ({!Clique.Kernel}) and are broken down
@@ -32,53 +37,17 @@ type report = {
   residual : float;  (** final relative ℓ₂ residual ‖b − L_G x‖/‖b‖ *)
 }
 
-val solve :
-  ?eps:float ->
-  ?phi:float ->
-  ?inner:inner_solver ->
-  ?backend:Sparsify.Spectral.backend ->
-  ?model:Runtime.Model.t ->
-  Graph.t ->
-  Linalg.Vec.t ->
-  report
-(** [solve g b] approximately solves [L_G x = b] for connected [g] and
-    [b ⊥ 1] (it is centered defensively). [eps] (default [1e-6]) is the
-    target of Theorem 1.1: [‖x − L†b‖_{L_G} ≤ ε‖L†b‖_{L_G}]. [inner]
-    defaults to [Direct] for [n ≤ 400], [Iterative] above. [model]
-    (default {!Runtime.Model.default}) selects unicast vs broadcast
-    round accounting for the sparsifier phase; the matvec-driven phases
-    (κ-estimation, Chebyshev) cost the same in both models, and the
-    solution is bit-identical. Raises [Invalid_argument] on a
-    disconnected graph. *)
+(** {2 Prepared handles}
 
-val solve_with_sparsifier :
-  ?eps:float ->
-  ?inner:inner_solver ->
-  ?rt:Clique.Kernel.t ->
-  Graph.t ->
-  Sparsify.Spectral.result ->
-  Linalg.Vec.t ->
-  report
-(** Reuse a previously built sparsifier (the flow IPMs re-solve on graphs
-    whose resistances change every iteration but whose support is fixed;
-    when the caller knows the sparsifier is still valid it can skip phase 1).
-    The sparsifier construction rounds are {e not} re-charged. [rt] lets a
-    caller thread its own runtime ledger through the solve (default: a fresh
-    one, so the report stands alone). *)
-
-(** {2 Prepared (amortized) solving}
-
-    The throughput daemon serves many right-hand sides against the same
-    graph. {!prepare} performs the per-graph work once — weight
-    preprocessing, sparsifier construction, the inner Cholesky/CG state,
-    κ-estimation, and the Chebyshev workspace — and {!solve_prepared} then
-    answers each request with bit-identical reports to {!solve} while
-    performing zero heap allocations per Chebyshev iteration (with the
-    [Direct] inner solver; [Iterative] allocates O(1) words per outer
-    iteration for the nested CG call). A [prepared] handle holds mutable
-    workspaces: concurrent {!solve_prepared} calls on the same handle are
-    unsound — callers serialize (the daemon guards each cached handle with
-    a mutex). *)
+    {!prepare} performs the per-graph work once — weight preprocessing,
+    sparsifier construction, the inner Cholesky/CG state, κ-estimation,
+    and the Chebyshev workspace. {!solve_prepared} then answers any number
+    of right-hand sides, performing zero heap allocations per Chebyshev
+    iteration with the [Direct] inner solver ([Iterative] allocates O(1)
+    words per outer iteration for the nested CG call). A handle holds
+    mutable workspaces: concurrent {!solve_prepared} calls on the same
+    handle are unsound — callers serialize (the daemon guards each cached
+    handle with a mutex). *)
 
 type prepared
 
@@ -90,38 +59,68 @@ val prepare :
   ?model:Runtime.Model.t ->
   Graph.t ->
   prepared
-(** Same parameters and validation as {!solve}; runs every phase that does
-    not depend on the right-hand side. Raises [Invalid_argument] on a
-    disconnected graph. *)
+(** [prepare g] runs every phase that does not depend on the right-hand
+    side. [eps] (default [1e-6]) is the target of Theorem 1.1:
+    [‖x − L†b‖_{L_G} ≤ ε‖L†b‖_{L_G}]. [inner] defaults to [Direct] for
+    [n ≤ 400], [Iterative] above. [model] (default
+    {!Runtime.Model.default}) selects unicast vs broadcast round
+    accounting for the sparsifier phase; the matvec-driven phases
+    (κ-estimation, Chebyshev) cost the same in both models, and the
+    solution is bit-identical. Raises [Invalid_argument] on a disconnected
+    graph. *)
 
 val solve_prepared : prepared -> Linalg.Vec.t -> report
-(** [solve_prepared p b] is bit-identical to
-    [solve ?eps ?phi ?inner ?backend ?model g b] for the arguments [p] was
-    prepared with — including [rounds] and [phase_rounds], which replay the
-    full pipeline's ledger so a cached answer is indistinguishable from a
-    cold one. *)
+(** [solve_prepared p b] approximately solves [L_G x = b] for [b ⊥ 1] ([b]
+    is centered defensively). The report's [rounds] and [phase_rounds]
+    replay the whole pipeline's ledger — the sparsifier and κ-estimation
+    charges are repeated on every call — so an answer from a reused handle
+    is indistinguishable from a cold one. Raises [Invalid_argument] naming
+    both sizes if [b]'s dimension is not the graph's node count. *)
 
-val prepared_dim : prepared -> int
+val solve :
+  ?eps:float ->
+  ?phi:float ->
+  ?inner:inner_solver ->
+  ?backend:Sparsify.Spectral.backend ->
+  ?model:Runtime.Model.t ->
+  Graph.t ->
+  Linalg.Vec.t ->
+  report
+(** [solve g b] is [solve_prepared (prepare g) b], with the same optional
+    arguments passed to {!prepare}. *)
 
-val prepared_kappa : prepared -> float
+val solve_with_sparsifier :
+  ?eps:float ->
+  ?inner:inner_solver ->
+  Graph.t ->
+  Sparsify.Spectral.result ->
+  Linalg.Vec.t ->
+  report
+(** Reuse a previously built sparsifier (the flow IPMs re-solve on graphs
+    whose resistances change every iteration but whose support is fixed;
+    when the caller knows the sparsifier is still valid it can skip phase
+    1). Builds the same handle as {!prepare} around the given sparsifier
+    and solves once. The sparsifier construction is {e not} charged: the
+    report has no ["sparsify"] phase. Raises [Invalid_argument] on a
+    disconnected graph. *)
 
-val prepared_sparsifier_edges : prepared -> int
+(** {2 Conjugate-gradient baseline} *)
 
 type prepared_cg
 
 val prepare_cg : ?eps:float -> Graph.t -> prepared_cg
-(** Workspace-backed counterpart of {!solve_cg_baseline}: one CG workspace
-    per graph, reused across right-hand sides. *)
+(** One CG workspace per graph, reused across right-hand sides. Raises
+    [Invalid_argument] on a disconnected graph. *)
 
 val solve_cg_prepared : prepared_cg -> Linalg.Vec.t -> report
-(** Bit-identical to {!solve_cg_baseline} on the graph [prepare_cg] was
-    given; zero heap allocations per CG iteration. Same single-handle
+(** Plain distributed conjugate gradients (each iteration = one matvec
+    round, no sparsifier), with zero heap allocations per CG iteration.
+    Reports rounds the same way as {!solve_prepared} so the two are
+    directly comparable. Same dimension check and single-handle
     concurrency caveat as {!solve_prepared}. *)
 
 val solve_cg_baseline : ?eps:float -> Graph.t -> Linalg.Vec.t -> report
-(** Baseline for experiment E8: plain distributed conjugate gradients
-    (each iteration = one matvec round, no sparsifier). Reports rounds the
-    same way so the two are directly comparable. *)
+(** Baseline for experiment E8: [solve_cg_prepared (prepare_cg g) b]. *)
 
 val error_in_l_norm : Graph.t -> Linalg.Vec.t -> Linalg.Vec.t -> float
 (** [error_in_l_norm g x b]: the Theorem 1.1 error metric

@@ -25,10 +25,10 @@ end
 
    Zero-allocation workspace kernel: all five iteration vectors are
    caller-owned, the norms are inlined (a call returning [float] boxes its
-   result), and the element expressions reproduce the historical allocating
-   loop literally — including the [1. *.] and [(-1.) *.] factors the seed
-   inherited from [Vec.axpy_inplace] — so the [solve] wrapper is
-   bit-identical to the seed solver. *)
+   result), and the element expressions reproduce the seed's allocating
+   loop literally — including the [1. *.] and [(-1.) *.] factors of its
+   in-place axpy updates — so the kernel is bit-identical to the seed
+   solver (pinned by test_linalg's embedded copy of it). *)
 (* cc_lint: hot solve_into *)
 let solve_into ?max_iters ?(tol = 1e-10) ~apply_a_into ~solve_b_into ~kappa
     (ws : Workspace.t) b =
@@ -92,15 +92,3 @@ let solve_into ?max_iters ?(tol = 1e-10) ~apply_a_into ~solve_b_into ~kappa
      done
    with Exit -> ());
   { iterations = !iters; residual = !residual; converged = !residual <= tol }
-
-let solve ?max_iters ?tol ~apply_a ~solve_b ~kappa b =
-  let ws = Workspace.create (Vec.dim b) in
-  let apply_a_into src dst = Vec.copy_into (apply_a src) dst in
-  let solve_b_into src dst = Vec.copy_into (solve_b src) dst in
-  let st = solve_into ?max_iters ?tol ~apply_a_into ~solve_b_into ~kappa ws b in
-  (ws.Workspace.x, st)
-
-let solve_grounded ?max_iters ?tol ~apply_a ~solve_b ~kappa b =
-  let b = Vec.center b in
-  let x, st = solve ?max_iters ?tol ~apply_a ~solve_b ~kappa b in
-  (Vec.center x, st)

@@ -40,38 +40,17 @@ val solve_into :
   Workspace.t ->
   Vec.t ->
   stats
-(** [solve_into ~apply_a_into ~solve_b_into ~kappa ws b] is the
-    zero-allocation kernel behind {!solve}: all iteration state lives in
-    [ws] and the solution is left in [ws.x]. [apply_a_into src dst] must set
-    [dst <- A src] and [solve_b_into src dst] must set [dst <- B† src],
-    each writing every entry of [dst] and allocating nothing if the whole
-    iteration is to stay allocation-free. Raises [Invalid_argument] on a
-    workspace dimension mismatch. Bit-identical to {!solve}. *)
+(** [solve_into ~apply_a_into ~solve_b_into ~kappa ws b] approximates
+    [A† b] and leaves it in [ws.x]; all iteration state lives in [ws].
+    [apply_a_into src dst] must set [dst <- A src] and [solve_b_into src
+    dst] must set [dst <- B† src] (the preconditioner solve), each writing
+    every entry of [dst] and allocating nothing if the whole iteration is
+    to stay allocation-free. [kappa] is the relative condition number
+    bound [A ≼ B ≼ κA]. Stops when the relative residual is ≤ [tol]
+    (default [1e-10]) or after [max_iters] (default {!iteration_bound}
+    with [eps = tol]) iterations.
 
-val solve :
-  ?max_iters:int ->
-  ?tol:float ->
-  apply_a:(Vec.t -> Vec.t) ->
-  solve_b:(Vec.t -> Vec.t) ->
-  kappa:float ->
-  Vec.t ->
-  Vec.t * stats
-(** [solve ~apply_a ~solve_b ~kappa b] approximates [A† b]. [solve_b] must
-    apply [B†] (the preconditioner solve). [kappa] is the relative condition
-    number bound [A ≼ B ≼ κA]. Stops when the relative residual is ≤ [tol]
-    (default [1e-10]) or after [max_iters] (default {!iteration_bound} with
-    [eps = tol]) iterations.
-
-    For singular (Laplacian) operators, pass [b] in the range; intermediate
-    vectors are kept centered by the caller's [solve_b]. *)
-
-val solve_grounded :
-  ?max_iters:int ->
-  ?tol:float ->
-  apply_a:(Vec.t -> Vec.t) ->
-  solve_b:(Vec.t -> Vec.t) ->
-  kappa:float ->
-  Vec.t ->
-  Vec.t * stats
-(** Like {!solve} but centers [b] first and re-centers the result — the right
-    entry point for connected-graph Laplacian systems. *)
+    For singular (Laplacian) operators, pass [b] in the range (centered)
+    and keep [solve_b_into]'s output centered; the iterate then stays in
+    the range. Raises [Invalid_argument] on a workspace dimension
+    mismatch. *)

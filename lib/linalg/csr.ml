@@ -78,13 +78,6 @@ let mul_vec_into a x y =
     y.(i) <- !s
   done
 
-let mul_vec a x =
-  if Array.length x <> a.n_cols then
-    invalid_arg "Csr.mul_vec: dimension mismatch";
-  let y = Vec.create a.n_rows in
-  mul_vec_into a x y;
-  y
-
 let mul_vec_transpose a x =
   if Array.length x <> a.n_rows then
     invalid_arg "Csr.mul_vec_transpose: dimension mismatch";

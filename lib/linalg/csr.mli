@@ -21,8 +21,6 @@ val nnz : t -> int
 val get : t -> int -> int -> float
 (** [get a i j] is entry [(i, j)]; [O(row degree)] lookup. *)
 
-val mul_vec : t -> Vec.t -> Vec.t
-
 val mul_vec_into : t -> Vec.t -> Vec.t -> unit
 (** [mul_vec_into a x y] sets [y <- A x] without allocating; [y] must not
     alias [x]. This is the [apply_into] operator shape the workspace solvers

@@ -61,12 +61,6 @@ let copy_into x dst =
 
 let fill dst c = Array.fill dst 0 (Array.length dst) c
 
-let add x y =
-  check_dims "add" x y;
-  let dst = create (Array.length x) in
-  add_into x y dst;
-  dst
-
 let sub x y =
   check_dims "sub" x y;
   let dst = create (Array.length x) in
@@ -83,10 +77,6 @@ let axpy a x y =
   let dst = create (Array.length x) in
   axpy_into a x y dst;
   dst
-
-let axpy_inplace a x y =
-  check_dims "axpy_inplace" x y;
-  axpy_into a x y y
 
 let dot x y =
   check_dims "dot" x y;

@@ -22,8 +22,6 @@ val basis : int -> int -> t
 
 val constant : int -> float -> t
 
-val add : t -> t -> t
-
 val sub : t -> t -> t
 
 val scale : float -> t -> t
@@ -31,16 +29,14 @@ val scale : float -> t -> t
 val axpy : float -> t -> t -> t
 (** [axpy a x y] is [a*x + y], allocating a fresh vector. *)
 
-val axpy_inplace : float -> t -> t -> unit
-(** [axpy_inplace a x y] updates [y <- a*x + y]. *)
-
 (** {2 Zero-allocation kernels}
 
     Each [_into] variant writes its full result into a caller-owned
     destination and performs no heap allocation; destinations follow the
     operator convention of {!Csr.mul_vec_into} (output parameter last).
-    Element expressions are bit-identical to the allocating functions above,
-    which are thin wrappers over these kernels. *)
+    Element expressions are bit-identical to the allocating functions that
+    wrap them ({!sub}, {!scale}, {!axpy}, {!center}). [add_into] has no
+    allocating twin. *)
 
 val add_into : t -> t -> t -> unit
 (** [add_into x y dst] sets [dst <- x + y]. [dst] may alias [x] or [y]. *)
@@ -52,8 +48,8 @@ val scale_into : float -> t -> t -> unit
 (** [scale_into a x dst] sets [dst <- a*x]. [dst] may alias [x]. *)
 
 val axpy_into : float -> t -> t -> t -> unit
-(** [axpy_into a x y dst] sets [dst <- a*x + y]. [dst] may alias [y] (this is
-    exactly {!axpy_inplace}) but must not alias [x]. *)
+(** [axpy_into a x y dst] sets [dst <- a*x + y]. [dst] may alias [y] (the
+    in-place update [y <- a*x + y]) but must not alias [x]. *)
 
 val copy_into : t -> t -> unit
 (** [copy_into x dst] blits [x] over [dst]. *)

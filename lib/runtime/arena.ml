@@ -34,19 +34,9 @@ type t = {
 
 let no_payload : int array = [||]
 
-let dense_threshold_default () =
-  match Sys.getenv_opt "CC_DENSE_WIDTH_MAX" with
-  | Some s -> ( match int_of_string_opt s with Some v when v > 0 -> v | _ -> 1024)
-  | None -> 1024
-
-let create ?dense_threshold ~n () =
+let create ?(dense_threshold = 1024) ~n () =
   if n <= 0 then invalid_arg "Arena.create: need n > 0";
-  let threshold =
-    match dense_threshold with
-    | Some v -> v
-    | None -> dense_threshold_default ()
-  in
-  let dense = n <= threshold in
+  let dense = n <= dense_threshold in
   let cap = 64 in
   {
     n;
@@ -109,8 +99,7 @@ let pair_add t ~src ~dst w =
 (* cc_lint: hot deliver *)
 
 let deliver t ~width ?check outboxes =
-  if Array.length outboxes <> t.n then
-    invalid_arg "Mailbox.deliver: outbox array length mismatch";
+  Mailbox.check_outboxes ~n:t.n outboxes;
   (* Round reset: scalar writes plus an epoch bump. *)
   let cap_before = t.cap in
   t.count <- 0;
@@ -127,24 +116,12 @@ let deliver t ~width ?check outboxes =
     List.iter
       (fun (d, payload) ->
         if d < 0 || d >= n then
-          invalid_arg
-            (Printf.sprintf
-               "Mailbox.deliver: destination %d out of range (src=%d, \
-                phase=%S, width=%d)"
-               d s (Mailbox.current_context ()) width);
+          invalid_arg (Mailbox.out_of_range_message ~src:s ~dst:d ~width);
         (match check with Some f -> f ~src:s ~dst:d | None -> ());
         let w = Array.length payload in
         let total = pair_add t ~src:s ~dst:d w in
         if total > width then
-          raise
-            (Mailbox.Bandwidth_exceeded
-               {
-                 src = s;
-                 dst = d;
-                 words = total;
-                 width;
-                 phase = Mailbox.current_context ();
-               });
+          Mailbox.bandwidth_exceeded ~src:s ~dst:d ~words:total ~width;
         if t.count = t.cap then grow t;
         let i = t.count in
         t.src.(i) <- s;

@@ -24,14 +24,10 @@ type t
 
 val create : ?dense_threshold:int -> n:int -> unit -> t
 (** [create ~n ()] sizes an arena for [n] nodes. The dense width table is
-    used iff [n <= dense_threshold] (default: {!dense_threshold_default});
-    beyond it the per-link accounting falls back to an int-keyed
-    [Hashtbl] whose memory scales with traffic, not [n²]. *)
-
-val dense_threshold_default : unit -> int
-(** The default dense-table cutoff: [CC_DENSE_WIDTH_MAX] when set to a
-    positive integer, else 1024 (an [n=1024] table is 8 MB; [n²] ints grow
-    quadratically past that). *)
+    used iff [n <= dense_threshold] (default 1024: an [n=1024] table is
+    8 MB, and [n²] ints grow quadratically past that); beyond it the
+    per-link accounting falls back to an int-keyed [Hashtbl] whose memory
+    scales with traffic, not [n²]. *)
 
 val n : t -> int
 (** The node count the arena was sized for. *)

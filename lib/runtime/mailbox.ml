@@ -30,9 +30,27 @@ let () =
            src dst words width phase)
     | _ -> None)
 
-let deliver ~n ~width ?check outboxes =
+(* Delivery errors, built here for every kernel so that messages and
+   fields are byte-identical whichever kernel trips. *)
+let check_outboxes ~n outboxes =
   if Array.length outboxes <> n then
-    invalid_arg "Mailbox.deliver: outbox array length mismatch";
+    invalid_arg "Mailbox.deliver: outbox array length mismatch"
+
+let check_values ~n values =
+  if Array.length values <> n then
+    invalid_arg "Mailbox.broadcast: values array length mismatch"
+
+let out_of_range_message ~src ~dst ~width =
+  Printf.sprintf
+    "Mailbox.deliver: destination %d out of range (src=%d, phase=%S, \
+     width=%d)"
+    dst src !context width
+
+let bandwidth_exceeded ~src ~dst ~words ~width =
+  raise (Bandwidth_exceeded { src; dst; words; width; phase = !context })
+
+let deliver ~n ~width ?check outboxes =
+  check_outboxes ~n outboxes;
   let inboxes = Array.make n [] in
   let pair_words = Hashtbl.create 64 in
   let words = ref 0 in
@@ -41,11 +59,7 @@ let deliver ~n ~width ?check outboxes =
       List.iter
         (fun (dst, payload) ->
           if dst < 0 || dst >= n then
-            invalid_arg
-              (Printf.sprintf
-                 "Mailbox.deliver: destination %d out of range (src=%d, \
-                  phase=%S, width=%d)"
-                 dst src !context width);
+            invalid_arg (out_of_range_message ~src ~dst ~width);
           (match check with Some f -> f ~src ~dst | None -> ());
           let w = Array.length payload in
           (* Int key: a boxed (src, dst) tuple here allocated (and hashed
@@ -54,9 +68,7 @@ let deliver ~n ~width ?check outboxes =
           let cur = try Hashtbl.find pair_words key with Not_found -> 0 in
           let total = cur + w in
           if total > width then
-            raise
-              (Bandwidth_exceeded
-                 { src; dst; words = total; width; phase = !context });
+            bandwidth_exceeded ~src ~dst ~words:total ~width;
           Hashtbl.replace pair_words key total;
           words := !words + w;
           inboxes.(dst) <- (src, payload) :: inboxes.(dst))
@@ -79,9 +91,7 @@ let route ~n ~width ?check msgs =
              src dst !context width);
       (match check with Some f -> f ~src ~dst | None -> ());
       let w = Array.length payload in
-      if w > width then
-        raise
-          (Bandwidth_exceeded { src; dst; words = w; width; phase = !context });
+      if w > width then bandwidth_exceeded ~src ~dst ~words:w ~width;
       sent.(src) <- sent.(src) + w;
       received.(dst) <- received.(dst) + w;
       words := !words + w;
@@ -96,16 +106,12 @@ let route ~n ~width ?check msgs =
   (inboxes, !words, batches)
 
 let broadcast ~n ~width values =
-  if Array.length values <> n then
-    invalid_arg "Mailbox.broadcast: values array length mismatch";
+  check_values ~n values;
   let words = ref 0 in
   Array.iteri
     (fun src payload ->
       let w = Array.length payload in
-      if w > width then
-        raise
-          (Bandwidth_exceeded
-             { src; dst = -1; words = w; width; phase = !context });
+      if w > width then bandwidth_exceeded ~src ~dst:(-1) ~words:w ~width;
       words := !words + ((n - 1) * w))
     values;
   (Array.copy values, !words)

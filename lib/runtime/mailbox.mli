@@ -28,6 +28,25 @@ val current_context : unit -> string
 (** The phase last recorded with {!set_context} (phase-scoped fault
     schedules read it to decide whether a rule applies). *)
 
+(** {2 Delivery errors}
+
+    Every kernel builds its delivery errors with these, so messages and
+    fields are byte-identical across kernels. *)
+
+val check_outboxes : n:int -> 'a array -> unit
+(** Raises [Invalid_argument] unless there is one outbox per node. *)
+
+val check_values : n:int -> 'a array -> unit
+(** Raises [Invalid_argument] unless there is one broadcast value per
+    node. *)
+
+val out_of_range_message : src:int -> dst:int -> width:int -> string
+(** The [Invalid_argument] message for a destination outside [0, n),
+    naming the current phase. *)
+
+val bandwidth_exceeded : src:int -> dst:int -> words:int -> width:int -> 'a
+(** Raises {!Bandwidth_exceeded} with the current phase. *)
+
 val deliver :
   n:int ->
   width:int ->

@@ -214,8 +214,7 @@ type split = {
 }
 
 let split_exchange ~owner ~shards ~n ~width outboxes =
-  if Array.length outboxes <> n then
-    invalid_arg "Mailbox.deliver: outbox array length mismatch";
+  Mailbox.check_outboxes ~n outboxes;
   let acc = Array.make shards [] in
   let traffic = Array.make (shards * shards) false in
   let words = ref 0 and crossings = ref 0 and messages = ref 0 in
@@ -231,12 +230,7 @@ let split_exchange ~owner ~shards ~n ~width outboxes =
          (fun (dst, pay) ->
            if dst < 0 || dst >= n then begin
              range_error :=
-               Some
-                 ( !gidx,
-                   Printf.sprintf
-                     "Mailbox.deliver: destination %d out of range (src=%d, \
-                      phase=%S, width=%d)"
-                     dst src (Mailbox.current_context ()) width );
+               Some (!gidx, Mailbox.out_of_range_message ~src ~dst ~width);
              raise Exit
            end;
            let s = owner.(src) and d = owner.(dst) in

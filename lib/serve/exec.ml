@@ -20,8 +20,7 @@ let policy_name = function
   | Recover -> "recover"
 
 type artifact =
-  | A_cheb of Laplacian.Solver.prepared
-  | A_cg of Laplacian.Solver.prepared_cg
+  | A_solve of (Linalg.Vec.t -> Laplacian.Solver.report)
   | A_sparsify of Sparsify.Spectral.result * int * bool
   | A_maxflow of Maxflow_ipm.report * int * bool
   | A_mst of Clique.Boruvka.result * int * bool
@@ -114,50 +113,35 @@ let run_solve ~policy ~cache ~inject ~nocache ~g ~b ~solver ~eps ~return_x =
   let check (r : Laplacian.Solver.report) =
     Fault.Check.solver_residual g ~b:b_centered r.Laplacian.Solver.x
   in
-  let solve_with prep_solve =
-    with_policy ~policy ~inject ~name:"serve.solve" ~dim:n ~check
-      ~corrupt:corrupt_report prep_solve
-  in
-  let gfp = Fingerprint.float (Fingerprint.graph g) eps in
-  let report, attempts, recovered, cache_state =
+  (* Either method is a prepare step and a solve closure over its handle.
+     Prepare stays outside [with_policy]: a Recover retry re-solves on the
+     same handle. *)
+  let key_prefix, prepare_solve =
     match solver with
     | Job.Chebyshev ->
-      if nocache then
-        let prep = Laplacian.Solver.prepare ~eps g in
-        let r, a, rc =
-          solve_with (fun () -> Laplacian.Solver.solve_prepared prep b)
-        in
-        (r, a, rc, `Bypass)
-      else
-        let key = "solve-cheb:" ^ Fingerprint.to_hex gfp in
-        let (r, a, rc), hit =
-          Cache.use cache key
-            ~build:(fun () -> A_cheb (Laplacian.Solver.prepare ~eps g))
-            (function
-              | A_cheb prep ->
-                solve_with (fun () -> Laplacian.Solver.solve_prepared prep b)
-              | _ -> kind_mismatch ())
-        in
-        (r, a, rc, if hit then `Hit else `Miss)
+      ( "solve-cheb:",
+        fun () -> Laplacian.Solver.(solve_prepared (prepare ~eps g)) )
     | Job.Cg_baseline ->
-      if nocache then
-        let prep = Laplacian.Solver.prepare_cg ~eps g in
-        let r, a, rc =
-          solve_with (fun () -> Laplacian.Solver.solve_cg_prepared prep b)
-        in
-        (r, a, rc, `Bypass)
-      else
-        let key = "solve-cg:" ^ Fingerprint.to_hex gfp in
-        let (r, a, rc), hit =
-          Cache.use cache key
-            ~build:(fun () -> A_cg (Laplacian.Solver.prepare_cg ~eps g))
-            (function
-              | A_cg prep ->
-                solve_with (fun () ->
-                    Laplacian.Solver.solve_cg_prepared prep b)
-              | _ -> kind_mismatch ())
-        in
-        (r, a, rc, if hit then `Hit else `Miss)
+      ( "solve-cg:",
+        fun () -> Laplacian.Solver.(solve_cg_prepared (prepare_cg ~eps g)) )
+  in
+  let solve_with solve =
+    with_policy ~policy ~inject ~name:"serve.solve" ~dim:n ~check
+      ~corrupt:corrupt_report (fun () -> solve b)
+  in
+  let (report, attempts, recovered), cache_state =
+    if nocache then (solve_with (prepare_solve ()), `Bypass)
+    else
+      let key =
+        key_prefix
+        ^ Fingerprint.to_hex (Fingerprint.float (Fingerprint.graph g) eps)
+      in
+      let r, hit =
+        Cache.use cache key
+          ~build:(fun () -> A_solve (prepare_solve ()))
+          (function A_solve solve -> solve_with solve | _ -> kind_mismatch ())
+      in
+      (r, if hit then `Hit else `Miss)
   in
   {
     fields = solve_fields ~return_x report;

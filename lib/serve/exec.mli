@@ -23,8 +23,9 @@ val policy_of_string : string -> (policy, string) result
 val policy_name : policy -> string
 
 type artifact
-(** What the daemon's {!Cache} stores: prepared solver handles or memoized
-    certified reports, one variant per job kind. *)
+(** What the daemon's {!Cache} stores: a solve closure over a prepared
+    solver handle (either method), or a memoized certified report per
+    other job kind. *)
 
 type outcome = {
   fields : (string * Json.t) list;  (** the response's [result] object *)

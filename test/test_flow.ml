@@ -492,16 +492,18 @@ let test_chebyshev_convergence_rate () =
   let kappa = 25. in
   let n = 6 in
   let diag = Array.init n (fun i -> 1. /. kappa +. (float_of_int i /. float_of_int (n - 1)) *. (1. -. 1. /. kappa)) in
-  let apply v = Array.mapi (fun i x -> diag.(i) *. x) v in
+  let apply_a_into v dst = Array.iteri (fun i x -> dst.(i) <- diag.(i) *. x) v in
   let b = Array.make n 1. in
   let xstar = Array.mapi (fun i x -> x /. diag.(i)) b in
   let rate = (sqrt kappa -. 1.) /. (sqrt kappa +. 1.) in
   List.iter
     (fun k ->
-      let x, _ =
-        Linalg.Chebyshev.solve ~max_iters:k ~tol:0. ~apply_a:apply
-          ~solve_b:(fun v -> v) ~kappa b
+      let ws = Linalg.Chebyshev.Workspace.create n in
+      let (_ : Linalg.Chebyshev.stats) =
+        Linalg.Chebyshev.solve_into ~max_iters:k ~tol:0. ~apply_a_into
+          ~solve_b_into:Linalg.Vec.copy_into ~kappa ws b
       in
+      let x = ws.Linalg.Chebyshev.Workspace.x in
       let err = Linalg.Vec.dist2 x xstar /. Linalg.Vec.norm2 xstar in
       let bound = 2.5 *. (rate ** float_of_int k) in
       if err > bound then

@@ -48,7 +48,8 @@ let test_laplacian_quadratic_form () =
   Alcotest.(check (float 1e-12)) "quadratic form" 5.
     (Graph.quadratic_form g [| 0.; 1.; 3. |]);
   let lx = Graph.apply_laplacian g [| 0.; 1.; 3. |] in
-  let expect = Linalg.Csr.mul_vec (Graph.laplacian g) [| 0.; 1.; 3. |] in
+  let expect = Linalg.Vec.create 3 in
+  Linalg.Csr.mul_vec_into (Graph.laplacian g) [| 0.; 1.; 3. |] expect;
   Alcotest.(check bool) "apply matches csr" true (Linalg.Vec.equal lx expect)
 
 let test_induced () =

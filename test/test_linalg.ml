@@ -8,6 +8,31 @@ let approx ?(eps = 1e-8) a b = Float.abs (a -. b) <= eps
 let check_float name eps expected actual =
   Alcotest.(check (float eps)) name expected actual
 
+(* Fresh-destination forms of the [_into] kernels that have no allocating
+   twin in the library. *)
+let vec_add x y =
+  let dst = Linalg.Vec.create (Linalg.Vec.dim x) in
+  Linalg.Vec.add_into x y dst;
+  dst
+
+let csr_mul a x =
+  let y = Linalg.Vec.create (Linalg.Csr.rows a) in
+  Linalg.Csr.mul_vec_into a x y;
+  y
+
+(* The grounded convention on the workspace Chebyshev kernel: center [b],
+   iterate, center [x]. *)
+let cheb_grounded ~tol ~apply_a_into ~solve_b_into ~kappa b =
+  let ws = Linalg.Chebyshev.Workspace.create (Linalg.Vec.dim b) in
+  let st =
+    Linalg.Chebyshev.solve_into ~tol ~apply_a_into ~solve_b_into ~kappa ws
+      (Linalg.Vec.center b)
+  in
+  (Linalg.Vec.center ws.Linalg.Chebyshev.Workspace.x, st)
+
+(* An allocating operator as an [_into] one. *)
+let into f src dst = Linalg.Vec.copy_into (f src) dst
+
 (* ------------------------------------------------------------------ Vec *)
 
 let test_vec_basic () =
@@ -17,7 +42,7 @@ let test_vec_basic () =
   check_float "norm2" 1e-12 (sqrt 14.) (Linalg.Vec.norm2 x);
   Alcotest.(check bool)
     "add" true
-    (Linalg.Vec.equal (Linalg.Vec.add x y) (Linalg.Vec.of_list [ 5.; 7.; 9. ]));
+    (Linalg.Vec.equal (vec_add x y) (Linalg.Vec.of_list [ 5.; 7.; 9. ]));
   Alcotest.(check bool)
     "axpy" true
     (Linalg.Vec.equal
@@ -121,7 +146,7 @@ let test_csr_matvec () =
     Linalg.Csr.of_triplets ~rows:2 ~cols:3
       [ (0, 0, 1.); (0, 1, 2.); (1, 2, 4.) ]
   in
-  let y = Linalg.Csr.mul_vec a [| 1.; 1.; 1. |] in
+  let y = csr_mul a [| 1.; 1.; 1. |] in
   Alcotest.(check bool)
     "Ax" true
     (Linalg.Vec.equal y (Linalg.Vec.of_list [ 3.; 4. ]));
@@ -144,7 +169,7 @@ let test_csr_laplacian_symmetry () =
   Alcotest.(check bool) "symmetric" true (Linalg.Csr.is_symmetric l);
   (* Row sums of a Laplacian vanish. *)
   let ones = Linalg.Vec.constant 20 1. in
-  let y = Linalg.Csr.mul_vec l ones in
+  let y = csr_mul l ones in
   Alcotest.(check bool) "L·1 = 0" true (Linalg.Vec.norm2 y < 1e-9)
 
 (* ------------------------------------------------------------------- Cg *)
@@ -171,12 +196,14 @@ let test_chebyshev_identity_preconditioner () =
   (* With B = A the iteration converges immediately (κ = 1 ⇒ spectrum
      collapses to a point). *)
   let a = [| [| 2.; 0. |]; [| 0.; 2. |] |] in
-  let x, st =
-    Linalg.Chebyshev.solve
-      ~apply_a:(Linalg.Dense.mul_vec a)
-      ~solve_b:(fun v -> Linalg.Vec.scale 0.5 v)
-      ~kappa:1.0 [| 2.; 4. |]
+  let ws = Linalg.Chebyshev.Workspace.create 2 in
+  let st =
+    Linalg.Chebyshev.solve_into
+      ~apply_a_into:(Linalg.Dense.mul_vec_into a)
+      ~solve_b_into:(Linalg.Vec.scale_into 0.5)
+      ~kappa:1.0 ws [| 2.; 4. |]
   in
+  let x = ws.Linalg.Chebyshev.Workspace.x in
   Alcotest.(check bool) "converged" true st.Linalg.Chebyshev.converged;
   Alcotest.(check bool)
     "solution" true
@@ -190,9 +217,10 @@ let test_chebyshev_laplacian_with_sparsifier_identity () =
     Linalg.Vec.center (Linalg.Vec.init 25 (fun i -> float_of_int ((i * 3) mod 7)))
   in
   let x, st =
-    Linalg.Chebyshev.solve_grounded
-      ~apply_a:(Graph.apply_laplacian g)
-      ~solve_b:(fun v -> Linalg.Dense.solve_grounded l (Linalg.Vec.center v))
+    cheb_grounded
+      ~apply_a_into:(Graph.apply_laplacian_into g)
+      ~solve_b_into:
+        (into (fun v -> Linalg.Dense.solve_grounded l (Linalg.Vec.center v)))
       ~kappa:1.0 ~tol:1e-10 b
   in
   Alcotest.(check bool) "converged" true st.Linalg.Chebyshev.converged;
@@ -221,7 +249,7 @@ let qcheck_tests =
          (list_of_size (Gen.return 8) (float_bound_exclusive 100.)))
       (fun (xs, ys) ->
         let x = Linalg.Vec.of_list xs and y = Linalg.Vec.of_list ys in
-        Linalg.Vec.equal (Linalg.Vec.add x y) (Linalg.Vec.add y x));
+        Linalg.Vec.equal (vec_add x y) (vec_add y x));
     Test.make ~name:"dot Cauchy-Schwarz" ~count:100
       (pair (list_of_size (Gen.return 8) (float_bound_exclusive 100.))
          (list_of_size (Gen.return 8) (float_bound_exclusive 100.)))
@@ -242,8 +270,7 @@ let qcheck_tests =
         let l = Graph.laplacian g in
         let d = Graph.laplacian_dense g in
         let x = Linalg.Vec.init 10 (fun i -> float_of_int ((i + seed) mod 4)) in
-        Linalg.Vec.equal ~eps:1e-9 (Linalg.Csr.mul_vec l x)
-          (Linalg.Dense.mul_vec d x));
+        Linalg.Vec.equal ~eps:1e-9 (csr_mul l x) (Linalg.Dense.mul_vec d x));
   ]
 
 let suite =
@@ -333,11 +360,12 @@ let test_cg_max_iters_respected () =
 
 let test_chebyshev_respects_max_iters () =
   let a = [| [| 3.; 1. |]; [| 1.; 2. |] |] in
-  let _, st =
-    Linalg.Chebyshev.solve ~max_iters:2 ~tol:1e-30
-      ~apply_a:(Linalg.Dense.mul_vec a)
-      ~solve_b:(fun v -> v)
-      ~kappa:10. [| 1.; 1. |]
+  let st =
+    Linalg.Chebyshev.solve_into ~max_iters:2 ~tol:1e-30
+      ~apply_a_into:(Linalg.Dense.mul_vec_into a)
+      ~solve_b_into:Linalg.Vec.copy_into ~kappa:10.
+      (Linalg.Chebyshev.Workspace.create 2)
+      [| 1.; 1. |]
   in
   Alcotest.(check int) "two iterations" 2 st.Linalg.Chebyshev.iterations
 
@@ -351,9 +379,9 @@ let test_chebyshev_operator_property () =
     (fun i ->
       let b = Linalg.Vec.center (Linalg.Vec.basis 20 i) in
       let z_b, _ =
-        Linalg.Chebyshev.solve_grounded
-          ~apply_a:(Graph.apply_laplacian g)
-          ~solve_b:solve_exact ~kappa:1.0 ~tol:1e-10 b
+        cheb_grounded
+          ~apply_a_into:(Graph.apply_laplacian_into g)
+          ~solve_b_into:(into solve_exact) ~kappa:1.0 ~tol:1e-10 b
       in
       let x = solve_exact b in
       if not (Linalg.Vec.equal ~eps:1e-6 z_b x) then
@@ -370,8 +398,8 @@ let more_qcheck =
       (fun (a, xs, ys) ->
         let x = Linalg.Vec.of_list xs and y = Linalg.Vec.of_list ys in
         Linalg.Vec.equal ~eps:1e-6
-          (Linalg.Vec.scale a (Linalg.Vec.add x y))
-          (Linalg.Vec.add (Linalg.Vec.scale a x) (Linalg.Vec.scale a y)));
+          (Linalg.Vec.scale a (vec_add x y))
+          (vec_add (Linalg.Vec.scale a x) (Linalg.Vec.scale a y)));
     Test.make ~name:"center is idempotent" ~count:80
       (list_of_size (Gen.return 7) (float_bound_exclusive 50.))
       (fun xs ->
@@ -391,8 +419,8 @@ let more_qcheck =
         let a = Graph.laplacian g in
         let x = Linalg.Vec.init 9 (fun i -> float_of_int ((i * 3) mod 5)) in
         Linalg.Vec.equal ~eps:1e-9
-          (Linalg.Csr.mul_vec (Linalg.Csr.scale 2.5 a) x)
-          (Linalg.Vec.scale 2.5 (Linalg.Csr.mul_vec a x)));
+          (csr_mul (Linalg.Csr.scale 2.5 a) x)
+          (Linalg.Vec.scale 2.5 (csr_mul a x)));
     Test.make ~name:"grounded solve really solves" ~count:30 small_nat
       (fun seed ->
         let g = Graph_gen.connected_gnp ~seed:(Int64.of_int (seed + 303)) 10 0.4 in
@@ -426,7 +454,8 @@ let suite =
 
 (* Verbatim copies of the pre-workspace (allocating) CG and Chebyshev
    implementations: the differential oracle pinning the refactored
-   kernels to bit-identical arithmetic on real instances. *)
+   kernels to bit-identical arithmetic on real instances. The seed's
+   in-place [axpy_inplace a x y] is spelled [axpy_into a x y y]. *)
 module Seed_cg = struct
   let solve ?max_iters ?(tol = 1e-10) ?x0 apply b =
     let open Linalg in
@@ -445,8 +474,8 @@ module Seed_cg = struct
          let pap = Vec.dot p ap in
          if pap <= 0. then raise Exit;
          let alpha = !rs /. pap in
-         Vec.axpy_inplace alpha p x;
-         Vec.axpy_inplace (-.alpha) ap r;
+         Vec.axpy_into alpha p x x;
+         Vec.axpy_into (-.alpha) ap r r;
          let rs' = Vec.dot r r in
          let beta = rs' /. !rs in
          for i = 0 to n - 1 do
@@ -489,9 +518,9 @@ module Seed_cheb = struct
     let residual = ref (Vec.norm2 r /. nb) in
     (try
        while !iters < max_iters do
-         Vec.axpy_inplace 1. d x;
+         Vec.axpy_into 1. d x x;
          let ad = apply_a d in
-         Vec.axpy_inplace (-1.) ad r;
+         Vec.axpy_into (-1.) ad r r;
          residual := Vec.norm2 r /. nb;
          incr iters;
          if !residual <= tol then raise Exit;
@@ -523,7 +552,7 @@ let test_into_kernels_differential () =
   let y = Vec.init 17 (fun i -> cos (float_of_int (3 * i)) *. 2.5) in
   let dst = Vec.create 17 in
   Vec.add_into x y dst;
-  bitwise "add_into" (Vec.add x y) dst;
+  bitwise "add_into" (Vec.map2 ( +. ) x y) dst;
   Vec.sub_into x y dst;
   bitwise "sub_into" (Vec.sub x y) dst;
   Vec.scale_into 0.7 x dst;
@@ -544,12 +573,9 @@ let test_into_kernels_differential () =
 let test_matvec_into_differential () =
   let open Linalg in
   let g = Graph_gen.connected_gnp ~seed:11L 14 0.35 in
-  let l = Graph.laplacian g in
   let d = Graph.laplacian_dense g in
   let x = Vec.init 14 (fun i -> float_of_int ((i * 5) mod 7) -. 2.) in
   let dst = Vec.create 14 in
-  Csr.mul_vec_into l x dst;
-  bitwise "csr mul_vec_into" (Csr.mul_vec l x) dst;
   Dense.mul_vec_into d x dst;
   bitwise "dense mul_vec_into" (Dense.mul_vec d x) dst;
   let gdst = Vec.create 14 in
@@ -609,17 +635,24 @@ let test_chebyshev_bit_identical_to_seed () =
     (fun (seed, n) ->
       let g = Graph_gen.connected_gnp ~seed:(Int64.of_int seed) n 0.3 in
       let b = Vec.center (Vec.init n (fun i -> sin (float_of_int (i + seed)))) in
-      let apply_a = Graph.apply_laplacian g in
       (* Identity-style preconditioner (kept centered): convergence quality
          is irrelevant here, only arithmetic identity. *)
-      let solve_b r = Vec.center (Vec.scale 0.125 r) in
       let kappa = 64. in
       let x_seed, st_seed =
-        Seed_cheb.solve ~max_iters:30 ~apply_a ~solve_b ~kappa b
+        Seed_cheb.solve ~max_iters:30 ~apply_a:(Graph.apply_laplacian g)
+          ~solve_b:(fun r -> Vec.center (Vec.scale 0.125 r))
+          ~kappa b
       in
-      let x_new, st_new =
-        Chebyshev.solve ~max_iters:30 ~apply_a ~solve_b ~kappa b
+      let ws = Chebyshev.Workspace.create n in
+      let st_new =
+        Chebyshev.solve_into ~max_iters:30
+          ~apply_a_into:(Graph.apply_laplacian_into g)
+          ~solve_b_into:(fun r dst ->
+            Vec.scale_into 0.125 r dst;
+            Vec.center_into dst dst)
+          ~kappa ws b
       in
+      let x_new = ws.Chebyshev.Workspace.x in
       bitwise (Printf.sprintf "cheb x (seed %d)" seed) x_seed x_new;
       Alcotest.(check bool)
         (Printf.sprintf "cheb stats (seed %d)" seed)

@@ -139,14 +139,19 @@ let test_spectral_preconditions_chebyshev () =
     Linalg.Vec.center
       (Linalg.Vec.init 50 (fun i -> float_of_int ((i * 13) mod 11)))
   in
-  let x, st =
-    Linalg.Chebyshev.solve_grounded
-      ~apply_a:(Graph.apply_laplacian g)
-      ~solve_b:(fun v -> Linalg.Dense.solve_grounded lh (Linalg.Vec.center v))
+  let ws = Linalg.Chebyshev.Workspace.create 50 in
+  let st =
+    Linalg.Chebyshev.solve_into
+      ~apply_a_into:(Graph.apply_laplacian_into g)
+      ~solve_b_into:(fun v dst ->
+        Linalg.Vec.copy_into
+          (Linalg.Dense.solve_grounded lh (Linalg.Vec.center v))
+          dst)
       ~kappa ~tol:1e-8
       ~max_iters:(Linalg.Chebyshev.iteration_bound ~kappa ~eps:1e-8)
-      b
+      ws (Linalg.Vec.center b)
   in
+  let x = Linalg.Vec.center ws.Linalg.Chebyshev.Workspace.x in
   Alcotest.(check bool)
     (Printf.sprintf "converged in %d iters (κ=%f)" st.Linalg.Chebyshev.iterations
        kappa)
