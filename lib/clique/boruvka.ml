@@ -19,6 +19,6 @@ let kruskal g =
 (* The distributed algorithm itself lives in {!Programs.Make}; this wrapper
    runs it on the clique kernel and packages the measured rounds. *)
 let minimum_spanning_tree g =
-  let rt = Kernel.clique (Graph.n g) in
-  let edges, weight, phases = Kernel.Sim_programs.boruvka rt g in
-  { edges; weight; rounds = Kernel.rounds rt; phases }
+  Kernel.with_clique (Graph.n g) (fun rt ->
+      let edges, weight, phases = Kernel.Sim_programs.boruvka rt g in
+      { edges; weight; rounds = Kernel.rounds rt; phases })

@@ -15,18 +15,11 @@ let congest ?phase g = On_congest.create ?phase (Congest.create g)
 
 let bcast ?phase n = On_bcast.create ?phase (Broadcast.create n)
 
-let charge = On_sim.charge
+let with_clique n f =
+  let rt = clique n in
+  let close () = Option.iter Socket.close (Sim.session (On_sim.transport rt)) in
+  Fun.protect ~finally:close (fun () -> f rt)
 
 let rounds = On_sim.rounds
 
 let words = On_sim.words
-
-let phases = On_sim.phases
-
-let phase_rounds = On_sim.phase_rounds
-
-let with_phase = On_sim.with_phase
-
-let on_round = On_sim.on_round
-
-let report = On_sim.report

@@ -6,10 +6,10 @@
     {!Sim_programs}/{!Congest_programs} are the generic node programs
     ({!Programs}) instantiated on each.
 
-    The charged layers (sparsifier, solver, IPMs, rounding) talk to the
-    clique runtime through the aliases below: [Kernel.clique n] replaces the
-    old bare [Cost.create ()] ledger, and [Kernel.charge rt ~phase r] is the
-    single entry point through which all analytic round charges flow. *)
+    A runtime is for code that moves messages: Borůvka, Euler's
+    Cole–Vishkin coloring and the fault layer's recovery driver. The
+    charged layers (sparsifier, solver, IPMs, rounding, the orientation's
+    outer ledger) move none and charge a plain {!Runtime.Cost.t}. *)
 
 module On_sim : Runtime.S with type transport = Sim.t
 (** The congested-clique runtime — {!Sim} under the cost ledger. *)
@@ -42,7 +42,7 @@ module Bcast_programs : Programs.S with type runtime = On_bcast.t
     on every unicast kernel (the receivers filter the wider inboxes). *)
 
 type t = On_sim.t
-(** The clique runtime — the type every charged layer carries. *)
+(** The clique runtime — what code that moves messages carries. *)
 
 val clique : ?phase:string -> int -> t
 (** [clique n] is a fresh runtime over a fresh [n]-node clique. *)
@@ -53,29 +53,13 @@ val congest : ?phase:string -> Graph.t -> On_congest.t
 val bcast : ?phase:string -> int -> On_bcast.t
 (** [bcast n] is a fresh runtime over a fresh [n]-node broadcast clique. *)
 
-(** Convenience delegates to {!On_sim} (so call sites read
-    [Kernel.charge rt ~phase:"ipm" r]): *)
-
-val charge : ?phase:string -> t -> int -> unit
-(** {!Runtime.S.charge}: add analytic rounds under a ledger phase. *)
+val with_clique : int -> (t -> 'a) -> 'a
+(** [with_clique n f] runs [f] on a fresh [clique n], then closes its
+    socket session (if the [Shard] kernel made one) even if [f] raises, so
+    a per-call runtime leaves no workers or descriptors behind. *)
 
 val rounds : t -> int
 (** {!Runtime.S.rounds}: total rounds, measured plus charged. *)
 
 val words : t -> int
 (** {!Runtime.S.words}: total words sent on the transport. *)
-
-val phases : t -> (string * int) list
-(** {!Runtime.S.phases}: the per-phase round breakdown, sorted. *)
-
-val phase_rounds : t -> string -> int
-(** {!Runtime.S.phase_rounds}: rounds charged under one phase. *)
-
-val with_phase : t -> string -> (unit -> 'a) -> 'a
-(** {!Runtime.S.with_phase}: run a thunk with the ledger phase set. *)
-
-val on_round : t -> (phase:string -> rounds:int -> words:int -> unit) -> unit
-(** {!Runtime.S.on_round}: observe every round as it is recorded. *)
-
-val report : t -> string
-(** {!Runtime.S.report}: human-readable ledger summary. *)

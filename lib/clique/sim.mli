@@ -110,8 +110,8 @@ val charge : t -> int -> unit
 
 val session : t -> Socket.t option
 (** The socket session behind a [Shard]-kernel instance ([None] on the
-    in-process kernels) — the hook tests use to close sessions or kill
-    workers deliberately. *)
+    in-process kernels) — what {!Kernel.with_clique} closes, and the hook
+    tests use to close sessions or kill workers deliberately. *)
 
 val stats : t -> (string * int) list
 (** The arena's [kernel.arena.*] counters ({!Runtime.Arena.stats}); the

@@ -92,9 +92,9 @@ let contract_once ?rng ~succ ~pred ~active ~eligible ~ring_of () =
       (* The coloring chain runs as real node programs over the active
          positions; only its measured round count flows back (charged into
          the orientation's ledger by the caller). *)
-      let rt = Clique.Kernel.clique k in
       let colors, cv_rounds =
-        Clique.Kernel.Sim_programs.three_color rt ~ids ~succ:s ~pred:p
+        Clique.Kernel.with_clique k (fun rt ->
+            Clique.Kernel.Sim_programs.three_color rt ~ids ~succ:s ~pred:p)
       in
       let matched =
         Coloring.maximal_matching_on_cycles ~colors ~succ:s ~pred:p
@@ -216,7 +216,7 @@ let orient ?(selector = Cole_vishkin) ?(choose = fun (_ : ring_edge list) -> tru
       | Cole_vishkin -> None
       | Sampling seed -> Some (Prng.create seed)
     in
-    let rt = Clique.Kernel.clique (max 1 (Graph.n g)) in
+    let ledger = Runtime.Cost.create () in
     let active = Array.make total true in
     let active_per_ring = Array.copy ring_sizes in
     let iterations = ref 0 in
@@ -236,8 +236,9 @@ let orient ?(selector = Cole_vishkin) ?(choose = fun (_ : ring_edge list) -> tru
       in
       coloring_rounds := !coloring_rounds + cv;
       (* CV exchange + the constant-round bridged forwarding via routing. *)
-      Clique.Kernel.charge rt ~phase:"coloring" cv;
-      Clique.Kernel.charge rt ~phase:"bridge" Runtime.Cost.lenzen_routing_rounds;
+      Runtime.Cost.charge ledger ~phase:"coloring" cv;
+      Runtime.Cost.charge ledger ~phase:"bridge"
+        Runtime.Cost.lenzen_routing_rounds;
       forward_rounds := !forward_rounds + cv + Runtime.Cost.lenzen_routing_rounds;
       Array.fill active_per_ring 0 (Array.length active_per_ring) 0;
       Array.iteri
@@ -263,15 +264,15 @@ let orient ?(selector = Cole_vishkin) ?(choose = fun (_ : ring_edge list) -> tru
     done;
     (* Spreading the decision replays the contraction backwards (same round
        count as the forward phase), plus the O(1)-round leader election. *)
-    Clique.Kernel.charge rt ~phase:"reverse" !forward_rounds;
-    Clique.Kernel.charge rt ~phase:"decision" 4;
+    Runtime.Cost.charge ledger ~phase:"reverse" !forward_rounds;
+    Runtime.Cost.charge ledger ~phase:"decision" 4;
     {
       orientation;
-      rounds = Clique.Kernel.rounds rt;
+      rounds = Runtime.Cost.rounds ledger;
       rings;
       iterations = !iterations;
       coloring_rounds = !coloring_rounds;
-      phase_rounds = Clique.Kernel.phases rt;
+      phase_rounds = Runtime.Cost.phases ledger;
     }
   end
 

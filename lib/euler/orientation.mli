@@ -19,11 +19,12 @@
     in-degree equal out-degree at every node, because a closed trail enters
     a vertex exactly as often as it leaves it.
 
-    Round counts are measured per component: the Cole–Vishkin chains run as
-    node programs on the clique runtime ({!Clique.Kernel.Sim_programs}) and
-    report their real lengths; the constant-round contraction and reverse
-    phases charge the model constants from {!Runtime.Cost}. Everything flows
-    through one phase-tagged ledger, reported in [phase_rounds]. *)
+    Round counts are measured per component: each contraction iteration's
+    Cole–Vishkin chain runs as node programs on its own clique runtime
+    ({!Clique.Kernel.Sim_programs}) and reports its real length; the
+    constant-round contraction and reverse phases charge the model
+    constants from {!Runtime.Cost}. Everything flows into one phase-tagged
+    {!Runtime.Cost.t} ledger, reported in [phase_rounds]. *)
 
 type ring_edge = {
   edge : int;  (** edge identifier in the input graph *)

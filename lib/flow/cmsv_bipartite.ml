@@ -147,7 +147,7 @@ let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
   let m2 = 2 * bip.nq in
   let mh = bip.nq in
   let w_max = Digraph.max_cost bip.lift.Mcf_ipm.lg in
-  let rt = Clique.Kernel.clique (max 1 (bip.np + bip.nq)) in
+  let ledger = Runtime.Cost.create () in
   (* Algorithm 7, lines 11–13: the explicit initial central point. *)
   let cinf = Float.max 1. (float_of_int w_max) in
   let y = Linalg.Vec.create (bip.np + bip.nq) in
@@ -193,11 +193,11 @@ let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
     if !iters > 1 && nu_norm nu !last_rho 3. > rho_threshold then begin
       incr perturbations;
       perturb bip y f s nu;
-      Clique.Kernel.charge rt ~phase:"ipm" 1
+      Runtime.Cost.charge ledger ~phase:"ipm" 1
     end;
     let rho, rounds = progress ~solver bip f s nu in
     solves := !solves + 2;
-    Clique.Kernel.charge rt ~phase:"ipm" rounds;
+    Runtime.Cost.charge ledger ~phase:"ipm" rounds;
     last_rho := rho;
     (* Numerical safety: the verbatim updates can leave the box in floating
        point; the repair phase will still deliver the exact optimum. *)
@@ -208,7 +208,7 @@ let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
   done;
   (* Arc flows are the cost-carrying halves. *)
   let f_lift = Array.init mh (fun j -> f.(2 * j)) in
-  match Mcf_ipm.round_and_repair bip.lift f_lift rt with
+  match Mcf_ipm.round_and_repair bip.lift f_lift ledger with
   | None -> None
   | Some (f_final, repair) ->
     Some
@@ -219,5 +219,5 @@ let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
         perturbations = !perturbations;
         laplacian_solves = !solves;
         repair_augmentations = repair;
-        rounds = Clique.Kernel.rounds rt;
+        rounds = Runtime.Cost.rounds ledger;
       }

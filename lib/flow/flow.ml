@@ -20,6 +20,17 @@ let cost g f =
     (Digraph.arcs g);
   !acc
 
+let check_terminals entry g ~s ~t =
+  if s = t then invalid_arg (entry ^ ": s = t");
+  let n = Digraph.n g in
+  let check name v =
+    if v < 0 || v >= n then
+      Printf.ksprintf invalid_arg "%s: terminal %s = %d is outside [0, %d)"
+        entry name v n
+  in
+  check "s" s;
+  check "t" t
+
 let conservation_violation g ~s ~t ~f =
   let ex = excess g f in
   let worst = ref 0. in

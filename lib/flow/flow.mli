@@ -15,6 +15,10 @@ val value : Digraph.t -> s:int -> f:t -> float
 
 val cost : Digraph.t -> t -> float
 
+val check_terminals : string -> Digraph.t -> s:int -> t:int -> unit
+(** [check_terminals entry g ~s ~t] raises [Invalid_argument], prefixed by
+    [entry], when [s = t] or when either terminal is outside [[0, n)]. *)
+
 val conservation_violation : Digraph.t -> s:int -> t:int -> f:t -> float
 (** Max |excess| over vertices other than [s], [t]. *)
 

@@ -96,24 +96,22 @@ let progress_step ~solver g support f_rel ~s ~t ~remaining =
   (elec.Electrical.solver_rounds + fix_rounds + 2, gamma *. remaining)
 
 let max_flow ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~s ~t =
-  if s = t then invalid_arg "Maxflow_ipm.max_flow: s = t";
+  Flow.check_terminals "Maxflow_ipm.max_flow" g ~s ~t;
   let n = Digraph.n g in
   let m = Digraph.m g in
   let u = max 1 (Digraph.max_capacity g) in
-  let rt = Clique.Kernel.clique (max 1 n) in
-  let zero_report value f =
+  if m = 0 then
     {
-      f;
-      value;
+      f = [||];
+      value = 0;
       ipm_iterations = 0;
       laplacian_solves = 0;
       repair_augmentations = 0;
-      rounds = Clique.Kernel.rounds rt;
-      phase_rounds = Clique.Kernel.phases rt;
+      rounds = 0;
+      phase_rounds = [];
     }
-  in
-  if m = 0 then zero_report 0 [||]
   else begin
+    let ledger = Runtime.Cost.create () in
     let support = support_of g in
     let cap_bound =
       List.fold_left
@@ -140,14 +138,14 @@ let max_flow ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~s ~t =
         progress_step ~solver g support f_rel ~s ~t ~remaining
       in
       solves := !solves + 2;
-      Clique.Kernel.charge rt ~phase:"ipm" step_rounds;
+      Runtime.Cost.charge ledger ~phase:"ipm" step_rounds;
       val_routed := !val_routed +. gained;
       if gained < 1e-6 *. Float.max target 1. then incr stall else stall := 0
     done;
     (* Gather the fractional flow so the grid snap can run internally. *)
     let grid_bits = Runtime.Cost.log2_ceil (4 * m) + 2 in
     let delta = 1. /. float_of_int (1 lsl grid_bits) in
-    Clique.Kernel.charge rt ~phase:"gather"
+    Runtime.Cost.charge ledger ~phase:"gather"
       (Runtime.Cost.gather_rounds ~n ~m
          ~bits_per_edge:
            ((2 * Runtime.Cost.log2_ceil (max n 2))
@@ -178,7 +176,7 @@ let max_flow ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~s ~t =
           phase_rounds = [] }
       else Rounding.Flow_rounding.round g ~s ~t ~delta f_dir
     in
-    Clique.Kernel.charge rt ~phase:"rounding"
+    Runtime.Cost.charge ledger ~phase:"rounding"
       rounded.Rounding.Flow_rounding.rounds;
     let f_int = Array.map int_of_float rounded.Rounding.Flow_rounding.f in
     (* Exact repair with augmenting paths. *)
@@ -188,7 +186,7 @@ let max_flow ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~s ~t =
     Log.debug (fun k ->
         k "max_flow: m=%d ipm_iterations=%d routed=%.3f repairs=%d" m !iters
           !val_routed repairs);
-    Clique.Kernel.charge rt ~phase:"repair"
+    Runtime.Cost.charge ledger ~phase:"repair"
       ((repairs + 1) * Runtime.Cost.apsp_rounds n);
     let value =
       let ex = Flow.excess g (Array.map float_of_int f_final) in
@@ -200,8 +198,8 @@ let max_flow ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~s ~t =
       ipm_iterations = !iters;
       laplacian_solves = !solves;
       repair_augmentations = repairs;
-      rounds = Clique.Kernel.rounds rt;
-      phase_rounds = Clique.Kernel.phases rt;
+      rounds = Runtime.Cost.rounds ledger;
+      phase_rounds = Runtime.Cost.phases ledger;
     }
   end
 

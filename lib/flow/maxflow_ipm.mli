@@ -46,7 +46,8 @@ val max_flow :
     electrical flows (default [Cg 1e-10]; use [Theorem_1_1] for full-fidelity
     round accounting, at real wall-clock cost). [iteration_cap] bounds the
     IPM phase (default [100 + 20·iterations_reference]); exactness never depends
-    on the cap. *)
+    on the cap. Raises [Invalid_argument] naming the terminal and [n] when
+    [s] or [t] is outside [[0, n)], and when [s = t]. *)
 
 val iterations_reference : m:int -> u:int -> int
 (** The [m^{3/7} U^{1/7}]-shaped progress-step curve for E5 ([η = 1/14];

@@ -324,13 +324,13 @@ let route_deficits g sigma f =
    super source/sink, quantize, cost-aware round, route deficits, cancel
    negative cycles, detect infeasibility via stuck auxiliary arcs. Returns
    the exact original-arc flow and the repair-operation count. *)
-let round_and_repair lift f rt =
+let round_and_repair lift f ledger =
   let lg = lift.lg in
   let mh = Digraph.m lg in
   let n = Digraph.n lg - 1 in
   let grid_bits = Runtime.Cost.log2_ceil (8 * mh) + 1 in
   let delta = 1. /. float_of_int (1 lsl grid_bits) in
-  Clique.Kernel.charge rt ~phase:"gather"
+  Runtime.Cost.charge ledger ~phase:"gather"
     (Runtime.Cost.gather_rounds ~n:(max n 2) ~m:mh
        ~bits_per_edge:((2 * Runtime.Cost.log2_ceil (max n 2)) + grid_bits));
   let ss = Digraph.n lg and tt = Digraph.n lg + 1 in
@@ -361,7 +361,7 @@ let round_and_repair lift f rt =
         phase_rounds = [] }
     else Rounding.Flow_rounding.round ~cost:arc_cost ext ~s:ss ~t:tt ~delta fq
   in
-  Clique.Kernel.charge rt ~phase:"rounding"
+  Runtime.Cost.charge ledger ~phase:"rounding"
     rounded.Rounding.Flow_rounding.rounds;
   let f_lift = Array.sub rounded.Rounding.Flow_rounding.f 0 mh in
   match route_deficits lg lift.sigma_hat f_lift with
@@ -369,7 +369,7 @@ let round_and_repair lift f rt =
   | Some deficit_augs ->
     let cancels = cancel_negative_cycles lg f_lift in
     let repair = deficit_augs + cancels in
-    Clique.Kernel.charge rt ~phase:"repair"
+    Runtime.Cost.charge ledger ~phase:"repair"
       ((repair + 1) * Runtime.Cost.apsp_rounds (max n 2));
     let aux_used =
       let used = ref false in
@@ -385,7 +385,7 @@ let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
   let lg = lift.lg in
   let mh = Digraph.m lg in
   let w_max = max 1 (Digraph.max_cost g) in
-  let rt = Clique.Kernel.clique (max 1 (Digraph.n lg)) in
+  let ledger = Runtime.Cost.create () in
   let support = Graph.create (Digraph.n lg)
       (Array.to_list (Digraph.arcs lg)
       |> List.map (fun a ->
@@ -405,7 +405,7 @@ let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
     incr iters;
     let step_rounds, rho4 = newton_step ~solver lift support f !mu in
     incr solves;
-    Clique.Kernel.charge rt ~phase:"ipm" step_rounds;
+    Runtime.Cost.charge ledger ~phase:"ipm" step_rounds;
     (* CMSV's µ-reduction rule: cap the rate by the observed congestion
        (this is where their Perturbation loop does its work). *)
     let delta = Float.min 0.125 (1. /. (8. *. Float.max rho4 1e-9)) in
@@ -414,13 +414,13 @@ let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
       let r = fix_demand ~solver lift support f in
       if r > 0 then begin
         incr solves;
-        Clique.Kernel.charge rt ~phase:"ipm" r
+        Runtime.Cost.charge ledger ~phase:"ipm" r
       end
     end
   done;
   Log.debug (fun k ->
       k "solve: m=%d iterations=%d final_mu=%.2e" mh !iters !mu);
-  match round_and_repair lift f rt with
+  match round_and_repair lift f ledger with
   | None -> None
   | Some (f_final, repair) ->
     Some
@@ -430,14 +430,14 @@ let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
         ipm_iterations = !iters;
         laplacian_solves = !solves;
         repair_augmentations = repair;
-        rounds = Clique.Kernel.rounds rt;
-        phase_rounds = Clique.Kernel.phases rt;
+        rounds = Runtime.Cost.rounds ledger;
+        phase_rounds = Runtime.Cost.phases ledger;
       }
 
 (* §2.4: min-cost max s-t flow reduces to min-cost flow by binary search
    over the flow value. *)
 let solve_max_flow_min_cost ?solver g ~s ~t =
-  if s = t then invalid_arg "Mcf_ipm.solve_max_flow_min_cost: s = t";
+  Flow.check_terminals "Mcf_ipm.solve_max_flow_min_cost" g ~s ~t;
   let n = Digraph.n g in
   let upper =
     List.fold_left (fun a id -> a + (Digraph.arc g id).Digraph.cap) 0

@@ -40,12 +40,12 @@ val build_lift : Digraph.t -> sigma:int array -> lift
     of cost [‖c‖₁]. Validates unit capacities and [Σσ = 0]. *)
 
 val round_and_repair :
-  lift -> float array -> Clique.Kernel.t -> (Flow.t * int) option
+  lift -> float array -> Runtime.Cost.t -> (Flow.t * int) option
 (** Algorithm 10's role: gather + grid quantization + cost-aware Lemma 4.2
     rounding + deficit routing + negative-cycle cancelling. [None] when the
     instance is infeasible (auxiliary arcs stay loaded). Returns the exact
     original-arc flow and the repair-operation count; charges its phases
-    into the given runtime's ledger. *)
+    into the given ledger. *)
 
 type report = {
   f : Flow.t;  (** exact integral min-cost flow on the input arcs *)
@@ -77,7 +77,9 @@ val solve_max_flow_min_cost :
     the flow value with a demand-feasibility probe per step (each probe is a
     full Theorem 1.3 solve, so the round total multiplies by [log F*]).
     Returns the report at the optimum together with the number of probes;
-    [None] only if even value 0 fails (never, for s ≠ t). *)
+    [None] only if even value 0 fails (never, for s ≠ t). Raises
+    [Invalid_argument] naming the terminal and [n] when [s] or [t] is
+    outside [[0, n)], and when [s = t]. *)
 
 val iterations_reference : m:int -> w:int -> int
 (** The [m^{3/7}·log W]-shaped progress curve for E6 (CMSV's constants are

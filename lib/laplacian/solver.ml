@@ -175,11 +175,11 @@ let solve_prepared p b =
   let eps = p.p_eps and kappa = p.p_kappa in
   (* One ledger per solve, replaying the whole pipeline: an answer from a
      reused handle carries the same rounds as one from a fresh handle. *)
-  let rt = Clique.Kernel.clique n in
+  let ledger = Runtime.Cost.create () in
   (match p.p_sparsify_rounds with
-  | Some r -> Clique.Kernel.charge rt ~phase:"sparsify" r
+  | Some r -> Runtime.Cost.charge ledger ~phase:"sparsify" r
   | None -> ());
-  Clique.Kernel.charge rt ~phase:"kappa-estimate" kappa_rounds;
+  Runtime.Cost.charge ledger ~phase:"kappa-estimate" kappa_rounds;
   (* b is centered twice and x once. Float centering is not idempotent, and
      the pinned reports (golden values, bench baselines) come from this
      double pass: the second centering is part of the arithmetic. *)
@@ -190,7 +190,7 @@ let solve_prepared p b =
       ~apply_a_into:p.p_apply_a_into ~solve_b_into:p.p_solve_b_into ~kappa
       p.p_ws b
   in
-  Clique.Kernel.charge rt ~phase:"chebyshev"
+  Runtime.Cost.charge ledger ~phase:"chebyshev"
     (st.Linalg.Chebyshev.iterations * Runtime.Cost.matvec_rounds);
   Log.debug (fun k ->
       k "solve: n=%d kappa=%.3f iterations=%d residual=%.2e" n kappa
@@ -200,8 +200,8 @@ let solve_prepared p b =
     iterations = st.Linalg.Chebyshev.iterations;
     kappa;
     sparsifier_edges = p.p_sparsifier_edges;
-    rounds = Clique.Kernel.rounds rt;
-    phase_rounds = Clique.Kernel.phases rt;
+    rounds = Runtime.Cost.rounds ledger;
+    phase_rounds = Runtime.Cost.phases ledger;
     residual = st.Linalg.Chebyshev.residual;
   }
 

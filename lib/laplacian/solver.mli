@@ -17,9 +17,9 @@
     other implementation of the pipeline.
 
     Round accounting: the sparsifier phase charges its Theorem 3.3 cost, and
-    every matvec charges {!Runtime.Cost.matvec_rounds}; all charges flow
-    through one clique-runtime ledger ({!Clique.Kernel}) and are broken down
-    per phase in the report. *)
+    every matvec charges {!Runtime.Cost.matvec_rounds}. No phase moves a
+    message, so all charges flow into one plain {!Runtime.Cost.t} ledger per
+    solve and are broken down per phase in the report. *)
 
 type inner_solver =
   | Direct  (** grounded dense Cholesky of [L_H] — exact, [O(n³)] once *)

@@ -66,7 +66,7 @@ let round ?cost g ~s ~t ~delta f =
           (Printf.sprintf
              "Flow_rounding.round: grid conservation violated at %d (%d)" v b))
     balance;
-  let rt = Clique.Kernel.clique (max 1 (Digraph.n g)) in
+  let ledger = Runtime.Cost.create () in
   let levels = Runtime.Cost.log2_ceil grain in
   for level = 0 to levels - 1 do
     let step = 1 lsl level in
@@ -112,7 +112,7 @@ let round ?cost g ~s ~t ~delta f =
         end
       in
       let r = Euler.Orientation.orient ~choose h in
-      Clique.Kernel.charge rt ~phase:"orient" r.Euler.Orientation.rounds;
+      Runtime.Cost.charge ledger ~phase:"orient" r.Euler.Orientation.rounds;
       Array.iteri
         (fun hid arc ->
           if r.Euler.Orientation.orientation.(hid) then
@@ -128,7 +128,7 @@ let round ?cost g ~s ~t ~delta f =
   in
   {
     f = f';
-    rounds = Clique.Kernel.rounds rt;
+    rounds = Runtime.Cost.rounds ledger;
     levels;
-    phase_rounds = Clique.Kernel.phases rt;
+    phase_rounds = Runtime.Cost.phases ledger;
   }

@@ -1,6 +1,6 @@
 (* The arena message kernel (DESIGN.md §10). All round-hot state lives in
-   flat arrays sized once and reused: a reset is a handful of scalar writes
-   plus an epoch bump, never an O(n²) clear or a reallocation. *)
+   flat arrays sized once and reused: a reset is a handful of scalar writes,
+   never an O(n²) clear or a reallocation. *)
 
 type t = {
   n : int;
@@ -18,14 +18,13 @@ type t = {
   starts : int array;
   fill : int array;
   mutable slot : int array;
-  (* Per-link width accounting, keyed src * n + dst. The dense table is
-     epoch-stamped: a cell is live iff its stamp equals the current epoch,
-     so resetting costs one increment. *)
-  dense : bool;
+  (* Per-link width accounting. Pass 1 walks one source's outbox at a time,
+     so a per-destination accumulator holds every running pair total:
+     [pair_words.(d)] is live iff [pair_stamp.(d)] equals [stamp], which
+     advances once per source, so moving on clears nothing. *)
   pair_words : int array;
-  pair_epoch : int array;
-  mutable epoch : int;
-  sparse : (int, int) Hashtbl.t;
+  pair_stamp : int array;
+  mutable stamp : int;
   (* Stats (kernel.arena.* counters). *)
   mutable resets : int;
   mutable grows : int;
@@ -34,9 +33,8 @@ type t = {
 
 let no_payload : int array = [||]
 
-let create ?(dense_threshold = 1024) ~n () =
+let create ~n () =
   if n <= 0 then invalid_arg "Arena.create: need n > 0";
-  let dense = n <= dense_threshold in
   let cap = 64 in
   {
     n;
@@ -49,19 +47,15 @@ let create ?(dense_threshold = 1024) ~n () =
     starts = Array.make (n + 1) 0;
     fill = Array.make n 0;
     slot = Array.make cap 0;
-    dense;
-    pair_words = (if dense then Array.make (n * n) 0 else [||]);
-    pair_epoch = (if dense then Array.make (n * n) 0 else [||]);
-    epoch = 0;
-    sparse = (if dense then Hashtbl.create 1 else Hashtbl.create 256);
+    pair_words = Array.make n 0;
+    pair_stamp = Array.make n 0;
+    stamp = 0;
     resets = 0;
     grows = 0;
     slot_words_reused = 0;
   }
 
 let n t = t.n
-
-let uses_dense_table t = t.dense
 
 let grow t =
   let cap = 2 * t.cap in
@@ -79,33 +73,14 @@ let grow t =
   t.cap <- cap;
   t.grows <- t.grows + 1
 
-(* Accumulated words over the ordered pair, read-modify-write. *)
-let pair_add t ~src ~dst w =
-  let key = (src * t.n) + dst in
-  if t.dense then begin
-    let cur = if t.pair_epoch.(key) = t.epoch then t.pair_words.(key) else 0 in
-    let total = cur + w in
-    t.pair_epoch.(key) <- t.epoch;
-    t.pair_words.(key) <- total;
-    total
-  end
-  else begin
-    let cur = match Hashtbl.find_opt t.sparse key with Some c -> c | None -> 0 in
-    let total = cur + w in
-    Hashtbl.replace t.sparse key total;
-    total
-  end
-
 (* cc_lint: hot deliver *)
 
 let deliver t ~width ?check outboxes =
   Mailbox.check_outboxes ~n:t.n outboxes;
-  (* Round reset: scalar writes plus an epoch bump. *)
+  (* Round reset: scalar writes; the width accumulator needs none. *)
   let cap_before = t.cap in
   t.count <- 0;
-  t.epoch <- t.epoch + 1;
   t.resets <- t.resets + 1;
-  if not t.dense then Hashtbl.reset t.sparse;
   Array.fill t.counts 0 t.n 0;
   let words = ref 0 in
   (* Pass 1: validate, width-account, and append to the flat message table
@@ -113,13 +88,18 @@ let deliver t ~width ?check outboxes =
      fire at the identical message with identical fields. *)
   let n = t.n in
   for s = 0 to n - 1 do
+    t.stamp <- t.stamp + 1;
     List.iter
       (fun (d, payload) ->
         if d < 0 || d >= n then
           invalid_arg (Mailbox.out_of_range_message ~src:s ~dst:d ~width);
         (match check with Some f -> f ~src:s ~dst:d | None -> ());
         let w = Array.length payload in
-        let total = pair_add t ~src:s ~dst:d w in
+        let total =
+          (if t.pair_stamp.(d) = t.stamp then t.pair_words.(d) else 0) + w
+        in
+        t.pair_stamp.(d) <- t.stamp;
+        t.pair_words.(d) <- total;
         if total > width then
           Mailbox.bandwidth_exceeded ~src:s ~dst:d ~words:total ~width;
         if t.count = t.cap then grow t;
@@ -166,7 +146,6 @@ let deliver t ~width ?check outboxes =
 
 let stats t =
   [
-    ("kernel.arena.dense", if t.dense then 1 else 0);
     ("kernel.arena.grows", t.grows);
     ("kernel.arena.resets", t.resets);
     ("kernel.arena.slot_words_reused", t.slot_words_reused);

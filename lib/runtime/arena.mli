@@ -2,17 +2,17 @@
 
     One [Arena.t] is sized once per simulation and reused every round: the
     flat message table (parallel [src]/[dst]/payload-reference arrays), the
-    counting-sort scratch, and the per-link width table are {e reset}, not
-    reallocated, on each {!deliver}. Delivery is a counting sort into
-    contiguous per-destination slices, so building the inboxes is two
-    linear passes with no hashing and no per-message key allocation —
+    counting-sort scratch, and the per-link width accumulator are {e
+    reset}, not reallocated, on each {!deliver}. Delivery is a counting
+    sort into contiguous per-destination slices, so building the inboxes is
+    two linear passes with no hashing and no per-message key allocation —
     unlike the legacy {!Mailbox.deliver} path, which pays a [Hashtbl]
     lookup per message.
 
-    Per-link width accounting uses a dense [n*n] int table indexed by
-    [src * n + dst] and invalidated by epoch stamps (so a round reset is
-    O(1), not O(n²)); above a configurable node-count threshold the table
-    would be too large and the arena falls back to an int-keyed [Hashtbl].
+    Per-link width accounting needs only [O(n)] memory: delivery walks one
+    source's outbox at a time, so a length-[n] per-destination accumulator,
+    stamped with the source being walked, holds every running pair total.
+    Moving to the next source or the next round clears nothing.
 
     Semantics are bit-identical to {!Mailbox.deliver}: same validation
     order, same error payloads, same inbox contents in the same list
@@ -22,18 +22,12 @@
 type t
 (** A delivery arena for a fixed number of nodes. *)
 
-val create : ?dense_threshold:int -> n:int -> unit -> t
-(** [create ~n ()] sizes an arena for [n] nodes. The dense width table is
-    used iff [n <= dense_threshold] (default 1024: an [n=1024] table is
-    8 MB, and [n²] ints grow quadratically past that); beyond it the
-    per-link accounting falls back to an int-keyed [Hashtbl] whose memory
-    scales with traffic, not [n²]. *)
+val create : n:int -> unit -> t
+(** [create ~n ()] sizes an arena for [n] nodes: [O(n)] words, whatever
+    [n] is. *)
 
 val n : t -> int
 (** The node count the arena was sized for. *)
-
-val uses_dense_table : t -> bool
-(** Whether per-link widths are accounted in the dense [n*n] table. *)
 
 val deliver :
   t ->
@@ -50,6 +44,6 @@ val deliver :
 val stats : t -> (string * int) list
 (** Cumulative [kernel.arena.*] counters, sorted by name: [resets] (rounds
     delivered), [grows] (capacity doublings), [slot_words_reused] (message
-    slots served from already-allocated capacity), [dense] (1 iff the
-    dense width table is active). Exported into a {!Metrics.t} registry by
-    [Runtime.S.export_metrics] via [Transport.S.stats]. *)
+    slots served from already-allocated capacity). Exported into a
+    {!Metrics.t} registry by [Runtime.S.export_metrics] via
+    [Transport.S.stats]. *)

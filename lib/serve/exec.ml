@@ -60,9 +60,11 @@ let with_policy ~policy ~inject ~name ~dim ~check ~corrupt compute =
     | Fault.Check.Fail _ as f ->
       raise (Refused ("certification failed: " ^ Fault.Check.to_string f)))
   | Recover -> (
-    let rt = Clique.Kernel.clique (max dim 1) in
     try
-      let o = Rec.run ~name rt ~check attempt in
+      let o =
+        Clique.Kernel.with_clique (max dim 1) (fun rt ->
+            Rec.run ~name rt ~check attempt)
+      in
       ( o.Fault.Recover.value,
         o.Fault.Recover.attempts,
         o.Fault.Recover.recovered )

@@ -60,7 +60,7 @@ let sparsify ?(phi = 0.05) ?(gamma = 0.25) ?max_levels ?(backend = Buckets)
     Hashtbl.fold (fun c ids acc -> (c, List.rev ids) :: acc) class_tbl []
     |> List.sort compare
   in
-  let rt = Clique.Kernel.clique (max 1 n) in
+  let ledger = Runtime.Cost.create () in
   let max_level_used = ref 0 in
   let sparsifier_edges = ref [] in
   List.iter
@@ -83,7 +83,7 @@ let sparsify ?(phi = 0.05) ?(gamma = 0.25) ?max_levels ?(backend = Buckets)
             Expander.Decomposition.bcast_rounds_formula
               ~n:(Graph.n !current)
         in
-        Clique.Kernel.charge rt ~phase:"decompose"
+        Runtime.Cost.charge ledger ~phase:"decompose"
           (decompose_rounds + Runtime.Cost.broadcast_rounds);
         List.iter
           (fun vs ->
@@ -107,7 +107,7 @@ let sparsify ?(phi = 0.05) ?(gamma = 0.25) ?max_levels ?(backend = Buckets)
   in
   (* A gather is receive-bound, so the two models price it almost alike:
      ⌈m·w/(n-1)⌉ unicast vs ⌈m·w/n⌉ broadcast. *)
-  Clique.Kernel.charge rt ~phase:"gather"
+  Runtime.Cost.charge ledger ~phase:"gather"
     (match model with
     | Runtime.Model.Unicast ->
       Runtime.Cost.gather_rounds ~n ~m:(Graph.m h) ~bits_per_edge
@@ -117,8 +117,8 @@ let sparsify ?(phi = 0.05) ?(gamma = 0.25) ?max_levels ?(backend = Buckets)
     sparsifier = h;
     levels = !max_level_used;
     classes = List.length class_list;
-    rounds = Clique.Kernel.rounds rt;
-    phase_rounds = Clique.Kernel.phases rt;
+    rounds = Runtime.Cost.rounds ledger;
+    phase_rounds = Runtime.Cost.phases ledger;
   }
 
 let size_bound ~n ~u =

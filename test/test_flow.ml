@@ -520,3 +520,42 @@ let suite =
       Alcotest.test_case "chebyshev convergence rate" `Quick
         test_chebyshev_convergence_rate;
     ]
+
+(* A terminal outside [0, n) is a structured error naming the entry point,
+   the terminal and n — on the arc-free network too, where nothing would
+   otherwise index it. *)
+let test_terminals_out_of_range () =
+  let raises what expected f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) what expected msg
+  in
+  let g = diamond () and empty = Digraph.create 4 [] in
+  List.iter
+    (fun (entry, run) ->
+      raises (entry ^ " s = -1")
+        (entry ^ ": terminal s = -1 is outside [0, 4)")
+        (fun () -> run g ~s:(-1) ~t:3);
+      raises (entry ^ " t = n")
+        (entry ^ ": terminal t = 4 is outside [0, 4)")
+        (fun () -> run g ~s:0 ~t:4);
+      raises (entry ^ " no arcs, t = 9")
+        (entry ^ ": terminal t = 9 is outside [0, 4)")
+        (fun () -> run empty ~s:0 ~t:9);
+      raises (entry ^ " s = t") (entry ^ ": s = t") (fun () -> run g ~s:1 ~t:1))
+    [
+      ( "Maxflow_ipm.max_flow",
+        fun g ~s ~t -> ignore (Maxflow_ipm.max_flow g ~s ~t) );
+      ( "Mcf_ipm.solve_max_flow_min_cost",
+        fun g ~s ~t -> ignore (Mcf_ipm.solve_max_flow_min_cost g ~s ~t) );
+    ];
+  Alcotest.(check int) "in-range terminals on no arcs: value 0" 0
+    (Maxflow_ipm.max_flow empty ~s:0 ~t:3).Maxflow_ipm.value
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "flow terminals out of range" `Quick
+        test_terminals_out_of_range;
+    ]

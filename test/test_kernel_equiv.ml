@@ -209,8 +209,8 @@ let workload k =
           (v, [| 42 |]);
         ])
 
-let deliver_both ?dense_threshold k width outboxes =
-  let arena = A.create ?dense_threshold ~n:k () in
+let deliver_both k width outboxes =
+  let arena = A.create ~n:k () in
   let a = A.deliver arena ~width outboxes in
   let l = M.deliver ~n:k ~width outboxes in
   (arena, a, l)
@@ -225,23 +225,6 @@ let test_arena_matches_mailbox () =
         li ai;
       Alcotest.(check int) "words identical" lw aw)
     [ 3; 8; 24 ]
-
-let test_arena_sparse_fallback () =
-  let k = 16 in
-  let outboxes = workload k in
-  let dense = A.create ~n:k () in
-  let sparse = A.create ~dense_threshold:0 ~n:k () in
-  Alcotest.(check bool) "default is dense at small n" true
-    (A.uses_dense_table dense);
-  Alcotest.(check bool) "threshold 0 forces the Hashtbl fallback" false
-    (A.uses_dense_table sparse);
-  let d = A.deliver dense ~width:4 outboxes in
-  let s = A.deliver sparse ~width:4 outboxes in
-  let l = M.deliver ~n:k ~width:4 outboxes in
-  Alcotest.check inboxes_t "dense == legacy" (fst l) (fst d);
-  Alcotest.check inboxes_t "sparse == legacy" (fst l) (fst s);
-  Alcotest.(check int) "words agree" (snd l) (snd d);
-  Alcotest.(check int) "words agree (sparse)" (snd l) (snd s)
 
 (* Reuse across rounds is the arena's point: same instance, many rounds,
    including a width bump mid-stream; every round must match legacy. *)
@@ -283,18 +266,103 @@ let test_arena_error_parity () =
   List.iter
     (fun (what, outboxes, width) ->
       let legacy = capture (fun () -> M.deliver ~n:k ~width outboxes) in
-      List.iter
-        (fun (backend, dense_threshold) ->
-          let arena = A.create ~dense_threshold ~n:k () in
-          let got = capture (fun () -> A.deliver arena ~width outboxes) in
-          Alcotest.(check string)
-            (Printf.sprintf "%s on %s == legacy" what backend)
-            (exn_to_string legacy) (exn_to_string got))
-        [ ("dense", 1024); ("sparse", 0) ])
+      let arena = A.create ~n:k () in
+      let got = capture (fun () -> A.deliver arena ~width outboxes) in
+      Alcotest.(check string)
+        (Printf.sprintf "%s == legacy" what)
+        (exn_to_string legacy) (exn_to_string got))
     [
       ("pair over budget", over, 2);
       ("dst out of range", out_of_range, 2);
     ]
+
+(* The seeded differential fleet for the one width rule: random outboxes
+   with repeated pairs, empty outboxes, self-messages, over-width pairs and
+   out-of-range destinations, several rounds on one arena at varying
+   widths (including the round right after one that raised), compared
+   against the mailbox oracle on inboxes, words and the exact exception
+   text, at n = 1..40 and once at n = 1100. *)
+let random_outboxes rng k =
+  let out =
+    Array.init k (fun v ->
+        if Prng.int rng 5 = 0 then []
+        else
+          List.init (Prng.int rng 6) (fun _ ->
+              let d =
+                match Prng.int rng 10 with
+                | 0 -> v
+                | 1 | 2 -> (v + 1) mod k
+                | _ -> Prng.int rng k
+              in
+              (d, Array.init (Prng.int rng 3) (fun i -> (v * 7) + i))))
+  in
+  (* One round in four carries a single out-of-range destination. *)
+  if Prng.int rng 4 = 0 then begin
+    let v = Prng.int rng k in
+    let bad = if Prng.bool rng then k else -1 in
+    out.(v) <- out.(v) @ [ (bad, [| 1 |]) ]
+  end;
+  out
+
+let test_arena_random_differential () =
+  let cases =
+    List.init 200 (fun i -> (i, 1 + (i mod 40))) @ [ (200, 1100) ]
+  in
+  let clean = ref 0 and over = ref 0 and range = ref 0 and big_clean = ref 0 in
+  List.iter
+    (fun (seed, k) ->
+      let rng = Prng.create (Int64.of_int (1000 + seed)) in
+      let arena = A.create ~n:k () in
+      let raised = ref false in
+      for r = 1 to 5 do
+        (* Width 12 admits any outbox here (at most 5 messages of at most
+           2 words per pair), so every size gets rounds that deliver. *)
+        let width = if Prng.int rng 3 = 0 then 12 else 1 + Prng.int rng 6 in
+        let outboxes = random_outboxes rng k in
+        let legacy = capture (fun () -> M.deliver ~n:k ~width outboxes) in
+        let got = capture (fun () -> A.deliver arena ~width outboxes) in
+        let label =
+          Printf.sprintf "seed %d n=%d round %d%s" seed k r
+            (if !raised then " (after a raise)" else "")
+        in
+        (match (legacy, got) with
+        | Ok (li, lw), Ok (ai, aw) ->
+          incr clean;
+          if k > 1024 then incr big_clean;
+          Alcotest.check inboxes_t (label ^ ": inboxes") li ai;
+          Alcotest.(check int) (label ^ ": words") lw aw
+        | _ ->
+          incr
+            (match legacy with
+            | Error (M.Bandwidth_exceeded _) -> over
+            | _ -> range);
+          Alcotest.(check string) (label ^ ": error")
+            (exn_to_string legacy) (exn_to_string got));
+        raised := Result.is_error got
+      done)
+    cases;
+  (* The fleet must exercise all three outcomes, not just one. *)
+  List.iter
+    (fun (what, c) ->
+      if !c < 50 then Alcotest.failf "only %d %s rounds in the fleet" !c what)
+    [ ("clean", clean); ("over-width", over); ("out-of-range", range) ];
+  if !big_clean = 0 then Alcotest.fail "no clean round at n = 1100"
+
+(* The width accumulator is O(n): sizing an arena at n = 1024 allocates a
+   few length-n arrays. *)
+let test_arena_create_is_linear () =
+  let n = 1024 in
+  let allocated () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = allocated () in
+  let arena = A.create ~n () in
+  let words = allocated () -. before in
+  Alcotest.(check int) "sized for n" n (A.n arena);
+  if words >= float_of_int (16 * n) then
+    Alcotest.failf "Arena.create ~n:%d allocated %.0f words (bound %d)" n
+      words (16 * n)
 
 (* The CONGEST edge check runs through the arena's ?check hook; a
    non-edge must raise identically on every kernel (the Shard selection
@@ -484,12 +552,14 @@ let () =
         [
           Alcotest.test_case "deliver matches mailbox" `Quick
             test_arena_matches_mailbox;
-          Alcotest.test_case "dense/sparse width accounting" `Quick
-            test_arena_sparse_fallback;
           Alcotest.test_case "reuse across rounds" `Quick
             test_arena_reuse_across_rounds;
           Alcotest.test_case "error parity (budget, range)" `Quick
             test_arena_error_parity;
+          Alcotest.test_case "seeded differential vs mailbox" `Quick
+            test_arena_random_differential;
+          Alcotest.test_case "create allocates O(n) words" `Quick
+            test_arena_create_is_linear;
           Alcotest.test_case "congest edge-check parity" `Quick
             test_congest_check_parity;
         ] );

@@ -95,7 +95,7 @@ let test_bandwidth_error_names_context () =
   let rt = K.On_sim.create ~sanitize:false (Clique.Sim.create 3) in
   let fields =
     try
-      K.with_phase rt "gather" (fun () ->
+      K.On_sim.with_phase rt "gather" (fun () ->
           ignore (K.On_sim.exchange rt [| [ (2, [| 1; 2; 3 |]) ]; []; [] |]));
       None
     with Runtime.Mailbox.Bandwidth_exceeded { src; dst; words; width; phase }
@@ -169,10 +169,10 @@ let test_out_of_range_dst_names_context () =
       [ "out of range"; "phase=\"bad-dst\""; "width=2" ]
   in
   check_msg "exchange error" (fun () ->
-      K.with_phase rt "bad-dst" (fun () ->
+      K.On_sim.with_phase rt "bad-dst" (fun () ->
           K.On_sim.exchange rt [| [ (7, [| 1 |]) ]; []; [] |]));
   check_msg "route error" (fun () ->
-      K.with_phase rt "bad-dst" (fun () ->
+      K.On_sim.with_phase rt "bad-dst" (fun () ->
           K.On_sim.route rt [ (0, 9, [| 1 |]) ]))
 
 (* -------------------------------------------- route batching arithmetic *)
@@ -203,34 +203,34 @@ let test_route_batch_boundary () =
 
 let test_runtime_ledger_and_phases () =
   let rt = K.clique 4 in
-  K.with_phase rt "talk" (fun () ->
+  K.On_sim.with_phase rt "talk" (fun () ->
       ignore (K.On_sim.exchange rt [| [ (1, [| 5 |]) ]; []; []; [] |]));
-  K.charge rt ~phase:"analysis" 7;
+  K.On_sim.charge rt ~phase:"analysis" 7;
   Alcotest.(check int) "total" 8 (K.rounds rt);
-  Alcotest.(check int) "talk" 1 (K.phase_rounds rt "talk");
-  Alcotest.(check int) "analysis" 7 (K.phase_rounds rt "analysis");
+  Alcotest.(check int) "talk" 1 (K.On_sim.phase_rounds rt "talk");
+  Alcotest.(check int) "analysis" 7 (K.On_sim.phase_rounds rt "analysis");
   Alcotest.(check int) "words" 1 (K.words rt);
   Alcotest.(check (list (pair string int)))
     "sorted breakdown"
     [ ("analysis", 7); ("talk", 1) ]
-    (K.phases rt);
+    (K.On_sim.phases rt);
   (* The ledger total always equals the transport's round counter. *)
   Alcotest.(check int) "transport agrees" (K.rounds rt)
     (Clique.Sim.rounds (K.On_sim.transport rt));
   Alcotest.(check bool) "negative charge rejected" true
     (try
-       K.charge rt (-1);
+       K.On_sim.charge rt (-1);
        false
      with Invalid_argument _ -> true)
 
 let test_runtime_on_round_hook () =
   let rt = K.clique 3 in
   let seen = ref [] in
-  K.on_round rt (fun ~phase ~rounds ~words ->
+  K.On_sim.on_round rt (fun ~phase ~rounds ~words ->
       seen := (phase, rounds, words) :: !seen);
-  K.with_phase rt "bcast" (fun () ->
+  K.On_sim.with_phase rt "bcast" (fun () ->
       ignore (K.On_sim.broadcast rt [| [| 1 |]; [| 2 |]; [| 3 |] |]));
-  K.charge rt ~phase:"post" 4;
+  K.On_sim.charge rt ~phase:"post" 4;
   Alcotest.(check (list (triple string int int)))
     "observer saw both events"
     [ ("post", 4, 0); ("bcast", 1, 6) ]
@@ -238,15 +238,15 @@ let test_runtime_on_round_hook () =
 
 let test_runtime_trace_ring () =
   let rt = K.On_sim.create ~trace_capacity:2 (Clique.Sim.create 2) in
-  K.charge rt ~phase:"a" 1;
-  K.charge rt ~phase:"b" 2;
-  K.charge rt ~phase:"c" 3;
+  K.On_sim.charge rt ~phase:"a" 1;
+  K.On_sim.charge rt ~phase:"b" 2;
+  K.On_sim.charge rt ~phase:"c" 3;
   let tr = K.On_sim.trace rt in
   Alcotest.(check int) "all events counted" 3 (Runtime.Trace.recorded tr);
   Alcotest.(check (list string))
     "ring keeps the newest" [ "b"; "c" ]
     (List.map (fun e -> e.Runtime.Trace.phase) (Runtime.Trace.to_list tr));
-  let report = K.report rt in
+  let report = K.On_sim.report rt in
   Alcotest.(check bool) "report names the kernel" true
     (String.length report > 0
     && String.sub report 0 7 = "[clique")
@@ -265,7 +265,7 @@ let test_bfs_parity_across_kernels () =
   Alcotest.(check int) "same rounds on both kernels"
     (Clique.Congest.rounds c) (K.rounds rt);
   Alcotest.(check int) "all rounds under the bfs phase" (K.rounds rt)
-    (K.phase_rounds rt "bfs")
+    (K.On_sim.phase_rounds rt "bfs")
 
 let test_bellman_ford_parity_across_kernels () =
   let g = Gen.weighted_gnp ~seed:22L 16 0.3 8 in
@@ -321,7 +321,7 @@ let test_three_color_parity_across_kernels () =
   Alcotest.(check int) "same rounds" r1 r2;
   Alcotest.(check bool) "proper" true (Coloring.is_proper c1 ~succ);
   Alcotest.(check int) "ledger charged under coloring" r1
-    (K.phase_rounds rt_sim "coloring")
+    (K.On_sim.phase_rounds rt_sim "coloring")
 
 let suite =
   [

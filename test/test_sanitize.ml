@@ -18,7 +18,7 @@ let test_width_violation_names_phase () =
   let rt = K.On_sim.create ~sanitize:true (Clique.Sim.create 3) in
   match
     violation "width" (fun () ->
-        K.with_phase rt "burst" (fun () ->
+        K.On_sim.with_phase rt "burst" (fun () ->
             K.On_sim.exchange rt [| [ (1, [| 1; 2; 3 |]) ]; []; [] |]))
   with
   | None -> Alcotest.fail "oversized exchange must trip the sanitizer"
@@ -61,7 +61,7 @@ let test_duplicate_dst_flagged () =
   let rt = K.On_sim.create ~sanitize:true (Clique.Sim.create 3) in
   match
     violation "duplicate-dst" (fun () ->
-        K.with_phase rt "shift" (fun () ->
+        K.On_sim.with_phase rt "shift" (fun () ->
             K.On_sim.exchange rt [| [ (1, [| 7 |]); (1, [| 8 |]) ]; []; [] |]))
   with
   | None -> Alcotest.fail "duplicate (dst, _) entries must trip the sanitizer"
@@ -136,20 +136,20 @@ let test_model_selector () =
 let test_phase_attribution () =
   let rt = K.On_sim.create ~sanitize:true (Clique.Sim.create 3) in
   (* Setup charges under "main" are fine before any named phase... *)
-  K.charge rt 1;
-  K.with_phase rt "solve" (fun () -> K.charge rt 2);
+  K.On_sim.charge rt 1;
+  K.On_sim.with_phase rt "solve" (fun () -> K.On_sim.charge rt 2);
   (* ...but once a named phase has run, unattributed rounds are a bug. *)
-  (match violation "phase-attribution" (fun () -> K.charge rt 3) with
+  (match violation "phase-attribution" (fun () -> K.On_sim.charge rt 3) with
   | None -> Alcotest.fail "post-setup main-phase rounds must be flagged"
   | Some (phase, _) -> Alcotest.(check string) "phase" "main" phase);
   (* Zero-round events carry no attribution burden. *)
-  K.charge rt 0
+  K.On_sim.charge rt 0
 
 let test_phase_attribution_off_when_unsanitized () =
   (* [~sanitize:false] must win even under an ambient CC_SANITIZE=1. *)
   let rt = K.On_sim.create ~sanitize:false (Clique.Sim.create 3) in
-  K.with_phase rt "solve" (fun () -> K.charge rt 2);
-  K.charge rt 3;
+  K.On_sim.with_phase rt "solve" (fun () -> K.On_sim.charge rt 2);
+  K.On_sim.charge rt 3;
   Alcotest.(check int) "no sanitizer, no violation" 5 (K.rounds rt);
   Alcotest.(check bool) "not sanitized" false (K.On_sim.sanitized rt)
 
@@ -158,11 +158,12 @@ let test_phase_attribution_off_when_unsanitized () =
 let test_ledger_drift () =
   let sim = Clique.Sim.create 3 in
   let rt = K.On_sim.create ~sanitize:true sim in
-  K.charge rt ~phase:"p" 1;
+  K.On_sim.charge rt ~phase:"p" 1;
   (* Bypass the runtime: the transport moves, the ledger does not. *)
   Clique.Sim.charge sim 2;
   Alcotest.(check bool) "bypassed rounds detected at the next event" true
-    (violation "ledger-drift" (fun () -> K.charge rt ~phase:"p" 1) <> None)
+    (violation "ledger-drift" (fun () -> K.On_sim.charge rt ~phase:"p" 1)
+    <> None)
 
 let test_drift_baseline_over_used_transport () =
   (* A runtime created over a transport that already has rounds on the
@@ -170,7 +171,7 @@ let test_drift_baseline_over_used_transport () =
   let sim = Clique.Sim.create 3 in
   Clique.Sim.charge sim 5;
   let rt = K.On_sim.create ~sanitize:true sim in
-  K.charge rt ~phase:"p" 2;
+  K.On_sim.charge rt ~phase:"p" 2;
   Alcotest.(check int) "ledger counts only its own rounds" 2 (K.rounds rt)
 
 (* ------------------------------------------------- enabling and default *)
@@ -196,7 +197,7 @@ let test_set_default () =
 let test_transcript_distinguishes_runs () =
   let run charges =
     let rt = K.On_sim.create ~sanitize:true (Clique.Sim.create 2) in
-    List.iter (fun (p, r) -> K.charge rt ~phase:p r) charges;
+    List.iter (fun (p, r) -> K.On_sim.charge rt ~phase:p r) charges;
     match K.On_sim.sanitizer rt with
     | Some s -> San.transcript s
     | None -> Alcotest.fail "sanitizer expected"

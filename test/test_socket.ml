@@ -479,6 +479,46 @@ let test_shards_clamped () =
     (Sock.exchange t out);
   Sock.close t
 
+(* A runtime built for one call closes its session when the call ends.
+   Under the Shard kernel, every pipeline below builds per-call runtimes
+   (Borůvka's, and Euler's per-iteration Cole–Vishkin one inside
+   orientation and maxflow's rounding); the charged layers build none.
+   Each leaked session would hold its rendezvous, links and workers, so
+   the coordinator's descriptor count must end where it started. *)
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_per_call_sessions_closed () =
+  if not (Sys.file_exists "/proc/self/fd") then ()
+  else begin
+    Clique.Sim.set_default_kernel (Some Clique.Sim.Shard);
+    Shard.set_default (Some 2);
+    Fun.protect
+      ~finally:(fun () ->
+        Clique.Sim.set_default_kernel None;
+        Shard.set_default None)
+      (fun () ->
+        let before = open_fds () in
+        let g = Gen.connected_gnp ~seed:3L 24 0.3 in
+        let b = Array.init 24 (fun i -> float_of_int (i mod 5) -. 2.) in
+        let p = Laplacian.Solver.prepare g in
+        ignore (Laplacian.Solver.solve_prepared p b);
+        ignore (Sparsify.Spectral.sparsify g);
+        let net = Gen.layered_network ~seed:13L 3 3 4 in
+        let mf = Maxflow_ipm.max_flow net ~s:0 ~t:(Digraph.n net - 1) in
+        Alcotest.(check bool) "maxflow ran its rounding" true
+          (List.assoc "rounding" mf.Maxflow_ipm.phase_rounds > 0);
+        for seed = 1 to 3 do
+          ignore
+            (Clique.Boruvka.minimum_spanning_tree
+               (Gen.connected_gnp ~seed:(Int64.of_int seed) 16 0.3))
+        done;
+        let o = Euler.Orientation.orient (Gen.cycle_union ~seed:5L 32 3) in
+        Alcotest.(check bool) "orientation contracted" true
+          (o.Euler.Orientation.iterations > 1);
+        Alcotest.(check int) "descriptors after per-call runtimes" before
+          (open_fds ()))
+  end
+
 let () =
   Alcotest.run "socket"
     [
@@ -522,5 +562,7 @@ let () =
           Alcotest.test_case "shutdown_all closes every session" `Quick
             test_shutdown_all;
           Alcotest.test_case "shards clamp to n" `Quick test_shards_clamped;
+          Alcotest.test_case "per-call runtimes close their sessions" `Quick
+            test_per_call_sessions_closed;
         ] );
     ]
