@@ -1027,7 +1027,7 @@ let e11_models () =
     List.concat_map
       (fun n ->
         let g = Gen.connected_gnp ~seed:11L n 0.3 in
-        (* Explicit arena kernel so the row is CC_KERNEL/CC_SHARDS-proof;
+        (* Explicit arena kernel so the row is CC_SHARDS-proof;
            E9/E10 already pin all delivery engines bit-identical. *)
         let measure name fu fb =
           let urt =

@@ -110,7 +110,7 @@ let catch_all line =
 
 (* ----------------------------------------------------------- the rules *)
 
-let transport_ops = [ "exchange"; "route"; "broadcast"; "charge" ]
+let transport_ops = [ "exchange"; "route"; "broadcast" ]
 
 let transport_tokens =
   List.concat_map

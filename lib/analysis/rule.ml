@@ -45,7 +45,7 @@ let synopsis = function
      are the only cost measure"
   | L3 ->
     "transport call bypassing the Runtime ledger (Sim./Congest. \
-     exchange/route/broadcast/charge outside lib/runtime and lib/clique)"
+     exchange/route/broadcast outside lib/runtime and lib/clique)"
   | L4 -> "Obj.magic defeats the type discipline the round accounting rests on"
   | L5 ->
     "catch-all exception handler (try ... with _ ->) can swallow \

@@ -136,10 +136,6 @@ let broadcast ?(width = default_width) t values =
   t.rounds <- t.rounds + Cost.broadcast_rounds;
   view
 
-let charge t r =
-  if r < 0 then invalid_arg "Broadcast.charge: negative rounds";
-  t.rounds <- t.rounds + r
-
 let stats t =
   [ ("kernel.bcast.exchanges", t.exchanges);
     ("kernel.bcast.collapsed", t.collapsed) ]

@@ -48,7 +48,7 @@ val n : t -> int
 (** Number of nodes. *)
 
 val rounds : t -> int
-(** Rounds elapsed (measured plus charged). *)
+(** Rounds elapsed. *)
 
 val words_sent : t -> int
 (** Total words ever put on the air, counted received-side like the
@@ -85,9 +85,6 @@ val route :
 val broadcast : ?width:int -> t -> int array array -> int array array
 (** The model's native operation: identical semantics and cost to the
     unicast kernels ({!Runtime.Cost.broadcast_rounds} = one round). *)
-
-val charge : t -> int -> unit
-(** Advance the round counter without communication (analytic costs). *)
 
 val stats : t -> (string * int) list
 (** [kernel.bcast.exchanges] (exchange calls) and [kernel.bcast.collapsed]

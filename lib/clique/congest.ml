@@ -77,10 +77,6 @@ let broadcast ?(width = 2) t values =
   t.rounds <- t.rounds + Runtime.Cost.broadcast_rounds;
   view
 
-let charge t r =
-  if r < 0 then invalid_arg "Congest.charge: negative rounds";
-  t.rounds <- t.rounds + r
-
 let stats t =
   match t.arena with Some a -> Runtime.Arena.stats a | None -> []
 
@@ -100,7 +96,6 @@ module Self = struct
   let exchange = exchange
   let route = route
   let broadcast = broadcast
-  let charge = charge
   let stats = stats
 end
 

@@ -59,9 +59,6 @@ val broadcast : ?width:int -> t -> int array array -> int array array
 (** All-to-all in one round needs all-to-all links: raises {!Not_an_edge}
     unless the graph is complete, then behaves like {!Sim.broadcast}. *)
 
-val charge : t -> int -> unit
-(** Advance the round counter without communication ([r ≥ 0]). *)
-
 val stats : t -> (string * int) list
 (** The arena's [kernel.arena.*] counters; empty on the legacy kernel. *)
 

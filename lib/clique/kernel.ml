@@ -9,11 +9,11 @@ module Bcast_programs = Programs.Make (On_bcast)
 
 type t = On_sim.t
 
-let clique ?phase n = On_sim.create ?phase (Sim.create n)
+let clique n = On_sim.create (Sim.create n)
 
-let congest ?phase g = On_congest.create ?phase (Congest.create g)
+let congest g = On_congest.create (Congest.create g)
 
-let bcast ?phase n = On_bcast.create ?phase (Broadcast.create n)
+let bcast n = On_bcast.create (Broadcast.create n)
 
 let with_clique n f =
   let rt = clique n in

@@ -6,10 +6,11 @@
     {!Sim_programs}/{!Congest_programs} are the generic node programs
     ({!Programs}) instantiated on each.
 
-    A runtime is for code that moves messages: Borůvka, Euler's
-    Cole–Vishkin coloring and the fault layer's recovery driver. The
-    charged layers (sparsifier, solver, IPMs, rounding, the orientation's
-    outer ledger) move none and charge a plain {!Runtime.Cost.t}. *)
+    A runtime is for code that moves messages: the node programs,
+    Borůvka and Euler's Cole–Vishkin coloring. Its ledger holds exactly
+    the rounds it measured on the transport. The charged layers
+    (sparsifier, solver, IPMs, rounding, the orientation's outer ledger)
+    move none and charge a plain {!Runtime.Cost.t}. *)
 
 module On_sim : Runtime.S with type transport = Sim.t
 (** The congested-clique runtime — {!Sim} under the cost ledger. *)
@@ -44,13 +45,13 @@ module Bcast_programs : Programs.S with type runtime = On_bcast.t
 type t = On_sim.t
 (** The clique runtime — what code that moves messages carries. *)
 
-val clique : ?phase:string -> int -> t
+val clique : int -> t
 (** [clique n] is a fresh runtime over a fresh [n]-node clique. *)
 
-val congest : ?phase:string -> Graph.t -> On_congest.t
+val congest : Graph.t -> On_congest.t
 (** [congest g] is a fresh runtime over a fresh CONGEST kernel on [g]. *)
 
-val bcast : ?phase:string -> int -> On_bcast.t
+val bcast : int -> On_bcast.t
 (** [bcast n] is a fresh runtime over a fresh [n]-node broadcast clique. *)
 
 val with_clique : int -> (t -> 'a) -> 'a
@@ -59,7 +60,7 @@ val with_clique : int -> (t -> 'a) -> 'a
     a per-call runtime leaves no workers or descriptors behind. *)
 
 val rounds : t -> int
-(** {!Runtime.S.rounds}: total rounds, measured plus charged. *)
+(** {!Runtime.S.rounds}: total rounds measured on the transport. *)
 
 val words : t -> int
 (** {!Runtime.S.words}: total words sent on the transport. *)

@@ -23,13 +23,7 @@ let set_default_kernel k = forced_kernel := k
 let default_kernel () =
   match !forced_kernel with
   | Some k -> k
-  | None -> (
-    match Sys.getenv_opt "CC_KERNEL" with
-    | Some "legacy" -> Legacy
-    | Some "shard" -> Shard
-    | Some "arena" -> Arena
-    | Some _ | None ->
-      if Runtime.Shard.default_shards () > 1 then Shard else Arena)
+  | None -> if Runtime.Shard.default_shards () > 1 then Shard else Arena
 
 let create ?kernel n =
   if n <= 0 then invalid_arg "Sim.create: need n > 0";
@@ -93,12 +87,6 @@ let broadcast ?(width = default_width) t values =
     t.words_sent <- t.words_sent + words;
     t.rounds <- t.rounds + Runtime.Cost.broadcast_rounds;
     view
-
-let charge t r =
-  if r < 0 then invalid_arg "Sim.charge: negative rounds";
-  match t.engine with
-  | Sharded s -> Socket.charge s r
-  | Local _ -> t.rounds <- t.rounds + r
 
 let session t = match t.engine with Sharded s -> Some s | Local _ -> None
 

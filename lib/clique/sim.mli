@@ -46,15 +46,16 @@ val create : ?kernel:kernel -> int -> t
 
 val default_kernel : unit -> kernel
 (** The kernel [create] picks when [?kernel] is omitted: the value forced
-    by {!set_default_kernel} if any, else what [CC_KERNEL] names
-    ([legacy], [shard], [arena]); with no such forcing, [Shard] when
+    by {!set_default_kernel} if any, else [Shard] when
     [Runtime.Shard.default_shards () > 1] (i.e. [CC_SHARDS] asks for a
-    multi-process run), else [Arena]. *)
+    multi-process run), else [Arena]. [Legacy] is chosen only explicitly
+    ([create ~kernel:Legacy] or {!set_default_kernel}), as the
+    differential suite's oracle and E9's comparison leg. *)
 
 val set_default_kernel : kernel option -> unit
 (** Force (or, with [None], unforce) the {!default_kernel} result — the
-    test-suite hook for running whole charged pipelines on a chosen
-    kernel, overriding the environment. *)
+    test-suite hook for running whole pipelines that build their own
+    cliques on a chosen kernel, overriding [CC_SHARDS]. *)
 
 val kernel_of : t -> kernel
 (** The kernel this instance was created on. *)
@@ -102,11 +103,6 @@ val broadcast : ?width:int -> t -> int array array -> int array array
     words, default 2 — enforced, raising {!Bandwidth_exceeded}) to all
     others; returns the array of all values (the global view every node now
     shares). One round. *)
-
-val charge : t -> int -> unit
-(** Advance the round counter without communication (used when a node-local
-    computation stands for a subroutine whose rounds are charged, e.g. the
-    final O(1)-size cycle leader election). *)
 
 val session : t -> Socket.t option
 (** The socket session behind a [Shard]-kernel instance ([None] on the

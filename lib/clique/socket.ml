@@ -1606,10 +1606,6 @@ let route ?(width = default_width) t msgs =
   t.rounds <- t.rounds + (batches * Runtime.Cost.lenzen_routing_rounds);
   inboxes
 
-let charge t r =
-  if r < 0 then invalid_arg "Socket.charge: negative rounds";
-  t.rounds <- t.rounds + r
-
 let coordinator_bytes_sent t =
   Array.fold_left
     (fun a -> function Some l -> a + Link.bytes_sent l | None -> a)

@@ -184,9 +184,6 @@ val broadcast : ?width:int -> t -> int array array -> int array array
 (** One-to-all broadcast: each worker width-checks and echoes its node
     range, the coordinator assembles the common view. *)
 
-val charge : t -> int -> unit
-(** Advance the round counter analytically (no delivery). *)
-
 val stats : t -> (string * int) list
 (** [wire.frames], [wire.bytes_sent], [wire.bytes_recv] (coordinator
     traffic plus worker-reported mesh traffic), [shard.crossings] (count

@@ -59,8 +59,6 @@ module Make (T : Runtime.TRANSPORT) = struct
 
   let recovery_rounds t = T.recovery_rounds t.base
 
-  let charge t r = T.charge t.base r
-
   (* The wrapped kernel's counters pass straight through, so arena stats
      stay visible (and arena rounds stay bit-identical) under injection. *)
   let stats t = T.stats t.base

@@ -1,12 +1,13 @@
 (** The verify-and-retry recovery driver.
 
-    [Recover.Make (R).run ~check f] executes a charged computation, puts
-    its output to a certified {!Check} validator, and re-executes on
-    rejection — with every retry's rounds charged to the dedicated
+    [Recover.run ~check f] executes a computation, puts its output to a
+    certified {!Check} validator, and re-executes on rejection. When the
+    retry budget is exhausted it raises {!Fault_detected} with a
+    machine-readable cause: the driver never returns an uncertified
+    answer. [Recover.Make (R).run] is the same loop for a computation that
+    moves messages on a runtime: every retry runs under the dedicated
     ["recovery"] ledger phase, so resilience cost is a visible line in
-    [R.report] and the BENCH JSON. When the retry budget is exhausted it
-    raises {!Fault_detected} with a machine-readable cause: the driver
-    never returns an uncertified answer.
+    [R.phases] and the BENCH JSON.
 
     Recovery decisions belong here, {e above} the algorithm layers:
     cc_lint rule L7 flags any charged layer that catches
@@ -28,6 +29,22 @@ type 'a outcome = {
   recovered : bool;  (** [true] iff at least one retry was needed *)
 }
 
+val run :
+  ?retries:int ->
+  ?metrics:Metrics.t ->
+  name:string ->
+  check:('a -> Check.verdict) ->
+  (unit -> 'a) ->
+  'a outcome
+(** [run ~retries ~metrics ~name ~check f] runs [f] up to [retries + 1]
+    times ([retries] defaults to 2) until [check] certifies its output. An
+    attempt fails when [check] returns a counterexample or when [f] raises
+    (resource exhaustion excepted — [Out_of_memory] and [Stack_overflow]
+    propagate). Counters [recovery.attempts], [recovery.retries],
+    [recovery.recovered], and [recovery.exhausted] are bumped in [metrics]
+    (default {!Metrics.disabled}). Raises {!Fault_detected} naming [name]
+    when the budget is exhausted. *)
+
 module Make (R : Runtime.S) : sig
   val run :
     ?retries:int ->
@@ -37,13 +54,8 @@ module Make (R : Runtime.S) : sig
     check:('a -> Check.verdict) ->
     (unit -> 'a) ->
     'a outcome
-  (** [run ~retries ~metrics ~name rt ~check f] ([retries] defaults to 2).
-      The first attempt runs in the caller's current phase; re-executions
-      run under {!recovery_phase}. An attempt fails when [check] returns a
-      counterexample or when [f] raises (resource exhaustion excepted —
-      [Out_of_memory] and [Stack_overflow] propagate). Counters
-      [recovery.attempts], [recovery.retries], [recovery.recovered], and
-      [recovery.exhausted] are bumped in [metrics] (default
-      {!Metrics.disabled}). Raises {!Fault_detected} when the budget is
-      exhausted. *)
+  (** [run ~name rt ~check f] is {!val:run} with every re-execution
+      wrapped in [R.with_phase rt recovery_phase]: the first attempt runs
+      in the caller's current phase, retries' rounds land under
+      {!recovery_phase}. *)
 end

@@ -24,7 +24,7 @@ type t = {
   spans : (string, span) Hashtbl.t;
 }
 
-let buckets = 16 (* mirrors Trace.buckets *)
+let buckets = 16
 
 let create ?(enabled = true) () =
   {

@@ -1,11 +1,11 @@
 (** A process-local metrics registry: named counters, gauges, power-of-two
-    round histograms (the same bucketing as the runtime's [Trace]), and
-    wall-clock spans.
+    round histograms, and wall-clock spans.
 
-    The registry is the collection point of the observability layer: a
-    {!Runtime.Make} instance feeds its cost ledger and trace into one (see
-    [Runtime.S.attach_metrics]), and the bench harness serializes one per
-    experiment into the [BENCH_E<k>.json] files via {!to_json}.
+    The registry is the collection point of the observability layer: the
+    fault layer counts injections and retries into one, and the bench
+    harness ingests each row's round breakdown ({!ingest_phases}) and
+    serializes one registry per experiment into the [BENCH_E<k>.json]
+    files via {!to_json}.
 
     Overhead discipline: every mutation on a metric obtained from a
     disabled registry (or from {!disabled}) is a single boolean test — no
@@ -70,7 +70,7 @@ val gauge_value : gauge -> float
 type histogram
 (** A 16-bucket power-of-two histogram of non-negative integer samples:
     bucket 0 counts zeros, bucket [b ≥ 1] counts samples in
-    [[2^{b-1}, 2^b)] — the same shape as [Trace.histogram]. *)
+    [[2^{b-1}, 2^b)]. *)
 
 val histogram : t -> string -> histogram
 (** Get or create the histogram named [name]. *)

@@ -44,6 +44,5 @@ val deliver :
 val stats : t -> (string * int) list
 (** Cumulative [kernel.arena.*] counters, sorted by name: [resets] (rounds
     delivered), [grows] (capacity doublings), [slot_words_reused] (message
-    slots served from already-allocated capacity). Exported into a
-    {!Metrics.t} registry by [Runtime.S.export_metrics] via
-    [Transport.S.stats]. *)
+    slots served from already-allocated capacity). Surfaced as
+    [Transport.S.stats] by the kernels that deliver on an arena. *)

@@ -17,13 +17,6 @@ let phases t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.phases []
   |> List.sort compare
 
-let reset t =
-  t.total <- 0;
-  Hashtbl.reset t.phases
-
-let merge_into src dst =
-  List.iter (fun (phase, r) -> charge dst ~phase r) (phases src)
-
 (* The ledger phase every replayed or retried round is charged to — the
    fault layer's verify-and-retry driver and the shard supervisor's
    round replay both use it, so recovery overhead is one line item. *)

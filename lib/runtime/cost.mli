@@ -1,14 +1,14 @@
-(** Round accounting for the charged-cost layer of the simulator.
+(** A phase-tagged round ledger.
 
     The congested clique measures complexity in synchronous rounds (§2.1).
     Subroutines that we execute centrally-but-faithfully (matrix–vector
-    products, broadcasts, internal solves, the IPM control flow) charge here
-    exactly the rounds the paper's analysis assigns them; genuinely
-    message-passing subroutines (the {!Transport.S} kernels) report their
-    measured rounds into the same counter via {!Runtime.Make}. Each charge
-    is tagged with a phase name so experiment
-    reports can break a total down (e.g. "sparsify" vs "chebyshev" vs
-    "augment"). *)
+    products, broadcasts, internal solves, the IPM control flow) charge
+    into a ledger exactly the rounds the paper's analysis assigns them.
+    Genuinely message-passing subroutines run on a {!Runtime.Make}
+    runtime, which charges the rounds it measures on its transport into a
+    ledger of its own. Each charge is tagged with a phase name so
+    experiment reports can break a total down (e.g. "sparsify" vs
+    "chebyshev" vs "augment"). *)
 
 type t
 (** A mutable ledger: one running total plus a per-phase breakdown. *)
@@ -27,12 +27,6 @@ val phase_rounds : t -> string -> int
 
 val phases : t -> (string * int) list
 (** All phases with their totals, sorted by phase name. *)
-
-val reset : t -> unit
-(** Zero the total and forget every phase. *)
-
-val merge_into : t -> t -> unit
-(** [merge_into src dst] adds all of [src]'s phases into [dst]. *)
 
 val recovery_phase : string
 (** ["recovery"] — the phase every replayed or retried round is charged

@@ -1,5 +1,4 @@
 module Cost = Cost
-module Trace = Trace
 module Mailbox = Mailbox
 module Sanitize = Sanitize
 module Arena = Arena
@@ -14,27 +13,11 @@ module type S = sig
 
   type t
 
-  val kernel : string
-
-  val unicast : bool
-
-  val create :
-    ?phase:string ->
-    ?trace_capacity:int ->
-    ?sanitize:bool ->
-    ?domains:int ->
-    transport ->
-    t
+  val create : ?sanitize:bool -> ?domains:int -> transport -> t
 
   val transport : t -> transport
 
   val n : t -> int
-
-  val domains : t -> int
-
-  val ledger : t -> Cost.t
-
-  val trace : t -> Trace.t
 
   val sanitized : t -> bool
 
@@ -48,17 +31,7 @@ module type S = sig
 
   val phase_rounds : t -> string -> int
 
-  val current_phase : t -> string
-
-  val set_phase : t -> string -> unit
-
   val with_phase : t -> string -> (unit -> 'a) -> 'a
-
-  val on_round : t -> (phase:string -> rounds:int -> words:int -> unit) -> unit
-
-  val attach_metrics : t -> Metrics.t -> unit
-
-  val export_metrics : t -> Metrics.t -> unit
 
   val exchange :
     ?width:int ->
@@ -79,10 +52,6 @@ module type S = sig
     (int * int array) list array
 
   val broadcast : ?width:int -> t -> int array array -> int array array
-
-  val charge : ?phase:string -> t -> int -> unit
-
-  val report : t -> string
 end
 
 module Make (T : TRANSPORT) = struct
@@ -91,7 +60,6 @@ module Make (T : TRANSPORT) = struct
   type t = {
     tr : T.t;
     ledger : Cost.t;
-    trace : Trace.t;
     san : Sanitize.t option;
     (* Rounds already on the transport when this runtime was created; the
        drift check compares the ledger against the counter's movement. *)
@@ -99,17 +67,9 @@ module Make (T : TRANSPORT) = struct
     pool : Pool.t;
     mutable phase : string;
     mutable words : int;
-    mutable hooks : (phase:string -> rounds:int -> words:int -> unit) list;
-    (* Registry [exchange_map] observes the domain-imbalance histogram
-       into; set by [attach_metrics], disabled until then. *)
-    mutable metrics : Metrics.t;
   }
 
-  let kernel = T.name
-
-  let unicast = T.unicast
-
-  let create ?(phase = "main") ?(trace_capacity = 256) ?sanitize ?domains tr =
+  let create ?sanitize ?domains tr =
     let sanitize =
       match sanitize with Some b -> b | None -> Sanitize.enabled_default ()
     in
@@ -119,25 +79,16 @@ module Make (T : TRANSPORT) = struct
     {
       tr;
       ledger = Cost.create ();
-      trace = Trace.create trace_capacity;
       san = (if sanitize then Some (Sanitize.create ()) else None);
       base_rounds = T.rounds tr;
       pool = Pool.get domains;
-      phase;
+      phase = Sanitize.default_phase;
       words = 0;
-      hooks = [];
-      metrics = Metrics.disabled;
     }
 
   let transport t = t.tr
 
   let n t = T.n t.tr
-
-  let domains t = Pool.size t.pool
-
-  let ledger t = t.ledger
-
-  let trace t = t.trace
 
   let sanitized t = t.san <> None
 
@@ -151,38 +102,13 @@ module Make (T : TRANSPORT) = struct
 
   let phase_rounds t phase = Cost.phase_rounds t.ledger phase
 
-  let current_phase t = t.phase
-
-  let set_phase t phase = t.phase <- phase
-
   let with_phase t phase f =
     let saved = t.phase in
     t.phase <- phase;
     Fun.protect ~finally:(fun () -> t.phase <- saved) f
 
-  let on_round t hook = t.hooks <- t.hooks @ [ hook ]
-
-  let observe t ~phase ~rounds ~words =
-    Cost.charge t.ledger ~phase rounds;
-    t.words <- t.words + words;
-    if rounds > 0 || words > 0 then begin
-      Trace.record t.trace ~phase ~rounds ~words;
-      List.iter (fun hook -> hook ~phase ~rounds ~words) t.hooks
-    end
-
-  let sanitize_event t ~phase ~op ~width ~rounds ~words ~event =
-    match t.san with
-    | None -> ()
-    | Some s ->
-      let sizes, content = event () in
-      Sanitize.record s ~phase ~op ~width ~rounds ~words ~sizes ~content;
-      Sanitize.check_phase s ~phase ~op ~rounds;
-      Sanitize.check_drift ~phase
-        ~ledger:(Cost.rounds t.ledger)
-        ~transport:(T.rounds t.tr - t.base_rounds)
-
   (* Every communication call is measured against the transport's own
-     counters, so measured and charged rounds land in the same ledger. The
+     counters and the delta is charged straight into the ledger. The
      mailbox context is set for the duration so delivery errors (and fault
      schedules scoped to a phase) know where in the pipeline they fired.
      Rounds the transport spent replaying after a worker death are split
@@ -197,13 +123,22 @@ module Make (T : TRANSPORT) = struct
       Fun.protect ~finally:(fun () -> Mailbox.set_context "main") f
     in
     let rounds = T.rounds t.tr - r0
-    and words = T.words_sent t.tr - w0
-    and recovered = T.recovery_rounds t.tr - rec0 in
-    let recovered = min recovered rounds in
-    observe t ~phase:t.phase ~rounds:(rounds - recovered) ~words;
+    and words = T.words_sent t.tr - w0 in
+    let recovered = min (T.recovery_rounds t.tr - rec0) rounds in
+    Cost.charge t.ledger ~phase:t.phase (rounds - recovered);
     if recovered > 0 then
-      observe t ~phase:Cost.recovery_phase ~rounds:recovered ~words:0;
-    sanitize_event t ~phase:t.phase ~op ~width ~rounds ~words ~event;
+      Cost.charge t.ledger ~phase:Cost.recovery_phase recovered;
+    t.words <- t.words + words;
+    (match t.san with
+    | None -> ()
+    | Some s ->
+      let sizes, content = event () in
+      Sanitize.record s ~phase:t.phase ~op ~width ~rounds ~words ~sizes
+        ~content;
+      Sanitize.check_phase s ~phase:t.phase ~op ~rounds;
+      Sanitize.check_drift ~phase:t.phase
+        ~ledger:(Cost.rounds t.ledger)
+        ~transport:(T.rounds t.tr - t.base_rounds));
     result
 
   let effective_width width =
@@ -222,37 +157,16 @@ module Make (T : TRANSPORT) = struct
      writes only its own slots of [out], and the chunk partition is fixed
      by (size, n) alone, so the merged outbox array — and with it rounds,
      words, and sanitizer transcripts — is bit-identical to a sequential
-     run. The imbalance histogram records, per call, the spread
-     (max - min) of messages produced across chunks. *)
+     run. *)
   let exchange_map ?width t f =
     let n = T.n t.tr in
     let out = Array.make n [] in
-    let k = Pool.size t.pool in
-    if k <= 1 || n < k then
-      for v = 0 to n - 1 do
+    let fill lo hi =
+      for v = lo to hi - 1 do
         out.(v) <- f v
       done
-    else begin
-      Pool.run t.pool ~n (fun lo hi ->
-          for v = lo to hi - 1 do
-            out.(v) <- f v
-          done);
-      if Metrics.enabled t.metrics then begin
-        let worst = ref 0 and best = ref max_int in
-        for w = 0 to k - 1 do
-          let lo, hi = Pool.chunk_bounds ~size:k ~n w in
-          let msgs = ref 0 in
-          for v = lo to hi - 1 do
-            msgs := !msgs + List.length out.(v)
-          done;
-          worst := max !worst !msgs;
-          best := min !best !msgs
-        done;
-        Metrics.observe
-          (Metrics.histogram t.metrics "kernel.domain.imbalance")
-          (!worst - !best)
-      end
-    end;
+    in
+    if n < Pool.size t.pool then fill 0 n else Pool.run t.pool ~n fill;
     exchange ?width t out
 
   let route ?width t msgs =
@@ -269,54 +183,4 @@ module Make (T : TRANSPORT) = struct
     wrap t ~op:Sanitize.Broadcast ~width:w
       ~event:(fun () -> Sanitize.broadcast_event values)
       (fun () -> T.broadcast ?width t.tr values)
-
-  let attach_metrics t m =
-    if Metrics.enabled m then begin
-      t.metrics <- m;
-      let rounds_c = Metrics.counter m "runtime.rounds" in
-      let words_c = Metrics.counter m "runtime.words" in
-      let events_c = Metrics.counter m "runtime.events" in
-      let hist = Metrics.histogram m "runtime.event_rounds" in
-      on_round t (fun ~phase ~rounds ~words ->
-          Metrics.incr ~by:rounds rounds_c;
-          Metrics.incr ~by:words words_c;
-          Metrics.incr events_c;
-          Metrics.observe hist rounds;
-          Metrics.incr ~by:rounds (Metrics.counter m ("phase." ^ phase ^ ".rounds")))
-    end
-
-  let export_metrics t m =
-    if Metrics.enabled m then begin
-      Metrics.ingest_phases m ~prefix:("ledger." ^ kernel) (phases t);
-      Metrics.set (Metrics.gauge m ("ledger." ^ kernel ^ ".words"))
-        (float_of_int t.words);
-      Metrics.set (Metrics.gauge m "kernel.domains")
-        (float_of_int (Pool.size t.pool));
-      List.iter
-        (fun (name, v) -> Metrics.incr ~by:v (Metrics.counter m name))
-        (T.stats t.tr)
-    end
-
-  let charge ?phase t r =
-    let phase = match phase with Some p -> p | None -> t.phase in
-    T.charge t.tr r;
-    observe t ~phase ~rounds:r ~words:0;
-    sanitize_event t ~phase ~op:Sanitize.Charge ~width:0 ~rounds:r ~words:0
-      ~event:(fun () -> ([], []))
-
-  let report t =
-    let buf = Buffer.create 128 in
-    Buffer.add_string buf
-      (Printf.sprintf "[%s n=%d] rounds=%d words=%d" kernel (n t) (rounds t)
-         (words t));
-    List.iter
-      (fun (phase, r) ->
-        Buffer.add_string buf (Printf.sprintf "\n  %-14s %8d" phase r))
-      (phases t);
-    let hist = Format.asprintf "%a" Trace.pp_histogram t.trace in
-    if hist <> "" then begin
-      Buffer.add_string buf "\n  trace histogram (rounds per event):\n  ";
-      Buffer.add_string buf (String.concat "\n  " (String.split_on_char '\n' hist))
-    end;
-    Buffer.contents buf
 end

@@ -1,6 +1,6 @@
 (* Dynamic model-compliance sanitizer. When enabled on a runtime
-   (explicitly or via CC_SANITIZE=1), every communication call and analytic
-   charge is (1) pre-checked against the per-link width bound with the
+   (explicitly or via CC_SANITIZE=1), every communication call is
+   (1) pre-checked against the per-link width bound with the
    offending phase in the error, (2) folded into two running FNV-1a
    transcript hashes, and (3) cross-checked for drift between the transport
    round counter and the Cost ledger and for rounds leaking into the
@@ -53,15 +53,14 @@ let hash_ints = Wire.Fnv.add_ints
 
 (* ------------------------------------------------------------ the state *)
 
-type op = Exchange | Route | Broadcast | Charge
+type op = Exchange | Route | Broadcast
 
-let op_code = function Exchange -> 1 | Route -> 2 | Broadcast -> 3 | Charge -> 4
+let op_code = function Exchange -> 1 | Route -> 2 | Broadcast -> 3
 
 let op_name = function
   | Exchange -> "exchange"
   | Route -> "route"
   | Broadcast -> "broadcast"
-  | Charge -> "charge"
 
 type transcript = { events : int; shape_hash : int64; content_hash : int64 }
 
@@ -243,7 +242,7 @@ let check_phase t ~phase ~op ~rounds =
     if phase = default_phase && t.named_phase_seen then
       violation ~phase ~kind:"phase-attribution"
         "%d rounds (%s) charged under the default %S phase after setup; \
-         wrap the call in with_phase or pass ~phase"
+         wrap the call in with_phase"
         rounds (op_name op) default_phase
     else if phase <> default_phase then t.named_phase_seen <- true
   end

@@ -2,7 +2,7 @@
 
     The paper's claims are deterministic round bounds over O(log n)-bit
     links, so a runtime in sanitizer mode checks, on every communication
-    call and analytic charge:
+    call:
 
     - {b width}: the per-ordered-pair word bound, asserted {e before} the
       transport runs so the raised {!Violation} names the offending phase;
@@ -47,8 +47,8 @@ type t
 val create : unit -> t
 (** Fresh sanitizer state (empty transcripts). *)
 
-type op = Exchange | Route | Broadcast | Charge
-(** The four runtime operations an event can record. *)
+type op = Exchange | Route | Broadcast
+(** The three runtime operations an event can record. *)
 
 type transcript = { events : int; shape_hash : int64; content_hash : int64 }
 (** Running determinism digests; see the module preamble for what each

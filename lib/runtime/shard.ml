@@ -50,35 +50,21 @@ let policy_to_string = function
   | Respawn -> "respawn"
   | Drain -> "drain"
 
-let forced_policy : policy option ref = ref None
-
-let set_default_policy p = forced_policy := p
-
 (* An unrecognized CC_SHARD_POLICY value falls back to fail-stop: the
    conservative default is the one whose behaviour a surprised operator
    already expects from the pre-supervision transport. *)
 let default_policy () =
-  match !forced_policy with
-  | Some p -> p
-  | None -> (
-    match Sys.getenv_opt policy_env with
-    | Some s -> ( match policy_of_string s with Some p -> p | None -> Fail)
-    | None -> Fail)
-
-let forced_timeout : float option ref = ref None
-
-let set_default_timeout x = forced_timeout := x
+  match Sys.getenv_opt policy_env with
+  | Some s -> ( match policy_of_string s with Some p -> p | None -> Fail)
+  | None -> Fail
 
 let default_timeout () =
-  match !forced_timeout with
-  | Some x -> x
-  | None -> (
-    match Sys.getenv_opt timeout_env with
-    | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some x when x > 0.0 -> x
-      | _ -> 30.0)
-    | None -> 30.0)
+  match Sys.getenv_opt timeout_env with
+  | Some s -> (
+    match float_of_string_opt (String.trim s) with
+    | Some x when x > 0.0 -> x
+    | _ -> 30.0)
+  | None -> 30.0
 
 exception Shard_down of { shard : int; round : int; during : string }
 

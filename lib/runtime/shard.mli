@@ -44,19 +44,13 @@ val policy_of_string : string -> policy option
 val policy_to_string : policy -> string
 
 val default_policy : unit -> policy
-(** The policy a transport uses when none is passed: the value set by
-    {!set_default_policy} if any, else a recognized [CC_SHARD_POLICY],
-    else [Fail] — an unrecognized value falls back to fail-stop, the
-    behaviour an operator already expects. *)
-
-val set_default_policy : policy option -> unit
+(** The policy a transport uses when none is passed: a recognized
+    [CC_SHARD_POLICY], else [Fail] — an unrecognized value falls back to
+    fail-stop, the behaviour an operator already expects. *)
 
 val default_timeout : unit -> float
-(** Seconds every supervised blocking wait is bounded by: the value set
-    by {!set_default_timeout} if any, else a positive [CC_SHARD_TIMEOUT],
-    else 30. *)
-
-val set_default_timeout : float option -> unit
+(** Seconds every supervised blocking wait is bounded by: a positive
+    [CC_SHARD_TIMEOUT], else 30. *)
 
 exception Shard_down of { shard : int; round : int; during : string }
 (** A worker process died or its socket reached EOF mid-operation and the

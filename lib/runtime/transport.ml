@@ -32,7 +32,7 @@ module type S = sig
       {!Sanitize.check_exchange_broadcast}) off this flag. *)
 
   val rounds : t -> int
-  (** Rounds elapsed on this transport so far (measured + charged). *)
+  (** Rounds elapsed on this transport so far. *)
 
   val words_sent : t -> int
   (** Total words ever sent (message-complexity measure). *)
@@ -63,12 +63,7 @@ module type S = sig
   (** Every node sends [values.(v)] (at most [width] words) to all others;
       returns the shared global view. One round. *)
 
-  val charge : t -> int -> unit
-  (** Advance the round counter without communication (a node-local stand-in
-      for a subroutine whose rounds are charged analytically). *)
-
   val stats : t -> (string * int) list
   (** Kernel-internal counters (full metric names, e.g.
-      [kernel.arena.resets]), exported into a registry by
-      [Runtime.S.export_metrics]. May be empty. *)
+      [kernel.arena.resets]). May be empty. *)
 end

@@ -1,7 +1,10 @@
 (** The [TRANSPORT] signature a message kernel implements so that
     {!Runtime.Make} can drive node programs on it; see the implementation
     file for the full per-operation contracts. Instances live in
-    [lib/clique] ([Sim], [Congest]). *)
+    [lib/clique] ([Sim], [Congest], [Broadcast], [Socket]) and
+    [Fault.Inject]. A transport only moves messages: its round counter
+    advances by measured communication alone, never by an analytic
+    charge. *)
 
 module type S = sig
   type t
@@ -22,7 +25,7 @@ module type S = sig
       sends one payload per round, heard by everyone. *)
 
   val rounds : t -> int
-  (** Rounds elapsed on this kernel so far (measured plus charged). *)
+  (** Rounds elapsed on this kernel so far. *)
 
   val words_sent : t -> int
   (** Total words ever sent (the message-complexity measure). *)
@@ -52,9 +55,6 @@ module type S = sig
   val broadcast : ?width:int -> t -> int array array -> int array array
   (** Every node sends [values.(v)] to all others; returns the shared
       global view. *)
-
-  val charge : t -> int -> unit
-  (** Advance the round counter without communication (analytic costs). *)
 
   val stats : t -> (string * int) list
   (** Kernel-internal counters under full metric names ([kernel.*]); may

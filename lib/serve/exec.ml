@@ -4,7 +4,6 @@
    rounds are not charged to an algorithm's ledger). *)
 
 module Json = Metrics.Json
-module Rec = Fault.Recover.Make (Clique.Kernel.On_sim)
 
 type policy = Off | Verify | Recover
 
@@ -41,7 +40,7 @@ let kind_mismatch () = raise (Refused "cache entry kind mismatch")
    first execution's output (via [corrupt]) — the deterministic test hook
    for the recovery path: under [Off] the corrupt answer escapes, under
    [Verify] it is refused, under [Recover] it is retried and certified. *)
-let with_policy ~policy ~inject ~name ~dim ~check ~corrupt compute =
+let with_policy ~policy ~inject ~name ~check ~corrupt compute =
   let first = ref true in
   let attempt () =
     let v = compute () in
@@ -61,10 +60,7 @@ let with_policy ~policy ~inject ~name ~dim ~check ~corrupt compute =
       raise (Refused ("certification failed: " ^ Fault.Check.to_string f)))
   | Recover -> (
     try
-      let o =
-        Clique.Kernel.with_clique (max dim 1) (fun rt ->
-            Rec.run ~name rt ~check attempt)
-      in
+      let o = Fault.Recover.run ~name ~check attempt in
       ( o.Fault.Recover.value,
         o.Fault.Recover.attempts,
         o.Fault.Recover.recovered )
@@ -105,7 +101,6 @@ let solve_fields ~return_x (r : Laplacian.Solver.report) =
   else base
 
 let run_solve ~policy ~cache ~inject ~nocache ~g ~b ~solver ~eps ~return_x =
-  let n = Graph.n g in
   (* The solver answers L x = b in the pseudo-inverse sense: it solves
      against the centered rhs (the component of b along 1 is outside
      range L), so that is what the residual must be measured against —
@@ -128,7 +123,7 @@ let run_solve ~policy ~cache ~inject ~nocache ~g ~b ~solver ~eps ~return_x =
         fun () -> Laplacian.Solver.(solve_cg_prepared (prepare_cg ~eps g)) )
   in
   let solve_with solve =
-    with_policy ~policy ~inject ~name:"serve.solve" ~dim:n ~check
+    with_policy ~policy ~inject ~name:"serve.solve" ~check
       ~corrupt:corrupt_report (fun () -> solve b)
   in
   let (report, attempts, recovered), cache_state =
@@ -203,8 +198,8 @@ let run ~policy ~cache (job : Job.t) =
         (memoized ~cache ~nocache
            ~key:("sparsify:" ^ Fingerprint.to_hex (Fingerprint.graph g))
            ~build:(fun () ->
-             with_policy ~policy ~inject ~name:"serve.sparsify"
-               ~dim:(Graph.n g) ~check ~corrupt (fun () ->
+             with_policy ~policy ~inject ~name:"serve.sparsify" ~check
+               ~corrupt (fun () ->
                  Sparsify.Spectral.sparsify g))
            ~wrap:(fun (v, a, r) -> A_sparsify (v, a, r))
            ~extract:(function
@@ -238,8 +233,8 @@ let run ~policy ~cache (job : Job.t) =
       Ok
         (memoized ~cache ~nocache ~key
            ~build:(fun () ->
-             with_policy ~policy ~inject ~name:"serve.maxflow"
-               ~dim:(Digraph.n net) ~check ~corrupt (fun () ->
+             with_policy ~policy ~inject ~name:"serve.maxflow" ~check
+               ~corrupt (fun () ->
                  Maxflow_ipm.max_flow net ~s ~t))
            ~wrap:(fun (v, a, r) -> A_maxflow (v, a, r))
            ~extract:(function
@@ -267,8 +262,8 @@ let run ~policy ~cache (job : Job.t) =
         (memoized ~cache ~nocache
            ~key:("mst:" ^ Fingerprint.to_hex (Fingerprint.graph g))
            ~build:(fun () ->
-             with_policy ~policy ~inject ~name:"serve.mst" ~dim:(Graph.n g)
-               ~check ~corrupt (fun () ->
+             with_policy ~policy ~inject ~name:"serve.mst" ~check ~corrupt
+               (fun () ->
                  Clique.Boruvka.minimum_spanning_tree g))
            ~wrap:(fun (v, a, r) -> A_mst (v, a, r))
            ~extract:(function

@@ -593,6 +593,46 @@ let test_recovery_path () =
       (S.kind_name e.Fault.Inject.kind);
     Alcotest.(check int) "trace records the round" 0 e.Fault.Inject.round
 
+(* ------------------------------- verify-and-retry without a runtime *)
+
+(* [Fault.Recover.run] drives a computation that moves no messages (what
+   cc_serve's recover policy runs): no clique, no phase, the same loop. *)
+let test_recover_without_runtime () =
+  let bits = (Euler.Orientation.orient geul).Euler.Orientation.orientation in
+  let corrupt = Array.copy bits in
+  corrupt.(0) <- not corrupt.(0);
+  Alcotest.(check bool) "fixture: one flipped edge is rejected" false
+    (C.eulerian geul corrupt = C.Pass);
+  let metrics = Metrics.create () in
+  let calls = ref 0 in
+  let res =
+    Fault.Recover.run ~metrics ~name:"euler-plain" ~check:(C.eulerian geul)
+      (fun () ->
+        incr calls;
+        if !calls = 1 then corrupt else bits)
+  in
+  Alcotest.(check bool) "certified on retry" true
+    (C.eulerian geul res.Fault.Recover.value = C.Pass);
+  Alcotest.(check int) "attempts" 2 res.Fault.Recover.attempts;
+  Alcotest.(check bool) "recovered" true res.Fault.Recover.recovered;
+  let retries = 3 in
+  (match
+     Fault.Recover.run ~retries ~metrics ~name:"euler-always-wrong"
+       ~check:(C.eulerian geul) (fun () -> corrupt)
+   with
+  | _ -> Alcotest.fail "an always-failing check must exhaust the budget"
+  | exception Fault.Recover.Fault_detected { workload; attempts; _ } ->
+    Alcotest.(check string) "names the workload" "euler-always-wrong"
+      workload;
+    Alcotest.(check int) "attempts = retries + 1" (retries + 1) attempts);
+  let count name = Metrics.counter_value (Metrics.counter metrics name) in
+  Alcotest.(check int) "recovery.attempts" (2 + retries + 1)
+    (count "recovery.attempts");
+  Alcotest.(check int) "recovery.retries" (1 + retries)
+    (count "recovery.retries");
+  Alcotest.(check int) "recovery.recovered" 1 (count "recovery.recovered");
+  Alcotest.(check int) "recovery.exhausted" 1 (count "recovery.exhausted")
+
 (* ------------------------------------------- injection replay identity *)
 
 let test_injection_determinism () =
@@ -648,6 +688,8 @@ let () =
             (sweep "congest" congest_workloads);
           Alcotest.test_case "successful retry path" `Quick
             test_recovery_path;
+          Alcotest.test_case "retry without a runtime" `Quick
+            test_recover_without_runtime;
           Alcotest.test_case "injection replay identity" `Quick
             test_injection_determinism;
         ] );

@@ -6,8 +6,11 @@
    every shard count. Runs standalone so CI can sweep the environment:
 
      CC_DOMAINS=4 dune exec test/test_kernel_equiv.exe
-     CC_KERNEL=legacy dune exec test/test_kernel_equiv.exe
-     CC_SHARDS=2 dune exec test/test_kernel_equiv.exe *)
+     CC_SHARDS=2 dune exec test/test_kernel_equiv.exe
+     CC_MODEL=broadcast dune exec test/test_kernel_equiv.exe
+
+   The legacy leg needs no environment: every comparison names its
+   kernels explicitly. *)
 
 module San = Runtime.Sanitize
 module A = Runtime.Arena

@@ -1,10 +1,9 @@
 (* The observability layer: JSON serializer/parser (the BENCH_*.json
    format), the metrics registry, and the registry's non-interference with
-   the runtime — attaching a registry must never change rounds, phases, or
-   the sanitizer's determinism transcripts. *)
+   a sanitized charged pipeline — ingesting a breakdown must never change
+   its rounds. *)
 
 module J = Metrics.Json
-module K = Clique.Kernel
 
 (* ------------------------------------------------------------- JSON *)
 
@@ -136,7 +135,7 @@ let test_counters_gauges () =
 let test_histogram_buckets () =
   let m = Metrics.create () in
   let h = Metrics.histogram m "h" in
-  (* Same bucketing as Trace: 0 -> bucket 0, 1 -> 1, {2,3} -> 2, 4..7 -> 3. *)
+  (* Power-of-two buckets: 0 -> bucket 0, 1 -> 1, {2,3} -> 2, 4..7 -> 3. *)
   List.iter (Metrics.observe h) [ 0; 1; 2; 3; 4; 7; 8 ];
   let b = Metrics.histogram_buckets h in
   Alcotest.(check (list int))
@@ -201,70 +200,7 @@ let test_ingest_and_json_determinism () =
   Alcotest.(check int) "total accumulates" 9
     (Metrics.counter_value (Metrics.counter m "rounds.total"))
 
-(* ------------------------------------------- runtime integration *)
-
-(* A fixed little communication pattern: a broadcast, an exchange ring, an
-   analytic charge under a named phase. *)
-let drive rt =
-  let n = K.On_sim.n rt in
-  ignore (K.On_sim.broadcast rt (Array.init n (fun v -> [| v |])));
-  K.On_sim.with_phase rt "ring" (fun () ->
-      ignore
-        (K.On_sim.exchange rt
-           (Array.init n (fun v -> [ ((v + 1) mod n, [| v; v * v |]) ]))));
-  K.On_sim.charge ~phase:"analytic" rt 5
-
-let test_attach_metrics_mirrors_ledger () =
-  let m = Metrics.create () in
-  let rt = K.On_sim.create ~sanitize:false (Clique.Sim.create 5) in
-  K.On_sim.attach_metrics rt m;
-  drive rt;
-  Alcotest.(check int) "rounds mirrored" (K.On_sim.rounds rt)
-    (Metrics.counter_value (Metrics.counter m "runtime.rounds"));
-  Alcotest.(check int) "words mirrored" (K.On_sim.words rt)
-    (Metrics.counter_value (Metrics.counter m "runtime.words"));
-  Alcotest.(check int) "analytic phase attributed" 5
-    (Metrics.counter_value (Metrics.counter m "phase.analytic.rounds"));
-  Alcotest.(check int) "ring phase attributed"
-    (K.On_sim.phase_rounds rt "ring")
-    (Metrics.counter_value (Metrics.counter m "phase.ring.rounds"))
-
-let test_export_metrics_snapshot () =
-  let rt = K.On_sim.create ~sanitize:false (Clique.Sim.create 4) in
-  drive rt;
-  let m = Metrics.create () in
-  K.On_sim.export_metrics rt m;
-  Alcotest.(check int) "ledger total exported" (K.On_sim.rounds rt)
-    (Metrics.counter_value (Metrics.counter m "ledger.clique.total"));
-  Alcotest.(check (float 0.)) "words gauge"
-    (float_of_int (K.On_sim.words rt))
-    (Metrics.gauge_value (Metrics.gauge m "ledger.clique.words"))
-
-(* The decisive property for the telemetry layer: attaching a registry to a
-   sanitized runtime changes neither the rounds nor the sanitizer's shape /
-   content transcript hashes — observability is invisible to the model. *)
-let transcript rt =
-  match K.On_sim.sanitizer rt with
-  | Some s -> Runtime.Sanitize.transcript s
-  | None -> Alcotest.fail "sanitizer expected"
-
-let test_metrics_do_not_perturb_sanitizer () =
-  let run with_metrics =
-    let rt = K.On_sim.create ~sanitize:true (Clique.Sim.create 6) in
-    if with_metrics then K.On_sim.attach_metrics rt (Metrics.create ());
-    drive rt;
-    (K.On_sim.rounds rt, K.On_sim.phases rt, transcript rt)
-  in
-  let r0, p0, t0 = run false in
-  let r1, p1, t1 = run true in
-  Alcotest.(check int) "rounds unchanged" r0 r1;
-  Alcotest.(check (list (pair string int))) "phases unchanged" p0 p1;
-  Alcotest.(check int64) "shape hash unchanged"
-    t0.Runtime.Sanitize.shape_hash t1.Runtime.Sanitize.shape_hash;
-  Alcotest.(check int64) "content hash unchanged"
-    t0.Runtime.Sanitize.content_hash t1.Runtime.Sanitize.content_hash;
-  Alcotest.(check int) "event count unchanged" t0.Runtime.Sanitize.events
-    t1.Runtime.Sanitize.events
+(* ------------------------------------------- sanitizer integration *)
 
 (* Registry work under CC_SANITIZE must also leave a charged-layer
    pipeline untouched: E1's seed instance reports the same total with a
@@ -295,12 +231,6 @@ let suite =
       test_disabled_noop;
     Alcotest.test_case "ingest_phases and deterministic json" `Quick
       test_ingest_and_json_determinism;
-    Alcotest.test_case "attach_metrics mirrors the ledger" `Quick
-      test_attach_metrics_mirrors_ledger;
-    Alcotest.test_case "export_metrics snapshots the ledger" `Quick
-      test_export_metrics_snapshot;
-    Alcotest.test_case "metrics do not perturb sanitizer transcripts" `Quick
-      test_metrics_do_not_perturb_sanitizer;
     Alcotest.test_case "ingestion under sanitizer keeps E1 parity" `Quick
       test_ingestion_under_sanitizer_parity;
   ]

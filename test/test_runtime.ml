@@ -1,7 +1,7 @@
 (* Tests for the functorized runtime layer: bandwidth enforcement on both
    transports, route batching arithmetic at the capacity boundary, the
-   ledger/trace/observer plumbing, and cross-kernel parity of the generic
-   node programs. *)
+   measured per-phase ledger, and cross-kernel parity of the generic node
+   programs. *)
 
 module K = Clique.Kernel
 
@@ -199,57 +199,42 @@ let test_route_batch_boundary () =
     (2 * Runtime.Cost.lenzen_routing_rounds)
     (Clique.Sim.rounds sim3)
 
-(* --------------------------------------------------- ledger and observers *)
+(* ------------------------------------------------------------ ledger *)
 
 let test_runtime_ledger_and_phases () =
   let rt = K.clique 4 in
   K.On_sim.with_phase rt "talk" (fun () ->
       ignore (K.On_sim.exchange rt [| [ (1, [| 5 |]) ]; []; []; [] |]));
-  K.On_sim.charge rt ~phase:"analysis" 7;
-  Alcotest.(check int) "total" 8 (K.rounds rt);
+  K.On_sim.with_phase rt "announce" (fun () ->
+      ignore (K.On_sim.broadcast rt (Array.init 4 (fun v -> [| v |])));
+      ignore (K.On_sim.route rt [ (0, 3, [| 9 |]) ]));
+  let total = 1 + 1 + Runtime.Cost.lenzen_routing_rounds in
+  Alcotest.(check int) "total" total (K.rounds rt);
   Alcotest.(check int) "talk" 1 (K.On_sim.phase_rounds rt "talk");
-  Alcotest.(check int) "analysis" 7 (K.On_sim.phase_rounds rt "analysis");
-  Alcotest.(check int) "words" 1 (K.words rt);
+  Alcotest.(check int) "announce" (total - 1)
+    (K.On_sim.phase_rounds rt "announce");
+  (* One exchanged word, four one-word broadcasts heard by three nodes
+     each, one routed word. *)
+  Alcotest.(check int) "words" (1 + (4 * 3) + 1) (K.words rt);
   Alcotest.(check (list (pair string int)))
     "sorted breakdown"
-    [ ("analysis", 7); ("talk", 1) ]
+    [ ("announce", total - 1); ("talk", 1) ]
     (K.On_sim.phases rt);
   (* The ledger total always equals the transport's round counter. *)
   Alcotest.(check int) "transport agrees" (K.rounds rt)
     (Clique.Sim.rounds (K.On_sim.transport rt));
-  Alcotest.(check bool) "negative charge rejected" true
+  (* A call that raises moves nothing, so it charges nothing. *)
+  Alcotest.(check bool) "over-width exchange rejected" true
     (try
-       K.On_sim.charge rt (-1);
+       K.On_sim.with_phase rt "talk" (fun () ->
+           ignore (K.On_sim.exchange rt [| [ (1, [| 1; 2; 3 |]) ]; []; []; [] |]));
        false
-     with Invalid_argument _ -> true)
-
-let test_runtime_on_round_hook () =
-  let rt = K.clique 3 in
-  let seen = ref [] in
-  K.On_sim.on_round rt (fun ~phase ~rounds ~words ->
-      seen := (phase, rounds, words) :: !seen);
-  K.On_sim.with_phase rt "bcast" (fun () ->
-      ignore (K.On_sim.broadcast rt [| [| 1 |]; [| 2 |]; [| 3 |] |]));
-  K.On_sim.charge rt ~phase:"post" 4;
-  Alcotest.(check (list (triple string int int)))
-    "observer saw both events"
-    [ ("post", 4, 0); ("bcast", 1, 6) ]
-    !seen
-
-let test_runtime_trace_ring () =
-  let rt = K.On_sim.create ~trace_capacity:2 (Clique.Sim.create 2) in
-  K.On_sim.charge rt ~phase:"a" 1;
-  K.On_sim.charge rt ~phase:"b" 2;
-  K.On_sim.charge rt ~phase:"c" 3;
-  let tr = K.On_sim.trace rt in
-  Alcotest.(check int) "all events counted" 3 (Runtime.Trace.recorded tr);
-  Alcotest.(check (list string))
-    "ring keeps the newest" [ "b"; "c" ]
-    (List.map (fun e -> e.Runtime.Trace.phase) (Runtime.Trace.to_list tr));
-  let report = K.On_sim.report rt in
-  Alcotest.(check bool) "report names the kernel" true
-    (String.length report > 0
-    && String.sub report 0 7 = "[clique")
+     with
+    | Runtime.Mailbox.Bandwidth_exceeded _ | Runtime.Sanitize.Violation _ ->
+      true);
+  Alcotest.(check int) "rejected call charged nothing" total (K.rounds rt);
+  Alcotest.(check int) "transport still agrees" (K.rounds rt)
+    (Clique.Sim.rounds (K.On_sim.transport rt))
 
 (* ------------------------------------------------- cross-kernel programs *)
 
@@ -343,8 +328,6 @@ let suite =
     Alcotest.test_case "route batch boundary" `Quick test_route_batch_boundary;
     Alcotest.test_case "ledger and phases" `Quick
       test_runtime_ledger_and_phases;
-    Alcotest.test_case "on_round hook" `Quick test_runtime_on_round_hook;
-    Alcotest.test_case "trace ring buffer" `Quick test_runtime_trace_ring;
     Alcotest.test_case "bfs parity across kernels" `Quick
       test_bfs_parity_across_kernels;
     Alcotest.test_case "bellman-ford parity across kernels" `Quick

@@ -1,6 +1,6 @@
 (* Unit tests for the dynamic sanitizer mode of [Runtime.Make], plus the
-   two ledger primitives it leans on: the Trace ring buffer's behaviour
-   exactly at capacity and Cost.charge's rejection of negative rounds. *)
+   ledger primitive it leans on: Cost.charge's rejection of negative
+   rounds. *)
 
 module K = Clique.Kernel
 module San = Runtime.Sanitize
@@ -133,24 +133,25 @@ let test_model_selector () =
 
 (* ---------------------------------------------------- phase attribution *)
 
+(* One measured round: node 0 sends a word to node 1. *)
+let ping rt = ignore (K.On_sim.exchange rt [| [ (1, [| 1 |]) ]; []; [] |])
+
 let test_phase_attribution () =
   let rt = K.On_sim.create ~sanitize:true (Clique.Sim.create 3) in
-  (* Setup charges under "main" are fine before any named phase... *)
-  K.On_sim.charge rt 1;
-  K.On_sim.with_phase rt "solve" (fun () -> K.On_sim.charge rt 2);
+  (* Setup rounds under "main" are fine before any named phase... *)
+  ping rt;
+  K.On_sim.with_phase rt "solve" (fun () -> ping rt);
   (* ...but once a named phase has run, unattributed rounds are a bug. *)
-  (match violation "phase-attribution" (fun () -> K.On_sim.charge rt 3) with
+  match violation "phase-attribution" (fun () -> ping rt) with
   | None -> Alcotest.fail "post-setup main-phase rounds must be flagged"
-  | Some (phase, _) -> Alcotest.(check string) "phase" "main" phase);
-  (* Zero-round events carry no attribution burden. *)
-  K.On_sim.charge rt 0
+  | Some (phase, _) -> Alcotest.(check string) "phase" "main" phase
 
 let test_phase_attribution_off_when_unsanitized () =
   (* [~sanitize:false] must win even under an ambient CC_SANITIZE=1. *)
   let rt = K.On_sim.create ~sanitize:false (Clique.Sim.create 3) in
-  K.On_sim.with_phase rt "solve" (fun () -> K.On_sim.charge rt 2);
-  K.On_sim.charge rt 3;
-  Alcotest.(check int) "no sanitizer, no violation" 5 (K.rounds rt);
+  K.On_sim.with_phase rt "solve" (fun () -> ping rt);
+  ping rt;
+  Alcotest.(check int) "no sanitizer, no violation" 2 (K.rounds rt);
   Alcotest.(check bool) "not sanitized" false (K.On_sim.sanitized rt)
 
 (* ---------------------------------------------------------- ledger drift *)
@@ -158,21 +159,25 @@ let test_phase_attribution_off_when_unsanitized () =
 let test_ledger_drift () =
   let sim = Clique.Sim.create 3 in
   let rt = K.On_sim.create ~sanitize:true sim in
-  K.On_sim.charge rt ~phase:"p" 1;
+  K.On_sim.with_phase rt "p" (fun () -> ping rt);
   (* Bypass the runtime: the transport moves, the ledger does not. *)
-  Clique.Sim.charge sim 2;
+  ignore (Clique.Sim.broadcast sim [| [| 1 |]; [| 2 |]; [| 3 |] |]);
   Alcotest.(check bool) "bypassed rounds detected at the next event" true
-    (violation "ledger-drift" (fun () -> K.On_sim.charge rt ~phase:"p" 1)
+    (violation "ledger-drift" (fun () ->
+         K.On_sim.with_phase rt "p" (fun () -> ping rt))
     <> None)
 
 let test_drift_baseline_over_used_transport () =
   (* A runtime created over a transport that already has rounds on the
      clock must not see phantom drift: the baseline is snapshotted. *)
   let sim = Clique.Sim.create 3 in
-  Clique.Sim.charge sim 5;
+  ignore (Clique.Sim.exchange sim [| [ (2, [| 4 |]) ]; []; [] |]);
+  ignore (Clique.Sim.broadcast sim [| [| 1 |]; [| 2 |]; [| 3 |] |]);
   let rt = K.On_sim.create ~sanitize:true sim in
-  K.On_sim.charge rt ~phase:"p" 2;
-  Alcotest.(check int) "ledger counts only its own rounds" 2 (K.rounds rt)
+  K.On_sim.with_phase rt "p" (fun () -> ping rt);
+  Alcotest.(check int) "ledger counts only its own rounds" 1 (K.rounds rt);
+  Alcotest.(check int) "transport counts every round" 3
+    (Clique.Sim.rounds sim)
 
 (* ------------------------------------------------- enabling and default *)
 
@@ -195,61 +200,31 @@ let test_set_default () =
 (* ------------------------------------------------------------ transcript *)
 
 let test_transcript_distinguishes_runs () =
-  let run charges =
+  let run values =
     let rt = K.On_sim.create ~sanitize:true (Clique.Sim.create 2) in
-    List.iter (fun (p, r) -> K.On_sim.charge rt ~phase:p r) charges;
+    K.On_sim.with_phase rt "x" (fun () ->
+        ignore (K.On_sim.exchange rt [| [ (1, [| 1 |]) ]; [] |]));
+    K.On_sim.with_phase rt "y" (fun () ->
+        ignore (K.On_sim.broadcast rt values));
     match K.On_sim.sanitizer rt with
     | Some s -> San.transcript s
     | None -> Alcotest.fail "sanitizer expected"
   in
-  let a = run [ ("x", 1); ("y", 2) ] in
-  let a' = run [ ("x", 1); ("y", 2) ] in
-  let b = run [ ("x", 1); ("y", 3) ] in
+  let a = run [| [| 1 |]; [| 2 |] |] in
+  let a' = run [| [| 1 |]; [| 2 |] |] in
+  let b = run [| [| 1; 5 |]; [| 2 |] |] in
+  let c = run [| [| 7 |]; [| 2 |] |] in
   Alcotest.check Alcotest.int64 "same run, same shape" a.San.shape_hash
     a'.San.shape_hash;
   Alcotest.check Alcotest.int64 "same run, same content" a.San.content_hash
     a'.San.content_hash;
   Alcotest.(check int) "events counted" 2 a.San.events;
-  Alcotest.(check bool) "different run, different shape" true
-    (a.San.shape_hash <> b.San.shape_hash)
-
-(* --------------------------------------------------- trace ring at capacity *)
-
-let test_trace_wraparound_at_capacity () =
-  let tr = Runtime.Trace.create 3 in
-  for i = 1 to 3 do
-    Runtime.Trace.record tr ~phase:(string_of_int i) ~rounds:i ~words:0
-  done;
-  (* Exactly full: nothing dropped yet. *)
-  Alcotest.(check int) "recorded" 3 (Runtime.Trace.recorded tr);
-  Alcotest.(check (list string))
-    "all retained, oldest first" [ "1"; "2"; "3" ]
-    (List.map (fun e -> e.Runtime.Trace.phase) (Runtime.Trace.to_list tr));
-  (* One past capacity: the oldest event falls off, seq keeps counting. *)
-  Runtime.Trace.record tr ~phase:"4" ~rounds:4 ~words:0;
-  Alcotest.(check int) "recorded counts past capacity" 4
-    (Runtime.Trace.recorded tr);
-  let retained = Runtime.Trace.to_list tr in
-  Alcotest.(check (list string))
-    "window slid by one" [ "2"; "3"; "4" ]
-    (List.map (fun e -> e.Runtime.Trace.phase) retained);
-  Alcotest.(check (list int))
-    "seq is global, not slot index" [ 1; 2; 3 ]
-    (List.map (fun e -> e.Runtime.Trace.seq) retained);
-  (* Wrap all the way around: only the newest capacity-many survive. *)
-  for i = 5 to 10 do
-    Runtime.Trace.record tr ~phase:(string_of_int i) ~rounds:i ~words:0
-  done;
-  Alcotest.(check (list string))
-    "full wrap" [ "8"; "9"; "10" ]
-    (List.map (fun e -> e.Runtime.Trace.phase) (Runtime.Trace.to_list tr))
-
-let test_trace_capacity_validation () =
-  Alcotest.(check bool) "capacity 0 rejected" true
-    (try
-       ignore (Runtime.Trace.create 0);
-       false
-     with Invalid_argument _ -> true)
+  Alcotest.(check bool) "different sizes, different shape" true
+    (a.San.shape_hash <> b.San.shape_hash);
+  Alcotest.check Alcotest.int64 "same sizes, same shape" a.San.shape_hash
+    c.San.shape_hash;
+  Alcotest.(check bool) "different words, different content" true
+    (a.San.content_hash <> c.San.content_hash)
 
 (* ----------------------------------------------- cost charge validation *)
 
@@ -292,10 +267,6 @@ let suite =
     Alcotest.test_case "set_default" `Quick test_set_default;
     Alcotest.test_case "transcript distinguishes runs" `Quick
       test_transcript_distinguishes_runs;
-    Alcotest.test_case "trace wraparound at capacity" `Quick
-      test_trace_wraparound_at_capacity;
-    Alcotest.test_case "trace capacity validation" `Quick
-      test_trace_capacity_validation;
     Alcotest.test_case "cost rejects negative rounds" `Quick
       test_cost_negative_charge_rejected;
   ]
