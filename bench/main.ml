@@ -1239,8 +1239,8 @@ let e12_resilience () =
      assert identical solution fingerprints across both paths and a
      >= 2x jobs/sec speedup for the cache-hit path (the PR gate);
    - "zero-alloc": Gc.minor_words deltas around the workspace CG and
-     Chebyshev kernels — 20 extra steady-state iterations must allocate
-     exactly zero words (native backend).
+     Chebyshev kernels and the Fiedler power loop — 20 extra steady-state
+     iterations must allocate exactly zero words (native backend).
    The rounds subtree (the bench_diff hard gate) carries the solver's
    charged rounds, which the prepared path replays bit-identically;
    jobs/sec and latency percentiles land in stats (informational). *)
@@ -1314,9 +1314,10 @@ let e13_run client ~n ~requests ~nocache ~warm =
   (!fnv, !rounds, float_of_int requests /. elapsed, lat)
 
 let e13_minor_words_per_extra_iteration () =
-  (* Delta-of-deltas: iterations 5 -> 25 of each workspace kernel must
-     allocate the same number of minor words, i.e. the steady-state loop
-     is allocation-free. Meaningful on the native backend only. *)
+  (* Delta-of-deltas: iterations 5 -> 25 of each workspace kernel (and
+     power steps 5 -> 25 of the expander decomposition's Fiedler loop)
+     must allocate the same number of minor words, i.e. the steady-state
+     loop is allocation-free. Meaningful on the native backend only. *)
   let g = Gen.connected_gnp ~seed:21L 60 0.15 in
   let l = Graph.laplacian g in
   let b =
@@ -1340,11 +1341,14 @@ let e13_minor_words_per_extra_iteration () =
     f ();
     Gc.minor_words () -. w0
   in
+  let run_fiedler k = ignore (Expander.Fiedler.approx ~iters:k g) in
   run_cg 2;
   run_ch 2;
-  let cg = (delta (fun () -> run_cg 25) -. delta (fun () -> run_cg 5)) /. 20. in
-  let ch = (delta (fun () -> run_ch 25) -. delta (fun () -> run_ch 5)) /. 20. in
-  (cg, ch)
+  run_fiedler 2;
+  let per_extra run =
+    (delta (fun () -> run 25) -. delta (fun () -> run 5)) /. 20.
+  in
+  (per_extra run_cg, per_extra run_ch, per_extra run_fiedler)
 
 let e13_throughput () =
   header
@@ -1417,16 +1421,19 @@ let e13_throughput () =
   in
   let naive_rows = List.map fst daemon_rows in
   let batched_rows = List.map snd daemon_rows in
-  let cg_words, ch_words = e13_minor_words_per_extra_iteration () in
+  let cg_words, ch_words, fiedler_words =
+    e13_minor_words_per_extra_iteration ()
+  in
   let native = Sys.backend_type = Sys.Native in
   if native then begin
     assert (cg_words = 0.);
-    assert (ch_words = 0.)
+    assert (ch_words = 0.);
+    assert (fiedler_words = 0.)
   end;
   Printf.printf
     "zero-alloc: %.1f words/extra CG iteration, %.1f words/extra Chebyshev \
-     iteration%s\n"
-    cg_words ch_words
+     iteration, %.1f words/extra Fiedler power step%s\n"
+    cg_words ch_words fiedler_words
     (if native then " (asserted zero)" else " (bytecode, not asserted)");
   let zero_alloc_rows =
     [
@@ -1436,6 +1443,7 @@ let e13_throughput () =
           [
             ("cg_words_per_iter", J.Float cg_words);
             ("chebyshev_words_per_iter", J.Float ch_words);
+            ("fiedler_words_per_iter", J.Float fiedler_words);
             ("asserted", J.Bool native);
           ]
         ~rounds:0 ~phases:[] ();

@@ -31,8 +31,6 @@ let () =
            src distinct phase)
     | _ -> None)
 
-let name = "bcast"
-
 let create n =
   if n <= 0 then invalid_arg "Broadcast.create: need n > 0";
   { n; rounds = 0; words_sent = 0; exchanges = 0; collapsed = 0 }

@@ -38,9 +38,6 @@ exception Multi_payload of { src : int; phase : string; distinct : int }
     runtime phase current when the exchange ran. A printer is
     registered. *)
 
-val name : string
-(** ["bcast"]. *)
-
 val create : int -> t
 (** [create n] makes a broadcast clique of [n] nodes ([n > 0]). *)
 

@@ -8,8 +8,6 @@ type t = {
 
 exception Not_an_edge of { src : int; dst : int }
 
-let name = "congest"
-
 let create ?kernel graph =
   let n = Graph.n graph in
   let neighbors = Array.init n (fun _ -> Hashtbl.create 4) in
@@ -77,16 +75,12 @@ let broadcast ?(width = 2) t values =
   t.rounds <- t.rounds + Runtime.Cost.broadcast_rounds;
   view
 
-let stats t =
-  match t.arena with Some a -> Runtime.Arena.stats a | None -> []
-
 (* The same node programs the clique kernel runs, instantiated over this
    transport (the functor is applied on a local alias; only plain arrays
    escape, so the private runtime type never leaks). *)
 module Self = struct
   type nonrec t = t
 
-  let name = name
   let n = n
   let default_width = default_width
   let unicast = unicast
@@ -96,7 +90,6 @@ module Self = struct
   let exchange = exchange
   let route = route
   let broadcast = broadcast
-  let stats = stats
 end
 
 module Rt = Runtime.Make (Self)

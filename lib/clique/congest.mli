@@ -16,9 +16,6 @@ type t
 exception Not_an_edge of { src : int; dst : int }
 (** Raised when a message is addressed across a non-edge of the topology. *)
 
-val name : string
-(** ["congest"]. *)
-
 val create : ?kernel:Sim.kernel -> Graph.t -> t
 (** One node per vertex; links are exactly the graph's edges. [kernel]
     (default {!Sim.default_kernel}) picks the arena or legacy delivery
@@ -58,9 +55,6 @@ val route :
 val broadcast : ?width:int -> t -> int array array -> int array array
 (** All-to-all in one round needs all-to-all links: raises {!Not_an_edge}
     unless the graph is complete, then behaves like {!Sim.broadcast}. *)
-
-val stats : t -> (string * int) list
-(** The arena's [kernel.arena.*] counters; empty on the legacy kernel. *)
 
 val bfs : t -> int -> int array
 (** Distributed BFS by flooding — the generic {!Programs.Make} program run

@@ -14,8 +14,6 @@ type t = {
 
 exception Bandwidth_exceeded = Runtime.Mailbox.Bandwidth_exceeded
 
-let name = "clique"
-
 let forced_kernel : kernel option ref = ref None
 
 let set_default_kernel k = forced_kernel := k

@@ -36,9 +36,6 @@ exception
 (** The same exception as {!Runtime.Mailbox.Bandwidth_exceeded} (rebound),
     so either name catches it. *)
 
-val name : string
-(** ["clique"]. *)
-
 val create : ?kernel:kernel -> int -> t
 (** [create n] makes a clique of [n] nodes running on [kernel] (default
     {!default_kernel}). The arena kernel sizes its buffers once here and

@@ -53,8 +53,6 @@ module Link = Wire.Link
 module Shard = Runtime.Shard
 module Mailbox = Runtime.Mailbox
 
-let name = "clique+shard"
-
 let default_width = 2
 
 let unicast = true

@@ -58,9 +58,6 @@ exception
   }
 (** [Runtime.Mailbox.Bandwidth_exceeded], rebound. *)
 
-val name : string
-(** ["clique+shard"]. *)
-
 val env_addr : string
 (** ["CC_SHARD_ADDR"]. *)
 

@@ -3,26 +3,71 @@ let inv_sqrt_degrees g =
       let d = Graph.weighted_degree g v in
       if d > 0. then 1. /. sqrt d else 0.)
 
-let normalized_apply g x =
-  let n = Graph.n g in
-  if Array.length x <> n then
-    invalid_arg "Fiedler.normalized_apply: dimension mismatch";
-  let isd = inv_sqrt_degrees g in
-  let y = Linalg.Vec.create n in
-  (* N x = D^{-1/2} L D^{-1/2} x, computed edge-by-edge. *)
-  Array.iter
-    (fun e ->
-      let u = e.Graph.u and v = e.Graph.v and w = e.Graph.w in
-      let xu = x.(u) *. isd.(u) and xv = x.(v) *. isd.(v) in
-      let d = w *. (xu -. xv) in
-      y.(u) <- y.(u) +. (d *. isd.(u));
-      y.(v) <- y.(v) -. (d *. isd.(v)))
-    (Graph.edges g);
-  y
+(* y <- M x for the shifted operator M = 2I − N, N = D^{-1/2} L D^{-1/2}
+   applied edge by edge over flat endpoint and weight arrays. Isolated
+   vertices are fixed points of N ([N x]_v = 0). *)
+let shifted_apply_into eu ev ew isd x y =
+  Linalg.Vec.fill y 0.;
+  for k = 0 to Array.length eu - 1 do
+    let u = eu.(k) and v = ev.(k) in
+    let xu = x.(u) *. isd.(u) and xv = x.(v) *. isd.(v) in
+    let d = ew.(k) *. (xu -. xv) in
+    y.(u) <- y.(u) +. (d *. isd.(u));
+    y.(v) <- y.(v) -. (d *. isd.(v))
+  done;
+  for i = 0 to Array.length x - 1 do
+    y.(i) <- (2. *. x.(i)) -. y.(i)
+  done
+
+(* [iters] power steps on M, deflated against the unit vector [u0]: [v]
+   holds the last accepted unit iterate, [y] is a work buffer. A step whose
+   deflated image is zero is not accepted and leaves [v] as it was. Returns
+   whether any step was accepted.
+
+   Allocation-free: the dot products and the norm are inlined (a call
+   returning [float] boxes its result). The partition is a function of
+   these bits, so each element expression keeps its operands and order:
+   deflation is the axpy [(a *. u0.(i)) +. y.(i)] with [a = -.c], scaling
+   is [1. /. nw] then a multiply, dot products are left folds from 0.
+   test_expander pins the iterates against an allocating reference copy,
+   and the partitions built from them. *)
+(* cc_lint: hot shifted_apply_into power_iterate *)
+let power_iterate ~iters eu ev ew isd u0 v y =
+  let n = Array.length v in
+  let accepted = ref false in
+  for _ = 1 to iters do
+    shifted_apply_into eu ev ew isd v y;
+    let c = ref 0. in
+    for i = 0 to n - 1 do
+      c := !c +. (y.(i) *. u0.(i))
+    done;
+    let a = -. !c in
+    for i = 0 to n - 1 do
+      y.(i) <- (a *. u0.(i)) +. y.(i)
+    done;
+    let ss = ref 0. in
+    for i = 0 to n - 1 do
+      ss := !ss +. (y.(i) *. y.(i))
+    done;
+    let nw = sqrt !ss in
+    if nw > 0. then begin
+      let s = 1. /. nw in
+      for i = 0 to n - 1 do
+        v.(i) <- s *. y.(i)
+      done;
+      accepted := true
+    end
+  done;
+  !accepted
 
 let approx ?(iters = 400) g =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Fiedler.approx: need n >= 2";
+  let isd = inv_sqrt_degrees g in
+  let edges = Graph.edges g in
+  let eu = Array.map (fun e -> e.Graph.u) edges
+  and ev = Array.map (fun e -> e.Graph.v) edges
+  and ew = Array.map (fun e -> e.Graph.w) edges in
   (* Kernel direction of N is D^{1/2} 1. *)
   let u0 =
     Linalg.Vec.normalize
@@ -30,37 +75,29 @@ let approx ?(iters = 400) g =
            let d = Graph.weighted_degree g v in
            sqrt (Float.max d 0.)))
   in
-  let deflate x =
-    let c = Linalg.Vec.dot x u0 in
-    Linalg.Vec.axpy (-.c) u0 x
-  in
-  (* Power iteration on M = 2I − N; dominant eigenpair on u0⊥ is (2−λ₂). *)
-  let apply_m x =
-    let nx = normalized_apply g x in
-    Array.init n (fun i -> (2. *. x.(i)) -. nx.(i))
-  in
+  (* Power iteration on M = 2I − N from a fixed start deflated against u0;
+     the dominant eigenpair on u0⊥ is (2−λ₂). *)
   let start =
-    Linalg.Vec.normalize
-      (deflate
-         (Linalg.Vec.init n (fun i ->
-              let s = if i land 1 = 0 then 1. else -1. in
-              s *. (1. +. (float_of_int ((i * 2654435761) land 0xffff) /. 65536.)))))
+    Linalg.Vec.init n (fun i ->
+        let s = if i land 1 = 0 then 1. else -1. in
+        s *. (1. +. (float_of_int ((i * 2654435761) land 0xffff) /. 65536.)))
   in
-  let v = ref start in
-  let mu = ref 0. in
-  for _ = 1 to iters do
-    let w = deflate (apply_m !v) in
-    let nw = Linalg.Vec.norm2 w in
-    if nw > 0. then begin
-      let w = Linalg.Vec.scale (1. /. nw) w in
-      mu := Linalg.Vec.dot w (apply_m w);
-      v := w
+  let v =
+    Linalg.Vec.normalize
+      (Linalg.Vec.axpy (-.Linalg.Vec.dot start u0) u0 start)
+  in
+  let y = Linalg.Vec.create n in
+  (* The Rayleigh quotient of the last accepted iterate; 0 if none was. *)
+  let mu =
+    if power_iterate ~iters eu ev ew isd u0 v y then begin
+      shifted_apply_into eu ev ew isd v y;
+      Linalg.Vec.dot v y
     end
-  done;
-  let lambda2 = Float.max 0. (2. -. !mu) in
+    else 0.
+  in
+  let lambda2 = Float.max 0. (2. -. mu) in
   (* Rescale for sweep rounding: order vertices by (D^{-1/2} x). *)
-  let isd = inv_sqrt_degrees g in
-  let x = Array.mapi (fun i xi -> xi *. isd.(i)) !v in
+  let x = Array.mapi (fun i xi -> xi *. isd.(i)) v in
   (lambda2, x)
 
 (* Jacobi eigenvalue iteration on the dense normalized Laplacian. *)

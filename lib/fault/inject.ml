@@ -30,8 +30,6 @@ module Make (T : Runtime.TRANSPORT) = struct
     mutable events : event list;
   }
 
-  let name = T.name ^ "+faults"
-
   let default_width = T.default_width
 
   let unicast = T.unicast
@@ -58,10 +56,6 @@ module Make (T : Runtime.TRANSPORT) = struct
   let words_sent t = T.words_sent t.base
 
   let recovery_rounds t = T.recovery_rounds t.base
-
-  (* The wrapped kernel's counters pass straight through, so arena stats
-     stay visible (and arena rounds stay bit-identical) under injection. *)
-  let stats t = T.stats t.base
 
   let injected t =
     List.sort compare

@@ -65,15 +65,20 @@ let kappa_rounds = 2 * kappa_power_iters * Runtime.Cost.matvec_rounds
 
 (* Distributed estimation of the pencil extremes of (L_G, L_H): power
    iteration on B†A (one matvec round per application, B†-solves internal),
-   then on its reflection to reach the bottom of the spectrum. Runs once per
-   handle; its [kappa_rounds] are charged by [solve_prepared]. *)
+   then on its reflection to reach the bottom of the spectrum. Each step
+   applies B†A once, into preallocated buffers, and each loop takes its
+   Rayleigh quotient once, after the loop, from its last accepted iterate:
+   2·kappa_power_iters + 2 applications in all. [kappa_rounds] prices one
+   matvec round per step; the two closing quotients are not charged. Runs
+   once per handle; its [kappa_rounds] are charged by [solve_prepared]. *)
 let estimate_kappa g solve_h =
   let n = Graph.n g in
-  let apply m v = m (Linalg.Vec.center v) in
-  let bta v =
-    let x = Linalg.Vec.create n in
-    solve_h (Graph.apply_laplacian g v) x;
-    x
+  let cv = Linalg.Vec.create n and lv = Linalg.Vec.create n in
+  (* w <- B†A v, with v centered first. *)
+  let bta_into v w =
+    Linalg.Vec.center_into v cv;
+    Graph.apply_laplacian_into g cv lv;
+    solve_h lv w
   in
   let start =
     Linalg.Vec.normalize
@@ -82,39 +87,53 @@ let estimate_kappa g solve_h =
               let s = if i land 1 = 0 then 1. else -1. in
               s *. (1. +. (float_of_int ((i * 48271) land 0x3fff) /. 16384.)))))
   in
-  let v = ref start in
-  let mu_max = ref 1. in
-  for _ = 1 to kappa_power_iters do
-    let w = apply bta !v in
-    let nw = Linalg.Vec.norm2 w in
-    if nw > 0. then begin
-      let w = Linalg.Vec.scale (1. /. nw) w in
-      (* generalized Rayleigh: (v'Av)/(v'Bv); since w has unit 2-norm use
-         the B†A operator's ordinary Rayleigh quotient, valid because B†A is
-         self-adjoint in the B-inner product and we only need the extreme. *)
-      mu_max := Linalg.Vec.dot w (apply bta w);
-      v := w
+  let v = Linalg.Vec.copy start and w = Linalg.Vec.create n in
+  (* One power loop; [step] leaves the next unnormalized iterate in w.
+     Returns whether any step was accepted. *)
+  let power step =
+    let accepted = ref false in
+    for _ = 1 to kappa_power_iters do
+      step ();
+      let nw = Linalg.Vec.norm2 w in
+      if nw > 0. then begin
+        Linalg.Vec.scale_into (1. /. nw) w v;
+        accepted := true
+      end
+    done;
+    !accepted
+  in
+  (* generalized Rayleigh: (v'Av)/(v'Bv); since v has unit 2-norm use the
+     B†A operator's ordinary Rayleigh quotient, valid because B†A is
+     self-adjoint in the B-inner product and we only need the extreme. *)
+  let mu_max =
+    if power (fun () -> bta_into v w) then begin
+      bta_into v w;
+      Linalg.Vec.dot v w
     end
-  done;
-  let c = !mu_max *. 1.05 in
-  let v = ref start in
-  let mu_reflected = ref 0. in
-  for _ = 1 to kappa_power_iters do
-    let w =
-      Linalg.Vec.center
-        (Linalg.Vec.sub (Linalg.Vec.scale c !v) (apply bta !v))
-    in
-    let nw = Linalg.Vec.norm2 w in
-    if nw > 0. then begin
-      let w = Linalg.Vec.scale (1. /. nw) w in
-      mu_reflected :=
-        Linalg.Vec.dot w
-          (Linalg.Vec.sub (Linalg.Vec.scale c w) (apply bta w));
-      v := w
+    else 1.
+  in
+  let c = mu_max *. 1.05 in
+  (* w <- c·v − B†A v, the reflected operator (cv is free once bta_into
+     has returned). *)
+  let reflected_into () =
+    bta_into v w;
+    Linalg.Vec.scale_into c v cv;
+    Linalg.Vec.sub_into cv w w
+  in
+  Linalg.Vec.copy_into start v;
+  let mu_reflected =
+    if
+      power (fun () ->
+          reflected_into ();
+          Linalg.Vec.center_into w w)
+    then begin
+      reflected_into ();
+      Linalg.Vec.dot v w
     end
-  done;
-  let mu_min = Float.max (c -. !mu_reflected) (!mu_max *. 1e-8) in
-  (!mu_max, mu_min)
+    else 0.
+  in
+  let mu_min = Float.max (c -. mu_reflected) (mu_max *. 1e-8) in
+  (mu_max, mu_min)
 
 let preprocess_weights eps g =
   (* Theorem 3.3 takes integer weights; round to multiples of ε as the

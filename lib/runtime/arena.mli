@@ -44,5 +44,5 @@ val deliver :
 val stats : t -> (string * int) list
 (** Cumulative [kernel.arena.*] counters, sorted by name: [resets] (rounds
     delivered), [grows] (capacity doublings), [slot_words_reused] (message
-    slots served from already-allocated capacity). Surfaced as
-    [Transport.S.stats] by the kernels that deliver on an arena. *)
+    slots served from already-allocated capacity). Surfaced by
+    [Clique.Sim.stats], the clique kernel that delivers on an arena. *)

@@ -12,9 +12,6 @@
 module type S = sig
   type t
 
-  val name : string
-  (** Kernel name for reports ("clique", "congest"). *)
-
   val n : t -> int
   (** Number of nodes. *)
 
@@ -62,8 +59,4 @@ module type S = sig
   val broadcast : ?width:int -> t -> int array array -> int array array
   (** Every node sends [values.(v)] (at most [width] words) to all others;
       returns the shared global view. One round. *)
-
-  val stats : t -> (string * int) list
-  (** Kernel-internal counters (full metric names, e.g.
-      [kernel.arena.resets]). May be empty. *)
 end

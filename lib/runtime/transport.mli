@@ -4,14 +4,13 @@
     [lib/clique] ([Sim], [Congest], [Broadcast], [Socket]) and
     [Fault.Inject]. A transport only moves messages: its round counter
     advances by measured communication alone, never by an analytic
-    charge. *)
+    charge. The signature carries no name and no kernel counters; the
+    concrete kernels that keep counters ([Sim], [Broadcast], [Socket])
+    export their own [stats]. *)
 
 module type S = sig
   type t
   (** The kernel's mutable state (nodes, counters, topology). *)
-
-  val name : string
-  (** Kernel identifier reported by the runtime (e.g. ["clique"]). *)
 
   val n : t -> int
   (** Number of nodes. *)
@@ -55,8 +54,4 @@ module type S = sig
   val broadcast : ?width:int -> t -> int array array -> int array array
   (** Every node sends [values.(v)] to all others; returns the shared
       global view. *)
-
-  val stats : t -> (string * int) list
-  (** Kernel-internal counters under full metric names ([kernel.*]); may
-      be empty. *)
 end
