@@ -1,45 +1,35 @@
 (* cc_lint — model-compliance linter for the congested-clique reproduction.
 
-   Usage: cc_lint [--rules] [--semantic | --no-semantic] [--graph]
-                  [--json] [PATH ...]                 (default paths: lib bin)
+   Usage: cc_lint [--rules] [--graph] [--json] [PATH ...]
+                                                      (default paths: lib bin)
 
-   The lexical rules (L1-L9, Analysis.Lint) always run and stay the fast
-   path. --semantic additionally parses every implementation with the
-   compiler frontend, builds the module-qualified call graph, and runs the
-   interprocedural rules L10-L12 (Analysis.Semantic); because L12
-   supersedes L8 with AST-accurate scoping, the lexical L8 findings are
-   dropped when the semantic pass runs. --graph dumps the call graph as
-   GraphViz DOT to stdout and exits. --json renders findings through the
-   dependency-free Metrics.Json instead of line-per-finding text.
+   Every run applies the whole catalog: the lexical rules (L1-L7, L9, L13,
+   Analysis.Lint) and the semantic pass (Analysis.Semantic), which parses
+   every implementation with the compiler frontend, builds the
+   module-qualified call graph, and runs the interprocedural rules L10-L12.
+   --graph dumps the call graph as GraphViz DOT to stdout and exits.
+   --json renders findings through the dependency-free Metrics.Json
+   instead of line-per-finding text.
 
    Exit codes: 0 clean, 1 findings (or semantic parse errors), 2 usage. *)
 
 let usage () =
   prerr_endline
-    "usage: cc_lint [--rules] [--semantic | --no-semantic] [--graph] \
-     [--json] [PATH ...]   (default: lib bin)";
+    "usage: cc_lint [--rules] [--graph] [--json] [PATH ...]   (default: lib \
+     bin)";
   exit 2
 
-type opts = {
-  semantic : bool;
-  graph : bool;
-  json : bool;
-  roots : string list;
-}
+type opts = { graph : bool; json : bool; roots : string list }
 
 let parse_args args =
   let rec go opts = function
     | [] -> opts
-    | "--semantic" :: rest -> go { opts with semantic = true } rest
-    | "--no-semantic" :: rest -> go { opts with semantic = false } rest
-    | "--graph" :: rest -> go { opts with graph = true; semantic = true } rest
+    | "--graph" :: rest -> go { opts with graph = true } rest
     | "--json" :: rest -> go { opts with json = true } rest
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' -> usage ()
     | path :: rest -> go { opts with roots = opts.roots @ [ path ] } rest
   in
-  let opts =
-    go { semantic = false; graph = false; json = false; roots = [] } args
-  in
+  let opts = go { graph = false; json = false; roots = [] } args in
   if opts.roots = [] then { opts with roots = [ "lib"; "bin" ] } else opts
 
 let () =
@@ -52,21 +42,13 @@ let () =
   let opts = parse_args args in
   match
     let lexical = Analysis.Lint.lint_paths opts.roots in
-    if not opts.semantic then (lexical, [])
-    else begin
-      let sem = Analysis.Semantic.analyze_paths opts.roots in
-      if opts.graph then begin
-        print_string (Analysis.Callgraph.to_dot sem.graph);
-        exit 0
-      end;
-      (* L12 sees everything L8 sees plus nested bindings: keep one
-         finding per allocation site, the AST-accurate one. *)
-      let lexical =
-        List.filter (fun f -> f.Analysis.Lint.rule <> Analysis.Rule.L8) lexical
-      in
-      ( List.sort Analysis.Lint.compare_findings (lexical @ sem.findings),
-        sem.errors )
-    end
+    let sem = Analysis.Semantic.analyze_paths opts.roots in
+    if opts.graph then begin
+      print_string (Analysis.Callgraph.to_dot sem.graph);
+      exit 0
+    end;
+    ( List.sort Analysis.Lint.compare_findings (lexical @ sem.findings),
+      sem.errors )
   with
   | findings, errors ->
     List.iter (fun e -> prerr_endline ("cc_lint: parse error: " ^ e)) errors;

@@ -1,7 +1,8 @@
 (* The batched solve daemon (DESIGN.md §15).
 
      cc_serve                        # serve CC_SERVE_ADDR until Shutdown
-     cc_serve --addr unix:/tmp/s     # override the address
+     cc_serve --addr unix:/tmp/s     # override the address (unix:PATH,
+                                     # tcp:HOST:PORT or HOST:PORT)
      cc_serve --call '<json>'        # one-shot client: send a job, print
                                      # the reply, exit 0 iff ok
 
@@ -87,13 +88,18 @@ let () =
         fail
           (Printf.sprintf "cannot reach %s: %s" config.Serve.Daemon.addr
              (Unix.error_message e))
+      | exception Invalid_argument msg -> fail msg
     in
     let reply = Serve.Client.request_string client body in
     Serve.Client.close client;
     print_endline (Serve.Client.Json.to_string reply);
     exit (if Serve.Client.ok reply then 0 else 1)
   | None ->
-    let t = Serve.Daemon.start config in
+    let t =
+      match Serve.Daemon.start config with
+      | t -> t
+      | exception Invalid_argument msg -> fail msg
+    in
     Printf.printf "cc_serve: listening on %s (%d workers, cache %d, policy %s)\n%!"
       (Serve.Daemon.addr t) config.Serve.Daemon.jobs
       config.Serve.Daemon.cache_cap

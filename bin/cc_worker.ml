@@ -4,8 +4,11 @@
      cc_worker tcp:host:port      # or host:port, or unix:/path
      CC_SHARD_ADDR=host:port cc_worker
 
-   Dials the rendezvous, is assigned a reserved shard slot, and serves
-   rounds until the session shuts down. Never returns. *)
+   The address takes Wire.Link's grammar (unix:PATH, tcp:HOST:PORT or
+   bare HOST:PORT). Dials the rendezvous, retrying refused dials for this
+   host's CC_SHARD_TIMEOUT, is assigned a reserved shard slot, and serves
+   rounds under the session's timeout (sent with every Config) until the
+   session shuts down. Never returns. *)
 
 let () =
   let addr =
@@ -16,5 +19,6 @@ let () =
   | Some a -> Clique.Socket.remote_worker a
   | None ->
     prerr_endline
-      "usage: cc_worker <host:port>   (or set CC_SHARD_ADDR)";
+      "usage: cc_worker ADDR   (unix:PATH, tcp:HOST:PORT or HOST:PORT; or \
+       set CC_SHARD_ADDR)";
     exit 2

@@ -65,9 +65,7 @@ let findings (impl : Ast.impl) =
         let raw_line =
           if f.line - 1 < Array.length raw then raw.(f.line - 1) else ""
         in
-        (* L12 supersedes L8: an existing [allow L8] marker keeps working. *)
-        not (Rule.suppressed Rule.L12 raw_line)
-        && not (Rule.suppressed Rule.L8 raw_line))
+        not (Rule.suppressed Rule.L12 raw_line))
       !found
     |> List.sort Lint.compare_findings
   end

@@ -1,14 +1,11 @@
-(** Rule L12: AST-accurate hot-path allocation checking.
+(** Rule L12: hot-path allocation checking on the parse tree.
 
-    Supersedes L8's lexical "current function" tracker. The hot set is
-    read off the same [(* cc_lint: hot name ... *)] markers, but functions
-    are located in the parse tree, so a hot function bound by a nested
-    [let] (e.g. a closure built inside a factory) is found where the
-    lexical column-0 tracker attributes its body to the wrong binding.
-    Allocation primitives are the L8 set: [Hashtbl.create], [Array.make],
-    [Bytes.create]. Findings suppressed by an allow marker naming [L12]
-    (or [L8] — the rule it supersedes) on the offending line are
-    dropped. *)
+    The hot set is read off the file's [(* cc_lint: hot name ... *)]
+    markers, and functions are located in the parse tree, so a hot
+    function bound by a nested [let] (e.g. a closure built inside a
+    factory) is covered too. Allocation primitives: [Hashtbl.create],
+    [Array.make], [Bytes.create]. Findings suppressed by an allow marker
+    naming [L12] on the offending line are dropped. *)
 
 val findings : Ast.impl -> Lint.finding list
 (** All unsuppressed L12 findings of one implementation, sorted. *)

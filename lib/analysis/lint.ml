@@ -126,10 +126,6 @@ let recovery_tokens = [ "Fault_detected"; "Recover.run" ]
 
 let wallclock_tokens = [ "Unix."; "Sys.time" ]
 
-(* Per-call allocation primitives the round hot path must not reach for:
-   arena-style kernels size their buffers once and reset them. *)
-let alloc_tokens = [ "Hashtbl.create"; "Array.make"; "Bytes.create" ]
-
 (* Raw socket syscalls (L9). [Unix.select] is deliberately absent: waiting
    on descriptors does not move bytes, and drivers may multiplex. *)
 let socket_tokens =
@@ -145,39 +141,8 @@ let socket_tokens =
     "Unix.single_write";
   ]
 
-(* The top-level binding a column-0 [let] / [let rec] / [and] line opens,
-   if any — the lexical "current function" tracker rule L8 scopes hot
-   regions with. Nested (indented) bindings stay inside the enclosing
-   function on purpose: a hot function's local helpers are hot too. *)
-let toplevel_binding code_line =
-  let len = String.length code_line in
-  let after_kw kw =
-    let kl = String.length kw in
-    if len > kl && String.sub code_line 0 kl = kw && code_line.[kl] = ' ' then
-      Some (kl + 1)
-    else None
-  in
-  let start =
-    match after_kw "let rec" with
-    | Some i -> Some i
-    | None -> (
-      match after_kw "let" with Some i -> Some i | None -> after_kw "and")
-  in
-  match start with
-  | None -> None
-  | Some i ->
-    let i = ref i in
-    while !i < len && code_line.[!i] = ' ' do
-      incr i
-    done;
-    let j = ref !i in
-    while !j < len && Scan.is_ident_char code_line.[!j] do
-      incr j
-    done;
-    if !j > !i then Some (String.sub code_line !i (!j - !i)) else None
-
-let line_findings ~file ~charged ~privileged ~wire_ok ~supervisor_ok ~hot
-    lineno code_line =
+let line_findings ~file ~charged ~privileged ~wire_ok ~supervisor_ok lineno
+    code_line =
   let found = ref [] in
   let add rule message = found := (rule, message) :: !found in
   if charged then begin
@@ -227,16 +192,6 @@ let line_findings ~file ~charged ~privileged ~wire_ok ~supervisor_ok ~hot
                 framing and byte accounting apply"
                tok))
       socket_tokens;
-  if hot then
-    List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L8
-            (Printf.sprintf
-               "'%s' in hot-path function: the round hot path reuses \
-                preallocated buffers (see Runtime.Arena)"
-               tok))
-      alloc_tokens;
   if not supervisor_ok then
     if mentions code_line "Shard_down" then
       add Rule.L13
@@ -260,23 +215,10 @@ let scan_source ~file src =
   (* [strip] preserves newlines, so raw and code line arrays are parallel. *)
   let raw = Array.of_list (Scan.lines src) in
   let code = Array.of_list (Scan.lines (Scan.strip src)) in
-  (* Hot markers live in comments, so they are read off the raw lines;
-     the set is per-file and applies to the whole file regardless of where
-     the marker sits. *)
-  let hot_set = Hashtbl.create 4 in
-  Array.iter
-    (fun raw_line ->
-      List.iter (fun nm -> Hashtbl.replace hot_set nm ()) (Rule.hot_names raw_line))
-    raw;
-  let current = ref "" in
   let findings = ref [] in
   Array.iteri
     (fun idx code_line ->
-      (match toplevel_binding code_line with
-      | Some nm -> current := nm
-      | None -> ());
-      let hot = Hashtbl.mem hot_set !current in
-      line_findings ~file ~charged ~privileged ~wire_ok ~supervisor_ok ~hot
+      line_findings ~file ~charged ~privileged ~wire_ok ~supervisor_ok
         (idx + 1) code_line
       |> List.iter (fun f ->
              if not (Rule.suppressed f.rule raw.(idx)) then

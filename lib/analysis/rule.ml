@@ -1,6 +1,6 @@
-type id = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9 | L10 | L11 | L12 | L13
+type id = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L9 | L10 | L11 | L12 | L13
 
-let all = [ L1; L2; L3; L4; L5; L6; L7; L8; L9; L10; L11; L12; L13 ]
+let all = [ L1; L2; L3; L4; L5; L6; L7; L9; L10; L11; L12; L13 ]
 
 let to_string = function
   | L1 -> "L1"
@@ -10,7 +10,6 @@ let to_string = function
   | L5 -> "L5"
   | L6 -> "L6"
   | L7 -> "L7"
-  | L8 -> "L8"
   | L9 -> "L9"
   | L10 -> "L10"
   | L11 -> "L11"
@@ -25,7 +24,6 @@ let of_string = function
   | "L5" -> Some L5
   | "L6" -> Some L6
   | "L7" -> Some L7
-  | "L8" -> Some L8
   | "L9" -> Some L9
   | "L10" -> Some L10
   | "L11" -> Some L11
@@ -33,7 +31,7 @@ let of_string = function
   | "L13" -> Some L13
   | _ -> None
 
-(* The semantic (AST/call-graph) rules, shipped by the --semantic pass. *)
+(* The semantic (AST/call-graph) rules. *)
 let semantic = [ L10; L11; L12 ]
 
 let synopsis = function
@@ -54,10 +52,6 @@ let synopsis = function
   | L7 ->
     "recovery logic inside a charged layer (catching Fault_detected or \
      calling Recover.run): verify-and-retry belongs to the driver"
-  | L8 ->
-    "allocation in a hot-path function (Hashtbl.create, Array.make or \
-     Bytes.create inside a function named by a (* cc_lint: hot ... *) \
-     marker): the round hot path preallocates and reuses"
   | L9 ->
     "raw socket I/O outside the wire layer (Unix.socket, connect, accept, \
      read, write, ...): all inter-process bytes go through Wire.Link so \
@@ -72,9 +66,9 @@ let synopsis = function
      values, mutable record fields) written from the domain-fanned region \
      without Atomic/Mutex discipline: a data race across Pool workers"
   | L12 ->
-    "[semantic] allocation inside a (* cc_lint: hot ... *) function, \
-     AST-accurate: unlike L8's lexical tracker it sees nested let \
-     bindings, so hot closures defined inside factories are covered"
+    "[semantic] allocation (Hashtbl.create, Array.make or Bytes.create) \
+     inside a function named by a (* cc_lint: hot ... *) marker, nested \
+     let bindings included: the round hot path preallocates and reuses"
   | L13 ->
     "Shard_down handled outside the supervisor layer: only the socket \
      coordinator (lib/clique/socket.ml), the fault drivers (lib/fault/), \

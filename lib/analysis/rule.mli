@@ -6,20 +6,23 @@
     Rules are identified as [L1]..[Ln] (the catalog range is whatever
     {!all} holds — never hardcode it) and can be suppressed per line with a
     [(* cc_lint: allow L2 *)] comment (ids match case-insensitively).
-    [L1]-[L9] and [L13] are lexical (per-line, {!Scan}); the {!semantic}
-    subset is computed from the compiler parse tree and call graph
-    ({!Semantic}). *)
+    [L1]-[L7], [L9] and [L13] are lexical (per-line, {!Scan}); the
+    {!semantic} subset is computed from the compiler parse tree and call
+    graph ({!Semantic}). There is no [L8]: its lexical hot-path tracker
+    was retired for [L12], which checks the same primitives on the parse
+    tree, and ids are never reused, so existing markers keep their
+    meaning. *)
 
-type id = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L8 | L9 | L10 | L11 | L12 | L13
+type id = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L9 | L10 | L11 | L12 | L13
 (** The rule catalog; see {!synopsis} for what each enforces. *)
 
 val all : id list
 (** In ascending order. *)
 
 val semantic : id list
-(** The rules emitted by the AST/call-graph pass ([cc_lint --semantic]):
-    [L10] (transitive model purity), [L11] (domain-race detector), [L12]
-    (AST-accurate hot-path allocation, superseding [L8]). *)
+(** The rules emitted by the AST/call-graph pass, which [cc_lint] always
+    runs: [L10] (transitive model purity), [L11] (domain-race detector),
+    [L12] (hot-path allocation). *)
 
 val to_string : id -> string
 (** ["L1"] .. ["L13"] — the id as it appears in findings and markers. *)
@@ -41,11 +44,9 @@ val suppressed : id -> string -> bool
 val hot_marker : string
 (** The literal hot-path marker, ["cc_lint: hot"]. A comment
     [(* cc_lint: hot deliver *)] anywhere in a file declares the named
-    top-level functions hot: rule [L8] then flags per-call allocation
-    ([Hashtbl.create], [Array.make], [Bytes.create]) inside them, and the
-    semantic rule [L12] does the same from the parse tree — also catching
-    hot functions bound by nested [let]s, which the lexical tracker cannot
-    see. *)
+    functions hot: the semantic rule [L12] then flags per-call allocation
+    ([Hashtbl.create], [Array.make], [Bytes.create]) inside them, found in
+    the parse tree — hot functions bound by nested [let]s included. *)
 
 val hot_names : string -> string list
 (** [hot_names raw_line] is the list of function names the line's hot

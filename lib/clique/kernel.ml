@@ -1,10 +1,8 @@
 module On_sim = Runtime.Make (Sim)
 module On_congest = Runtime.Make (Congest)
-module On_socket = Runtime.Make (Socket)
 module On_bcast = Runtime.Make (Broadcast)
 module Sim_programs = Programs.Make (On_sim)
 module Congest_programs = Programs.Make (On_congest)
-module Socket_programs = Programs.Make (On_socket)
 module Bcast_programs = Programs.Make (On_bcast)
 
 type t = On_sim.t

@@ -1,10 +1,13 @@
-(** The two standard runtime instantiations.
+(** The standard runtime instantiations.
 
     [Runtime.Make] is applied exactly once per kernel here, so every layer
     of the repo shares the same runtime types: {!On_sim} is the congested
-    clique ({!Sim} under the ledger), {!On_congest} its CONGEST sibling, and
-    {!Sim_programs}/{!Congest_programs} are the generic node programs
-    ({!Programs}) instantiated on each.
+    clique ({!Sim} under the ledger), {!On_congest} its CONGEST sibling,
+    {!On_bcast} the Broadcast Congested Clique, and the [*_programs]
+    modules are the generic node programs ({!Programs}) instantiated on
+    each. Sharded runs go through {!On_sim} with the [Shard] kernel, whose
+    session {!with_clique} closes; a test that needs a raw {!Socket}
+    session applies [Runtime.Make (Socket)] itself.
 
     A runtime is for code that moves messages: the node programs,
     Borůvka and Euler's Cole–Vishkin coloring. Its ledger holds exactly
@@ -18,12 +21,6 @@ module On_sim : Runtime.S with type transport = Sim.t
 module On_congest : Runtime.S with type transport = Congest.t
 (** The CONGEST-model sibling — {!Congest} under the same ledger. *)
 
-module On_socket : Runtime.S with type transport = Socket.t
-(** The runtime over the raw multi-process socket transport ({!Socket}) —
-    what the differential suite drives directly when it needs a session
-    handle. Ordinary shard runs go through {!On_sim} with the [Shard]
-    kernel instead. *)
-
 module On_bcast : Runtime.S with type transport = Broadcast.t
 (** The runtime over the Broadcast Congested Clique kernel
     ({!Broadcast}): one payload per source per round, heard by everyone.
@@ -34,9 +31,6 @@ module Sim_programs : Programs.S with type runtime = On_sim.t
 
 module Congest_programs : Programs.S with type runtime = On_congest.t
 (** The generic node programs on the CONGEST runtime. *)
-
-module Socket_programs : Programs.S with type runtime = On_socket.t
-(** The generic node programs on the raw socket-session runtime. *)
 
 module Bcast_programs : Programs.S with type runtime = On_bcast.t
 (** The generic node programs on the broadcast kernel — same results as

@@ -5,14 +5,16 @@
    must stay usable — diverted into [worker_main] by this module's
    initializer when [CC_SHARD_WORKER] is present, or externally-launched
    remote processes ([bin/cc_worker], or any linking binary started with
-   [CC_SHARD_REMOTE_WORKER]) dialing the coordinator's TCP rendezvous.
+   [CC_SHARD_REMOTE_WORKER]) dialing the coordinator's rendezvous.
    Partitioning, ordering, and error selection live in [Runtime.Shard];
-   framing and links live in [Wire]; this module is the protocol:
+   framing, links and the address grammar live in [Wire]; this module is
+   the protocol:
 
      coordinator                     worker s
      -----------                     --------
      bootstrap: accept Hello (or assign a remote slot), then
-     Config(epoch, live table)   ->  build the worker mesh
+     Config(epoch, timeout,
+            live table)          ->  build the worker mesh
                                  <-  Ready(epoch)
      Exchange(phase,width,expect,
               own-source batch)  ->
@@ -30,8 +32,9 @@
    at the same message, same sanitizer transcripts (those are computed
    from outboxes above the transport).
 
-   Supervision (DESIGN.md §14): every blocking wait is bounded by
-   CC_SHARD_TIMEOUT, every frame carries the session epoch, and a worker
+   Supervision (DESIGN.md §14): every blocking wait is bounded by the
+   session timeout (CC_SHARD_TIMEOUT or [?timeout], carried to the workers
+   in every Config), every frame carries the session epoch, and a worker
    death — EOF, a read/write timeout, or a PeerDown report from a
    survivor's mesh — is handled per CC_SHARD_POLICY. [Fail] raises
    [Runtime.Shard.Shard_down] as before. [Respawn] kills and replaces the
@@ -296,7 +299,7 @@ type wstate = {
   mutable peers : Link.t option array;
   mesh_fd : Unix.file_descr;
   tcp : bool;
-  wtimeout : float;
+  mutable wtimeout : float;
   arena : Runtime.Arena.t;
   pool : Runtime.Pool.t;
 }
@@ -470,18 +473,20 @@ let handle_bcast st (f : Frame.t) =
     true
   end
 
-(* A Config frame (re)builds the whole session view: epoch, the live
-   table, every live worker's node range and mesh address. The worker
-   closes all peer links — discarding any half-received frames of an
-   aborted round — and re-forms the mesh with fresh sockets: connect to
-   every lower live shard, accept every higher live one, all bounded by
-   the session timeout. A stale hello from a previous epoch is dropped
-   and the accept retried. *)
+(* A Config frame (re)builds the whole session view: epoch, the session
+   timeout, the live table, every live worker's node range and mesh
+   address. The worker adopts the coordinator's timeout, so its mesh waits
+   end before the coordinator's reply deadline does. It closes all peer
+   links — discarding any half-received frames of an aborted round — and
+   re-forms the mesh with fresh sockets: connect to every lower live
+   shard, accept every higher live one, all bounded by that timeout. A
+   stale hello from a previous epoch is dropped and the accept retried. *)
 let handle_config st (f : Frame.t) =
   let r = Frame.Reader.of_bytes f.payload in
   let epoch = Frame.Reader.int r in
   if epoch < st.epoch then true
   else begin
+    st.wtimeout <- float_of_string (Frame.Reader.string r);
     let alive = Array.make st.wk false in
     let ranges = Array.make st.wk (0, 0) in
     let addrs = Array.make st.wk "" in
@@ -510,16 +515,8 @@ let handle_config st (f : Frame.t) =
     st.wowner <- owner;
     let peers = Array.make st.wk None in
     let dial_peer u =
-      let addr = addrs.(u) in
       let l =
-        if String.starts_with ~prefix:"unix:" addr then
-          Link.of_fd
-            ~peer:(Printf.sprintf "shard%d" u)
-            (Link.connect_unix (String.sub addr 5 (String.length addr - 5)))
-        else
-          Link.of_fd
-            ~peer:(Printf.sprintf "shard%d" u)
-            (Link.connect (String.sub addr 4 (String.length addr - 4)))
+        Link.dial ~peer:(Printf.sprintf "shard%d" u) (Link.address addrs.(u))
       in
       Link.send
         ~deadline:(Unix.gettimeofday () +. st.wtimeout)
@@ -594,13 +591,9 @@ let worker_serve st =
    dials the coordinator, sends a hello with src = -1, and is assigned a
    reserved slot. *)
 
-let dial addr ~peer =
-  if String.starts_with ~prefix:"unix:" addr then
-    Link.of_fd ~peer
-      (Link.connect_unix (String.sub addr 5 (String.length addr - 5)))
-  else if String.starts_with ~prefix:"tcp:" addr then
-    Link.of_fd ~peer (Link.connect (String.sub addr 4 (String.length addr - 4)))
-  else invalid_arg (Printf.sprintf "Socket: bad rendezvous address %S" addr)
+(* How a worker joins: spawned, with its CC_SHARD_WORKER spec, or remote,
+   with the coordinator's address. *)
+type boot = Spawned of string | Remote of string
 
 let parse_spec spec =
   match String.split_on_char '/' spec with
@@ -615,136 +608,121 @@ let parse_spec spec =
     | _ -> failwith "CC_SHARD_WORKER: malformed spec")
   | _ -> failwith "CC_SHARD_WORKER: malformed spec"
 
+(* A Unix-domain session's mesh socket for the worker tagged [tag]: the
+   rendezvous path plus ["-m<s>"] for spawned slot [s] ({!spawned_tag}),
+   ["-r<pid>"] for a remote worker. *)
+let mesh_socket path tag = Link.Unix_socket (path ^ "-" ^ tag)
+
+let spawned_tag s = Printf.sprintf "m%d" s
+
 (* The worker's own mesh listener. For TCP it binds the local address the
    coordinator connection runs over (correct on any host, remote
-   included); for Unix-domain sessions, a per-shard path derived from the
-   coordinator's. It stays open for the whole worker life — recovery
-   Configs rebuild the mesh through it. *)
+   included); for Unix-domain sessions, {!mesh_socket}. It stays open for
+   the whole worker life — recovery Configs rebuild the mesh through
+   it. *)
 let mesh_listener ~coord ~coord_addr ~tag =
-  if String.starts_with ~prefix:"tcp:" coord_addr then begin
-    let host =
-      match Unix.getsockname (Link.fd coord) with
-      | Unix.ADDR_INET (a, _) -> Unix.string_of_inet_addr a
-      | Unix.ADDR_UNIX _ -> "127.0.0.1"
-    in
-    let fd = Link.listen (host ^ ":0") in
-    let port =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> 0
-    in
-    (fd, Printf.sprintf "tcp:%s:%d" host port, None, true)
-  end
-  else begin
-    let path =
-      Printf.sprintf "%s-%s"
-        (String.sub coord_addr 5 (String.length coord_addr - 5))
-        tag
-    in
-    (Link.listen_unix path, "unix:" ^ path, Some path, false)
-  end
+  Link.listen
+    (match coord_addr with
+    | Link.Tcp _ ->
+      let host =
+        match Unix.getsockname (Link.fd coord) with
+        | Unix.ADDR_INET (a, _) -> Unix.string_of_inet_addr a
+        | Unix.ADDR_UNIX _ -> "127.0.0.1"
+      in
+      Link.Tcp (host, 0)
+    | Link.Unix_socket path -> mesh_socket path tag)
 
-let worker_state ~s ~k ~n ~epoch ~coord ~mesh_fd ~tcp =
-  {
-    w = s;
-    wn = n;
-    wk = k;
-    epoch;
-    lo = 0;
-    hi = 0;
-    wowner = [||];
-    walive = Array.make k true;
-    coord;
-    peers = Array.make k None;
-    mesh_fd;
-    tcp;
-    wtimeout = Shard.default_timeout ();
-    arena = Runtime.Arena.create ~n ();
-    pool = Runtime.Pool.get (Runtime.Pool.default_domains ());
-  }
-
-let worker_boot spec =
+(* One boot for both kinds of worker: ignore SIGPIPE, dial the
+   coordinator, open the mesh listener, send the Hello that carries the
+   mesh address, then serve. A remote worker may start before its
+   coordinator binds the rendezvous, so it retries refused dials until its
+   own timeout, and it learns its slot from the Assign reply. Its timeout
+   is [CC_SHARD_TIMEOUT] only until the first Config brings the
+   session's. A worker that leaves normally removes its own mesh socket
+   file; the coordinator removes a spawned slot's too, since it may have
+   SIGKILLed the worker. *)
+let worker_boot boot =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let s, k, n, epoch, coord_addr = parse_spec spec in
-  let coord = dial coord_addr ~peer:"coordinator" in
-  let mesh_fd, mesh_addr, _mesh_path =
-    let fd, a, p, _ =
-      mesh_listener ~coord ~coord_addr ~tag:(Printf.sprintf "m%d" s)
-    in
-    (fd, a, p)
+  let timeout = Shard.default_timeout () in
+  let slot, addr =
+    match boot with
+    | Spawned spec ->
+      let s, k, n, epoch, addr = parse_spec spec in
+      (Some (s, k, n, epoch), addr)
+    | Remote addr -> (None, addr)
   in
-  let tcp = String.starts_with ~prefix:"tcp:" coord_addr in
-  let hello = Frame.Writer.create ~hint:64 () in
-  Frame.Writer.string hello mesh_addr;
-  Link.send coord
-    { Frame.kind = k_hello; src = s; dst = -1; seq = 0; epoch;
-      payload = Frame.Writer.contents hello };
-  worker_serve (worker_state ~s ~k ~n ~epoch ~coord ~mesh_fd ~tcp)
-
-(* Never returns: a worker leaves with [Unix._exit] so the parent's at_exit
-   hooks (session closes, pool joins, channel flushes) stay the parent's. *)
-let worker_main spec =
-  match worker_boot spec with
-  | () -> Unix._exit 0
-  | exception e ->
-    Printf.eprintf "shard worker: %s\n%!" (Printexc.to_string e);
-    Unix._exit 1
-
-let remote_boot addr =
-  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let coord_addr =
-    if
-      String.starts_with ~prefix:"tcp:" addr
-      || String.starts_with ~prefix:"unix:" addr
-    then addr
-    else "tcp:" ^ addr
-  in
-  (* A remote worker may legitimately start before its coordinator binds
-     the rendezvous: retry refused dials until the session timeout. *)
+  let coord_addr = Link.address addr in
   let coord =
-    let deadline = Unix.gettimeofday () +. Shard.default_timeout () in
+    let deadline = Unix.gettimeofday () +. timeout in
     let rec go () =
-      match dial coord_addr ~peer:"coordinator" with
+      match Link.dial ~peer:"coordinator" coord_addr with
       | l -> l
       | exception
           Unix.Unix_error
             ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.ETIMEDOUT), _, _)
-        when Unix.gettimeofday () < deadline ->
+        when slot = None && Unix.gettimeofday () < deadline ->
         Unix.sleepf 0.05;
         go ()
     in
     go ()
   in
-  let mesh_fd, mesh_addr, _mesh_path =
-    let fd, a, p, _ =
-      mesh_listener ~coord ~coord_addr
-        ~tag:(Printf.sprintf "r%d" (Unix.getpid ()))
-    in
-    (fd, a, p)
+  let tag =
+    match slot with
+    | Some (s, _, _, _) -> spawned_tag s
+    | None -> Printf.sprintf "r%d" (Unix.getpid ())
   in
-  let tcp = String.starts_with ~prefix:"tcp:" coord_addr in
+  let mesh_fd, mesh_addr = mesh_listener ~coord ~coord_addr ~tag in
+  Fun.protect ~finally:(fun () -> Link.unlink mesh_addr) @@ fun () ->
   let hello = Frame.Writer.create ~hint:64 () in
-  Frame.Writer.string hello mesh_addr;
+  Frame.Writer.string hello (Link.to_string mesh_addr);
+  let src, epoch =
+    match slot with Some (s, _, _, e) -> (s, e) | None -> (-1, 0)
+  in
   Link.send coord
-    { Frame.kind = k_hello; src = -1; dst = -1; seq = 0; epoch = 0;
+    { Frame.kind = k_hello; src; dst = -1; seq = 0; epoch;
       payload = Frame.Writer.contents hello };
-  let deadline = Unix.gettimeofday () +. Shard.default_timeout () in
-  let a = Link.recv ~deadline coord in
-  if a.Frame.kind <> k_assign then
-    failwith "remote worker: expected an Assign frame";
-  let r = Frame.Reader.of_bytes a.Frame.payload in
-  let s = Frame.Reader.int r in
-  let k = Frame.Reader.int r in
-  let n = Frame.Reader.int r in
-  let epoch = Frame.Reader.int r in
-  worker_serve (worker_state ~s ~k ~n ~epoch ~coord ~mesh_fd ~tcp)
+  let s, k, n, epoch =
+    match slot with
+    | Some slot -> slot
+    | None ->
+      let a = Link.recv ~deadline:(Unix.gettimeofday () +. timeout) coord in
+      if a.Frame.kind <> k_assign then
+        failwith "remote worker: expected an Assign frame";
+      let r = Frame.Reader.of_bytes a.Frame.payload in
+      let s = Frame.Reader.int r in
+      let k = Frame.Reader.int r in
+      let n = Frame.Reader.int r in
+      (s, k, n, Frame.Reader.int r)
+  in
+  worker_serve
+    {
+      w = s;
+      wn = n;
+      wk = k;
+      epoch;
+      lo = 0;
+      hi = 0;
+      wowner = [||];
+      walive = Array.make k true;
+      coord;
+      peers = Array.make k None;
+      mesh_fd;
+      tcp = Link.is_tcp coord_addr;
+      wtimeout = timeout;
+      arena = Runtime.Arena.create ~n ();
+      pool = Runtime.Pool.get (Runtime.Pool.default_domains ());
+    }
 
-let remote_worker addr =
-  match remote_boot addr with
+(* Never returns: a worker leaves with [Unix._exit] so the parent's at_exit
+   hooks (session closes, pool joins, channel flushes) stay the parent's. *)
+let worker_main boot =
+  match worker_boot boot with
   | () -> Unix._exit 0
   | exception e ->
-    Printf.eprintf "shard remote worker: %s\n%!" (Printexc.to_string e);
+    Printf.eprintf "shard worker: %s\n%!" (Printexc.to_string e);
     Unix._exit 1
+
+let remote_worker addr = worker_main (Remote addr)
 
 (* ------------------------------------------------------ the coordinator *)
 
@@ -753,10 +731,8 @@ type state = Live | Down of int * string | Closed
 type t = {
   n : int;
   k : int;
-  tcp : bool;
-  addr_str : string;
+  rendezvous : Link.address;  (** as bound, TCP port resolved *)
   lfd : Unix.file_descr;  (** stays open: respawns and remote joins dial it *)
-  lpath : string option;
   policy : Shard.policy;
   timeout : float;
   hb_interval : float;
@@ -767,7 +743,7 @@ type t = {
   mutable part : Shard.Partition.t;
   mutable owner : int array;
   links : Link.t option array;
-  addrs : string array;
+  addrs : string array;  (** mesh addresses from the hellos *)
   pids : int array;  (** -1 = remote or reaped *)
   mutable seq : int;
   mutable rounds : int;
@@ -830,73 +806,74 @@ let live : t list ref = ref []
 
 let sigpipe_ignored = Atomic.make false
 
-let reap_slot t s =
+(* Close slot [s]'s link and reap its process (SIGKILLed first when
+   [kill]). A spawned slot of a Unix-domain session also loses its mesh
+   socket, at the path its boot derives from the rendezvous: a killed
+   worker cannot remove it itself, and a respawn binds the same path
+   afresh. The mesh address a hello reports is the peer's word, so the
+   coordinator never removes that path; a remote worker removes its
+   own. *)
+let reap_slot t ~kill s =
   (match t.links.(s) with
   | Some l ->
     Link.close l;
     t.links.(s) <- None
   | None -> ());
   if t.pids.(s) > 0 then begin
-    (try Unix.kill t.pids.(s) Sys.sigkill with Unix.Unix_error _ -> ());
+    if kill then
+      (try Unix.kill t.pids.(s) Sys.sigkill with Unix.Unix_error _ -> ());
     (try ignore (Unix.waitpid [] t.pids.(s)) with Unix.Unix_error _ -> ());
     t.pids.(s) <- -1
-  end
+  end;
+  match t.rendezvous with
+  | Link.Unix_socket path when s < t.k - t.remote ->
+    Link.unlink (mesh_socket path (spawned_tag s))
+  | Link.Unix_socket _ | Link.Tcp _ -> ()
 
-let close_listener t =
-  (try Unix.close t.lfd with Unix.Unix_error _ -> ());
-  match t.lpath with
-  | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-  | None -> ()
-
-let reap_all t =
+let reap_all t ~kill =
   for s = 0 to t.k - 1 do
-    reap_slot t s
+    reap_slot t ~kill s
   done;
-  close_listener t
+  (try Unix.close t.lfd with Unix.Unix_error _ -> ());
+  Link.unlink t.rendezvous
+
+let close_log t = Option.iter close_out_noerr t.log
 
 let close t =
   match t.state with
   | Closed -> ()
-  | Down _ ->
+  | (Live | Down _) as was ->
     t.state <- Closed;
     live := List.filter (fun s -> s != t) !live; (* cc_lint: allow L11 — main-domain-only session registry *)
-    (match t.log with Some oc -> close_out_noerr oc | None -> ())
-  | Live ->
-    t.state <- Closed;
-    live := List.filter (fun s -> s != t) !live; (* cc_lint: allow L11 — main-domain-only session registry *)
-    Array.iter
-      (function
-        | Some l -> (
-          try
-            Link.send
-              ~deadline:(Unix.gettimeofday () +. t.timeout)
-              l
-              { Frame.kind = k_shutdown; src = -1; dst = 0; seq = 0;
-                epoch = epoch t; payload = Bytes.create 0 }
-          with Link.Closed _ | Link.Timeout _ | Unix.Unix_error _ -> ())
-        | None -> ())
-      t.links;
-    Array.iter (function Some l -> Link.close l | None -> ()) t.links;
-    Array.iter
-      (fun pid ->
-        if pid > 0 then
-          try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      t.pids;
-    close_listener t;
-    (match t.log with Some oc -> close_out_noerr oc | None -> ())
+    if was = Live then begin
+      Array.iter
+        (function
+          | Some l -> (
+            try
+              Link.send
+                ~deadline:(Unix.gettimeofday () +. t.timeout)
+                l
+                { Frame.kind = k_shutdown; src = -1; dst = 0; seq = 0;
+                  epoch = epoch t; payload = Bytes.create 0 }
+            with Link.Closed _ | Link.Timeout _ | Unix.Unix_error _ -> ())
+          | None -> ())
+        t.links;
+      reap_all t ~kill:false
+    end;
+    close_log t
 
 let shutdown_all () = List.iter close !live
 
 let exit_hook_registered = Atomic.make false
 
-(* Recovery failed (or the policy is fail-stop): kill and reap the whole
-   family, then surface the structured error — callers never hang on a
-   dead shard. *)
+(* Recovery failed, the policy is fail-stop, or bootstrap failed (round
+   0): kill and reap the whole family, then surface the structured error —
+   callers never hang on a dead shard. *)
 let session_down t ~shard ~during =
   logf t "session down: shard %d during %s" shard during;
   t.state <- Down (shard, during);
-  reap_all t;
-  (match t.log with Some oc -> close_out_noerr oc | None -> ());
+  reap_all t ~kill:true;
+  close_log t;
   raise (Shard.Shard_down { shard; round = t.rounds; during })
 
 let ensure_live t during =
@@ -939,9 +916,11 @@ let child_env spec =
           (Runtime.Pool.default_domains ());
       ])
 
-let spawn_worker ~addr_str ~k ~n ~epoch s =
+let spawn_worker t ~epoch s =
   Unix.create_process_env Sys.executable_name [| Sys.executable_name |]
-    (child_env (Printf.sprintf "%d/%d/%d/%d/%s" s k n epoch addr_str))
+    (child_env
+       (Printf.sprintf "%d/%d/%d/%d/%s" s t.k t.n epoch
+          (Link.to_string t.rendezvous)))
     Unix.stdin Unix.stdout Unix.stderr
 
 let session_counter = ref 0
@@ -959,6 +938,7 @@ let rec recv_current t ~deadline s =
 let config_payload t =
   let w = Frame.Writer.create ~hint:256 () in
   Frame.Writer.int w (epoch t);
+  Frame.Writer.string w (Printf.sprintf "%h" t.timeout);
   for s = 0 to t.k - 1 do
     Frame.Writer.int w (if Shard.Partition.alive t.part s then 1 else 0);
     let lo, hi = Shard.Partition.bounds t.part s in
@@ -968,43 +948,55 @@ let config_payload t =
   done;
   Frame.Writer.contents w
 
-(* Push the current partition to every live worker and await their Ready
-   frames. Returns the slots that failed to confirm — newly dead, to be
-   handled by the caller's policy loop. *)
-let reconfig t =
-  let payload = config_payload t in
+(* Ask every live worker once: send one [kind] frame to each live slot
+   under the session deadline, then — if every send went out — read one
+   current-epoch reply per slot, which must be [reply] with the same
+   [seq]. Workers stuck in an aborted round's mesh only read the request
+   after their own mesh timeout fires, so the replies get
+   [2·timeout + 1]. Returns the number of frames sent, the number of good
+   replies, and the slots that failed (sorted) — newly dead, for the
+   caller's policy loop. *)
+let ask_live t ~kind ~reply ~seq payload =
   let e = epoch t in
-  let newly = ref [] in
   let lives = Shard.Partition.live_list t.part in
+  let sent = ref 0 and replied = ref 0 and failed = ref [] in
   List.iter
     (fun s ->
       match t.links.(s) with
-      | None -> newly := s :: !newly
+      | None -> failed := s :: !failed
       | Some l -> (
+        incr sent;
         match
           Link.send
             ~deadline:(Unix.gettimeofday () +. t.timeout)
             l
-            { Frame.kind = k_config; src = -1; dst = s; seq = 0; epoch = e;
-              payload }
+            { Frame.kind; src = -1; dst = s; seq; epoch = e; payload }
         with
         | () -> ()
         | exception (Link.Closed _ | Link.Timeout _) ->
-          newly := s :: !newly))
+          failed := s :: !failed))
     lives;
-  if !newly = [] then begin
-    (* Workers stuck in an aborted round's mesh only read the Config after
-       their own mesh timeout fires — allow for both waits. *)
+  if !failed = [] then begin
     let deadline = Unix.gettimeofday () +. (2.0 *. t.timeout) +. 1.0 in
     List.iter
       (fun s ->
         match recv_current t ~deadline s with
         | exception (Link.Closed _ | Link.Timeout _ | Frame.Malformed _) ->
-          newly := s :: !newly
-        | f -> if f.Frame.kind <> k_ready then newly := s :: !newly)
+          failed := s :: !failed
+        | f ->
+          if f.Frame.kind = reply && f.Frame.seq = seq then incr replied
+          else failed := s :: !failed)
       lives
   end;
-  List.sort_uniq compare !newly
+  (!sent, !replied, List.sort_uniq compare !failed)
+
+(* Push the current partition to every live worker and await their Ready
+   frames. Returns the slots that failed to confirm. *)
+let reconfig t =
+  let _, _, failed =
+    ask_live t ~kind:k_config ~reply:k_ready ~seq:0 (config_payload t)
+  in
+  failed
 
 (* Await hello frames (and assign remote slots) for the slot set [want] on
    the session listener. Used both at bootstrap and by respawn. Raises
@@ -1033,9 +1025,15 @@ let await_hellos t ~deadline want =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | [], _, _ -> if dead_child () then fail ()
     | _ :: _, _, _ -> (
-      let l = Link.of_fd ~peer:"worker" (Link.accept ~tcp_nodelay:t.tcp t.lfd) in
+      let l =
+        Link.of_fd ~peer:"worker"
+          (Link.accept ~tcp_nodelay:(Link.is_tcp t.rendezvous) t.lfd)
+      in
       match Link.recv ~deadline l with
-      | exception (Link.Closed _ | Frame.Malformed _ | Link.Timeout _) ->
+      | exception (Link.Closed _ | Frame.Malformed _ | Link.Timeout _ as e) ->
+        (* a worker from another build fails here as an unsupported
+           format version; the log names it *)
+        logf t "rendezvous: hello failed: %s" (Printexc.to_string e);
         Link.close l;
         fail ()
       | h ->
@@ -1100,7 +1098,7 @@ let rec recover t ~during dead =
     match t.policy with
     | Shard.Fail -> session_down t ~shard:first ~during
     | Shard.Drain ->
-      List.iter (reap_slot t) dead;
+      List.iter (reap_slot t ~kill:true) dead;
       let part =
         List.fold_left
           (fun p d ->
@@ -1137,14 +1135,14 @@ and respawn_loop t ~during dead attempt =
         pause;
       Unix.sleepf pause
     end;
-    List.iter (reap_slot t) dead;
+    List.iter (reap_slot t ~kill:true) dead;
     t.part <- Shard.Partition.bump t.part;
     let e = epoch t in
     List.iter
       (fun s ->
         if s < t.k - t.remote then
           t.pids.(s) <-
-            spawn_worker ~addr_str:t.addr_str ~k:t.k ~n:t.n ~epoch:e s)
+            spawn_worker t ~epoch:e s)
       dead;
     let deadline = Unix.gettimeofday () +. t.timeout in
     (match await_hellos t ~deadline dead with
@@ -1155,7 +1153,7 @@ and respawn_loop t ~during dead attempt =
       match reconfig t with
       | [] -> ()
       | newly ->
-        List.iter (reap_slot t) newly;
+        List.iter (reap_slot t ~kill:true) newly;
         respawn_loop t ~during
           (List.sort_uniq compare (newly @ dead))
           (attempt + 1))
@@ -1184,40 +1182,13 @@ let rec supervised t ~during attempt =
 let heartbeat t =
   ensure_live t "heartbeat";
   t.seq <- t.seq + 1;
-  let e = epoch t in
-  let lives = Shard.Partition.live_list t.part in
-  let dead = ref [] in
-  List.iter
-    (fun s ->
-      match t.links.(s) with
-      | None -> dead := s :: !dead
-      | Some l -> (
-        t.hb_sent <- t.hb_sent + 1;
-        match
-          Link.send
-            ~deadline:(Unix.gettimeofday () +. t.timeout)
-            l
-            { Frame.kind = k_heartbeat; src = -1; dst = s; seq = t.seq;
-              epoch = e; payload = Bytes.create 0 }
-        with
-        | () -> ()
-        | exception (Link.Closed _ | Link.Timeout _) -> dead := s :: !dead))
-    lives;
-  if !dead = [] then begin
-    let deadline = Unix.gettimeofday () +. (2.0 *. t.timeout) +. 1.0 in
-    List.iter
-      (fun s ->
-        if not (List.mem s !dead) then
-          match recv_current t ~deadline s with
-          | exception (Link.Closed _ | Link.Timeout _ | Frame.Malformed _) ->
-            dead := s :: !dead
-          | f ->
-            if f.Frame.kind = k_heartbeat_ack && f.Frame.seq = t.seq then
-              t.hb_acked <- t.hb_acked + 1
-            else dead := s :: !dead)
-      lives
-  end;
-  match !dead with
+  let sent, acked, missed =
+    ask_live t ~kind:k_heartbeat ~reply:k_heartbeat_ack ~seq:t.seq
+      (Bytes.create 0)
+  in
+  t.hb_sent <- t.hb_sent + sent;
+  t.hb_acked <- t.hb_acked + acked;
+  match missed with
   | [] -> ()
   | d ->
     t.hb_missed <- t.hb_missed + List.length d;
@@ -1301,26 +1272,18 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
   let addr = match addr with Some a -> Some a | None -> Sys.getenv_opt env_addr in
   if remote > 0 && addr = None then
     invalid_arg
-      "Socket.create: remote workers need a TCP rendezvous (CC_SHARD_ADDR)";
-  let lfd, addr_str, lpath =
-    match addr with
-    | None ->
-      incr session_counter; (* cc_lint: allow L11 — sessions are created on the main domain only *)
-      let path =
-        Filename.concat
-          (Filename.get_temp_dir_name ())
-          (Printf.sprintf "cc-wire-%d-%d" (Unix.getpid ()) !session_counter)
-      in
-      (Link.listen_unix path, "unix:" ^ path, Some path)
-    | Some a ->
-      let fd = Link.listen a in
-      let host, _ = Link.parse_addr a in
-      let port =
-        match Unix.getsockname fd with
-        | Unix.ADDR_INET (_, p) -> p
-        | Unix.ADDR_UNIX _ -> 0
-      in
-      (fd, Printf.sprintf "tcp:%s:%d" host port, None)
+      "Socket.create: remote workers need a rendezvous address \
+       (CC_SHARD_ADDR)";
+  let lfd, rendezvous =
+    Link.listen
+      (match addr with
+      | Some a -> Link.address a
+      | None ->
+        incr session_counter; (* cc_lint: allow L11 — sessions are created on the main domain only *)
+        Link.Unix_socket
+          (Filename.concat
+             (Filename.get_temp_dir_name ())
+             (Printf.sprintf "cc-wire-%d-%d" (Unix.getpid ()) !session_counter)))
   in
   let log_oc =
     match log with
@@ -1334,10 +1297,8 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
     {
       n;
       k;
-      tcp = addr <> None;
-      addr_str;
+      rendezvous;
       lfd;
-      lpath;
       policy;
       timeout;
       hb_interval;
@@ -1368,32 +1329,28 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
       state = Live;
     }
   in
-  let boot_fail ~shard ~during =
-    reap_all t;
-    (match t.log with Some oc -> close_out_noerr oc | None -> ());
-    raise (Shard.Shard_down { shard; round = 0; during })
-  in
   logf t "bootstrap: %d shards (%d remote), n=%d, policy=%s, timeout=%.1fs" k
     remote n
     (Shard.policy_to_string policy)
     timeout;
   (try
      for s = 0 to k - remote - 1 do
-       t.pids.(s) <- spawn_worker ~addr_str ~k ~n ~epoch:1 s
+       t.pids.(s) <- spawn_worker t ~epoch:1 s
      done
    with e ->
-     reap_all t;
+     reap_all t ~kill:true;
+     close_log t;
      raise e);
   let all = List.init k Fun.id in
   (match await_hellos t ~deadline:(Unix.gettimeofday () +. timeout) all with
   | () -> ()
   | exception Dead_workers missing ->
-    boot_fail
+    session_down t
       ~shard:(match missing with s :: _ -> s | [] -> -1)
       ~during:"hello");
   (match reconfig t with
   | [] -> ()
-  | s :: _ -> boot_fail ~shard:s ~during:"mesh");
+  | s :: _ -> session_down t ~shard:s ~during:"mesh");
   logf t "bootstrap complete";
   live := t :: !live; (* cc_lint: allow L11 — main-domain-only session registry *)
   if not (Atomic.exchange exit_hook_registered true) then at_exit shutdown_all;
@@ -1648,7 +1605,7 @@ let stats t =
    worker dialing that coordinator. *)
 let () =
   match Sys.getenv_opt env_worker with
-  | Some spec -> worker_main spec
+  | Some spec -> worker_main (Spawned spec)
   | None -> (
     match Sys.getenv_opt env_remote_worker with
     | Some addr -> remote_worker addr

@@ -8,11 +8,14 @@
     ([CC_DOMAINS] applies per shard). Per round the coordinator writes one
     frame per worker, each worker writes at most one frame per ordered
     (shard, shard) pair that actually carries cross traffic — shard-level
-    Lenzen batching — and replies once. Links are Unix-domain socket
-    pairs by default, TCP when [CC_SHARD_ADDR=host:port] (or [?addr]) is
-    set; with a TCP rendezvous, [CC_SHARD_REMOTE=k] reserves the last [k]
-    shard slots for externally-launched workers ([bin/cc_worker], which
-    may run on any host that can reach the coordinator).
+    Lenzen batching — and replies once. The rendezvous is a Unix-domain
+    socket under the temp directory by default; [CC_SHARD_ADDR] (or
+    [?addr]) names another in {!Wire.Link}'s grammar — ["unix:PATH"],
+    ["tcp:HOST:PORT"] or bare ["HOST:PORT"] — and the worker mesh follows
+    its kind. With an explicit rendezvous, [CC_SHARD_REMOTE=k] reserves
+    the last [k] shard slots for externally-launched workers
+    ([bin/cc_worker], which may run on any host that can reach a TCP
+    coordinator).
 
     Rounds are bit-identical to the in-process kernels: same inbox
     contents and order, same errors ({!Bandwidth_exceeded} with the same
@@ -21,8 +24,11 @@
 
     {2 Supervision}
 
-    Every blocking wait is bounded by [CC_SHARD_TIMEOUT] (seconds, default
-    30) and every frame carries the session {!epoch}. A worker death —
+    Every blocking wait is bounded by the session timeout ([?timeout],
+    else [CC_SHARD_TIMEOUT], seconds, default 30), which every Config
+    frame carries to the workers — a worker's own environment does not
+    set it — and every frame carries the session {!epoch}. A worker
+    death —
     EOF, a timeout, or a survivor's report of a dead mesh peer — is
     handled per [CC_SHARD_POLICY] ([?policy]):
 
@@ -105,17 +111,23 @@ val create :
 
     [shards] defaults to [Runtime.Shard.default_shards ()] and is clamped
     to [n]. [addr] defaults to [CC_SHARD_ADDR]; absent means Unix-domain
-    sockets under the temp directory. [remote] (default [CC_SHARD_REMOTE],
-    else 0) reserves the last [remote] shard slots for external workers
-    joining through the TCP rendezvous — requires [addr], and bootstrap
-    waits for them like any other worker, bounded by [timeout]. [policy],
-    [timeout], [heartbeat], [max_respawns], [backoff] and [log] default to
-    their environment knobs as documented above. Every bootstrap failure
-    is a structured [Runtime.Shard.Shard_down] with [round = 0]. *)
+    sockets under the temp directory; a form outside {!Wire.Link}'s
+    grammar raises [Invalid_argument] naming it. [remote] (default
+    [CC_SHARD_REMOTE], else 0) reserves the last [remote] shard slots for
+    external workers joining through the rendezvous — requires [addr],
+    and bootstrap waits for them like any other worker, bounded by
+    [timeout]. [policy], [timeout], [heartbeat], [max_respawns],
+    [backoff] and [log] default to their environment knobs as documented
+    above. Every bootstrap failure is a structured
+    [Runtime.Shard.Shard_down] with [round = 0]. *)
 
 val close : t -> unit
-(** Send shutdown frames, close links, reap the worker processes.
-    Idempotent; registered sessions are closed automatically at exit. *)
+(** Send shutdown frames, close links, reap the worker processes, and
+    remove the session's socket files: the rendezvous and each spawned
+    worker's Unix-domain mesh socket, at the paths the coordinator
+    derives from the rendezvous. A remote worker removes its own; the
+    mesh address it reports is never removed. Idempotent; registered
+    sessions are closed automatically at exit. *)
 
 val shutdown_all : unit -> unit
 (** {!close} every live session (the test-suite and at-exit hook). *)
@@ -191,8 +203,10 @@ val stats : t -> (string * int) list
 
 val remote_worker : string -> unit
 (** Run this process as a remote worker: dial the coordinator at the
-    given address ([host:port], or explicit [tcp:]/[unix:]), join the
-    hello rendezvous with a slot-assignment request, serve rounds until
-    shutdown, then [Unix._exit]. Never returns. [bin/cc_worker] is a thin
+    given address (in {!Wire.Link}'s grammar), join the hello rendezvous
+    with a slot-assignment request, serve rounds until shutdown, then
+    [Unix._exit]. Never returns. [CC_SHARD_TIMEOUT] of this process
+    bounds only the dial retry and the slot assignment; the first Config
+    brings the session's timeout. [bin/cc_worker] is a thin
     wrapper; setting [CC_SHARD_REMOTE_WORKER=<addr>] diverts any binary
     linking this library here at startup. *)

@@ -132,7 +132,7 @@ let deliver t ~width ?check outboxes =
      list spines are the only fresh allocations). Consing the slice
      front-to-back reverses it — exactly the order the legacy path's
      repeated cons produced. *)
-  let inboxes = Array.make n [] in (* cc_lint: allow L8 — escapes to the caller *)
+  let inboxes = Array.make n [] in (* cc_lint: allow L12 — escapes to the caller *)
   for d = 0 to n - 1 do
     let lo = t.starts.(d) and hi = t.starts.(d + 1) in
     let box = ref [] in

@@ -7,20 +7,8 @@ module Link = Wire.Link
 
 type t = { link : Link.t }
 
-let unix_prefix = "unix:"
-
 let connect addr =
-  let fd =
-    if
-      String.length addr >= String.length unix_prefix
-      && String.sub addr 0 (String.length unix_prefix) = unix_prefix
-    then
-      Link.connect_unix
-        (String.sub addr (String.length unix_prefix)
-           (String.length addr - String.length unix_prefix))
-    else Link.connect addr
-  in
-  { link = Link.of_fd ~peer:("cc-serve@" ^ addr) fd }
+  { link = Link.dial ~peer:("cc-serve@" ^ addr) (Link.address addr) }
 
 let close t = Link.close t.link
 

@@ -7,7 +7,9 @@ module Json = Metrics.Json
 type t
 
 val connect : string -> t
-(** ["unix:PATH"] or ["host:port"]; raises [Unix.Unix_error] on refusal. *)
+(** Dial a daemon at an address in {!Wire.Link}'s grammar (["unix:PATH"],
+    ["tcp:HOST:PORT"] or ["HOST:PORT"]); raises [Unix.Unix_error] on
+    refusal and [Invalid_argument] on any other form. *)
 
 val close : t -> unit
 

@@ -16,7 +16,7 @@ module Json = Metrics.Json
 module Link = Wire.Link
 
 type config = {
-  addr : string;  (* "unix:PATH" or "host:port" *)
+  addr : string;  (* in Wire.Link's address grammar *)
   jobs : int;
   cache_cap : int;
   policy : Exec.policy;
@@ -50,30 +50,6 @@ let config_of_env () =
       max_bytes = 8 * 1024 * 1024;
     }
 
-let unix_prefix = "unix:"
-
-let is_unix addr =
-  String.length addr >= String.length unix_prefix
-  && String.sub addr 0 (String.length unix_prefix) = unix_prefix
-
-let unix_path addr =
-  String.sub addr (String.length unix_prefix)
-    (String.length addr - String.length unix_prefix)
-
-(* Bind per the address scheme; returns the *actual* address, resolving a
-   TCP port 0 request to the ephemeral port the kernel picked. *)
-let listen_on addr =
-  if is_unix addr then (Link.listen_unix (unix_path addr), addr)
-  else
-    let fd = Link.listen addr in
-    let actual =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (host, port) ->
-        Printf.sprintf "%s:%d" (Unix.string_of_inet_addr host) port
-      | Unix.ADDR_UNIX p -> unix_prefix ^ p
-    in
-    (fd, actual)
-
 type client = {
   link : Link.t;
   send_m : Mutex.t;
@@ -96,7 +72,7 @@ type counters = {
 
 type t = {
   config : t_config;
-  actual_addr : string;
+  bound : Link.address;
   listen_fd : Unix.file_descr;
   cache : Exec.artifact Cache.t;
   queue : item Queue.t;
@@ -112,7 +88,7 @@ type t = {
 
 and t_config = config
 
-let addr t = t.actual_addr
+let addr t = Link.to_string t.bound
 
 let send_to client frame =
   Mutex.lock client.send_m;
@@ -347,11 +323,11 @@ let listener_loop t () =
 (* ---------------------------------------------------------- lifecycle *)
 
 let start config =
-  let listen_fd, actual_addr = listen_on config.addr in
+  let listen_fd, bound = Link.listen (Link.address config.addr) in
   let t =
     {
       config;
-      actual_addr;
+      bound;
       listen_fd;
       cache = Cache.create ~cap:config.cache_cap;
       queue = Queue.create ();
@@ -383,7 +359,4 @@ let wait t =
   (match Unix.close t.listen_fd with
   | () -> ()
   | exception Unix.Unix_error _ -> ());
-  if is_unix t.config.addr then
-    match Unix.unlink (unix_path t.config.addr) with
-    | () -> ()
-    | exception Unix.Unix_error _ -> ()
+  Link.unlink t.bound

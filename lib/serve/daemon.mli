@@ -8,9 +8,9 @@
 
 type config = {
   addr : string;
-      (** ["unix:PATH"] for a Unix-domain socket, otherwise ["host:port"]
-          (TCP port 0 picks an ephemeral port — read it back from
-          {!addr}) *)
+      (** In {!Wire.Link}'s grammar: ["unix:PATH"], ["tcp:HOST:PORT"] or
+          ["HOST:PORT"] (TCP port 0 picks an ephemeral port — read it
+          back from {!addr}) *)
   jobs : int;  (** worker domains *)
   cache_cap : int;  (** LRU artifact-cache capacity (entries) *)
   policy : Exec.policy;
@@ -27,11 +27,14 @@ type t
 
 val start : config -> t
 (** Bind, spawn the worker and listener domains, and return immediately.
-    Raises [Unix.Unix_error] if the address cannot be bound. *)
+    Raises [Unix.Unix_error] if the address cannot be bound and
+    [Invalid_argument] if it is not in {!Wire.Link}'s grammar. *)
 
 val addr : t -> string
-(** The actual address — equal to [config.addr] except that a TCP
-    port 0 request is resolved to the port the kernel picked. *)
+(** The bound address in canonical form ({!Wire.Link.to_string}): a TCP
+    port 0 request resolved to the port the kernel picked, a bare
+    ["HOST:PORT"] written ["tcp:HOST:PORT"]. {!Client.connect} accepts it
+    as is. *)
 
 val stop : t -> unit
 (** Request shutdown: stop accepting, let workers drain the queue, then

@@ -16,7 +16,7 @@ let () =
 let malformed fmt =
   Printf.ksprintf (fun what -> raise (Malformed { what })) fmt
 
-let version = 2
+let version = 3
 
 let header_bytes = 36
 
@@ -46,7 +46,7 @@ type t = {
 
 (* Header layout (all little-endian):
      0..1   magic "CW"
-     2      format version (2)
+     2      format version (3)
      3      frame kind (protocol-defined, opaque here)
      4..7   source shard id   (int32; -1 = coordinator)
      8..11  destination shard id

@@ -5,7 +5,7 @@
     {v
     offset  size  field
     0       2     magic "CW"
-    2       1     format version (currently 2)
+    2       1     format version (currently 3)
     3       1     frame kind (protocol-defined)
     4       4     source shard id, int32 LE (-1 = coordinator)
     8       4     destination shard id, int32 LE

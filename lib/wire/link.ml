@@ -1,7 +1,8 @@
 (* A connected file descriptor carrying {!Frame}s, with byte/frame
-   counters. Both endpoint flavors the shard runtime uses are built here:
-   Unix-domain sockets (the default rendezvous between the coordinator and
-   its spawned workers) and TCP ([CC_SHARD_ADDR]). *)
+   counters, and the one address grammar every endpoint is dialed and
+   bound through: Unix-domain sockets (the default rendezvous between the
+   coordinator and its spawned workers, and cc_serve's default) and TCP
+   ([CC_SHARD_ADDR], remote workers). *)
 
 exception Closed of { peer : string; during : string }
 
@@ -128,84 +129,91 @@ let pair ?(peer = "pair") () =
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (of_fd ~peer a, of_fd ~peer b)
 
-let parse_addr s =
-  match String.rindex_opt s ':' with
-  | None -> invalid_arg (Printf.sprintf "Wire.Link.parse_addr: %S is not host:port" s)
-  | Some i -> (
-    let host = String.sub s 0 i in
-    let port = String.sub s (i + 1) (String.length s - i - 1) in
-    match int_of_string_opt port with
-    | Some p when p >= 0 && p < 65536 -> (host, p)
-    | _ ->
-      invalid_arg
-        (Printf.sprintf "Wire.Link.parse_addr: bad port in %S" s))
+type address = Unix_socket of string | Tcp of string * int
 
-let resolve host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-    match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
-    | { Unix.ai_addr = Unix.ADDR_INET (addr, _); _ } :: _ -> addr
-    | _ ->
-      invalid_arg (Printf.sprintf "Wire.Link.resolve: unknown host %S" host))
+let address addr =
+  let bad () =
+    invalid_arg
+      (Printf.sprintf
+         "Wire.Link: bad address %S (want unix:PATH, tcp:HOST:PORT or \
+          HOST:PORT)"
+         addr)
+  in
+  let after prefix =
+    if String.starts_with ~prefix addr then
+      let k = String.length prefix in
+      Some (String.sub addr k (String.length addr - k))
+    else None
+  in
+  match after "unix:" with
+  | Some "" -> bad ()
+  | Some path -> Unix_socket path
+  | None -> (
+    let hp = Option.value (after "tcp:") ~default:addr in
+    match String.rindex_opt hp ':' with
+    | None | Some 0 -> bad ()
+    | Some i -> (
+      let port = String.sub hp (i + 1) (String.length hp - i - 1) in
+      match int_of_string_opt port with
+      | Some p when p >= 0 && p < 65536 -> Tcp (String.sub hp 0 i, p)
+      | _ -> bad ()))
 
-let listen addr =
-  let host, port = parse_addr addr in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt fd Unix.SO_REUSEADDR true;
-     Unix.bind fd (Unix.ADDR_INET (resolve host, port));
-     Unix.listen fd 64
+let to_string = function
+  | Unix_socket path -> "unix:" ^ path
+  | Tcp (host, port) -> Printf.sprintf "tcp:%s:%d" host port
+
+let is_tcp = function Tcp _ -> true | Unix_socket _ -> false
+
+let resolve = function
+  | Unix_socket path -> Unix.ADDR_UNIX path
+  | Tcp (host, port) as a -> (
+    match Unix.inet_addr_of_string host with
+    | ia -> Unix.ADDR_INET (ia, port)
+    | exception Failure _ -> (
+      match Unix.getaddrinfo host "" [ Unix.AI_FAMILY Unix.PF_INET ] with
+      | { Unix.ai_addr = Unix.ADDR_INET (ia, _); _ } :: _ ->
+        Unix.ADDR_INET (ia, port)
+      | _ ->
+        invalid_arg
+          (Printf.sprintf "Wire.Link: unknown host %S in address %S" host
+             (to_string a))))
+
+(* A fresh socket of [sa]'s family, closed again if [setup] raises. *)
+let socket_for sa setup =
+  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  (try setup fd
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
   fd
 
-let connect addr =
-  let host, port = parse_addr addr in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.connect fd (Unix.ADDR_INET (resolve host, port));
-     Unix.setsockopt fd Unix.TCP_NODELAY true
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  fd
+let dial ~peer a =
+  let sa = resolve a in
+  let fd =
+    socket_for sa (fun fd ->
+        Unix.connect fd sa;
+        if is_tcp a then Unix.setsockopt fd Unix.TCP_NODELAY true)
+  in
+  of_fd ~peer fd
 
-let listen_unix path =
-  (try Unix.unlink path with Unix.Unix_error _ -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind fd (Unix.ADDR_UNIX path);
-     Unix.listen fd 64
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  fd
+let unlink = function
+  | Unix_socket path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Tcp _ -> ()
 
-let connect_unix path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try Unix.connect fd (Unix.ADDR_UNIX path)
-   with e ->
-     (try Unix.close fd with Unix.Unix_error _ -> ());
-     raise e);
-  fd
+let listen a =
+  let sa = resolve a in
+  let fd =
+    socket_for sa (fun fd ->
+        unlink a;
+        if is_tcp a then Unix.setsockopt fd Unix.SO_REUSEADDR true;
+        Unix.bind fd sa;
+        Unix.listen fd 64)
+  in
+  match (a, Unix.getsockname fd) with
+  | Tcp (host, _), Unix.ADDR_INET (_, port) -> (fd, Tcp (host, port))
+  | _ -> (fd, a)
 
 let accept ?(tcp_nodelay = false) lsock =
   let fd, _ = Unix.accept lsock in
   if tcp_nodelay then Unix.setsockopt fd Unix.TCP_NODELAY true;
   fd
-
-(* A connected TCP pair through [lsock], made entirely inside one process —
-   the accepted end pairs with the connect issued just before it (loopback
-   accepts are FIFO). Used by the wire tests. *)
-let tcp_pair ?(peer = "tcp") lsock =
-  let c = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try Unix.connect c (Unix.getsockname lsock)
-   with e ->
-     (try Unix.close c with Unix.Unix_error _ -> ());
-     raise e);
-  let a, _ = Unix.accept lsock in
-  Unix.setsockopt c Unix.TCP_NODELAY true;
-  Unix.setsockopt a Unix.TCP_NODELAY true;
-  (of_fd ~peer c, of_fd ~peer a)

@@ -1,4 +1,5 @@
-(** A connected file descriptor carrying {!Frame}s.
+(** A connected file descriptor carrying {!Frame}s, and the one address
+    grammar (below) every endpoint is dialed and bound through.
 
     All reads and writes loop over partial transfers and retry [EINTR]; a
     peer that went away ([EOF], [EPIPE], [ECONNRESET]) raises {!Closed}
@@ -54,28 +55,51 @@ val note_sent : t -> bytes:int -> frames:int -> unit
 val note_recv : t -> bytes:int -> frames:int -> unit
 
 val pair : ?peer:string -> unit -> t * t
-(** A connected Unix-domain socket pair — the default shard transport. *)
+(** A connected Unix-domain socket pair, both ends in the calling
+    process. *)
 
-val parse_addr : string -> string * int
-(** Split ["host:port"]; raises [Invalid_argument] otherwise. *)
+(** {2 Addresses}
 
-val listen : string -> Unix.file_descr
-(** Bind and listen on ["host:port"] (port 0 picks an ephemeral port). *)
+    Every endpoint — the shard rendezvous ([CC_SHARD_ADDR]), the worker
+    mesh, [cc_worker]'s argument and [cc_serve]'s [--addr] /
+    [CC_SERVE_ADDR] — is written in one grammar:
 
-val connect : string -> Unix.file_descr
-(** Connect to ["host:port"]; sets [TCP_NODELAY]. *)
+    - ["unix:PATH"], a Unix-domain socket;
+    - ["tcp:HOST:PORT"], TCP;
+    - bare ["HOST:PORT"], TCP too.
 
-val listen_unix : string -> Unix.file_descr
-(** Bind and listen on a Unix-domain socket [path], unlinking any stale
-    socket file first. *)
+    Any other form raises [Invalid_argument] naming the address. Callers
+    parse a string once with {!address}; {!dial}, {!listen} and {!unlink}
+    take the parsed form. *)
 
-val connect_unix : string -> Unix.file_descr
-(** Connect to a Unix-domain socket [path]. *)
+type address = Unix_socket of string | Tcp of string * int
+
+val address : string -> address
+(** Parse an address in the grammar above. *)
+
+val to_string : address -> string
+(** The canonical form, ["unix:PATH"] or ["tcp:HOST:PORT"]; {!address}
+    reads it back. *)
+
+val is_tcp : address -> bool
+
+val dial : peer:string -> address -> t
+(** Connect to an address ([TCP_NODELAY] on TCP); [peer] labels error
+    messages. Raises [Unix.Unix_error] when nothing listens there and
+    [Invalid_argument] naming the address when its host does not
+    resolve. *)
+
+val listen : address -> Unix.file_descr * address
+(** Bind and listen on an address, removing a stale socket file first.
+    Returns the listening descriptor and the bound address, with a TCP
+    port 0 resolved to the port the kernel picked — so {!dial} accepts it
+    as is. *)
+
+val unlink : address -> unit
+(** Remove a Unix-domain address's socket file; a no-op for TCP and for
+    a file already gone. A listener's file outlives its descriptor, so
+    whoever bound the endpoint removes it when done — never a path only
+    a peer reported. *)
 
 val accept : ?tcp_nodelay:bool -> Unix.file_descr -> Unix.file_descr
 (** Accept one connection on a listening descriptor. *)
-
-val tcp_pair : ?peer:string -> Unix.file_descr -> t * t
-(** A connected TCP pair through a {!listen} socket, both ends created in
-    the calling process (connect-then-accept; loopback accepts are FIFO,
-    so the ends match). *)

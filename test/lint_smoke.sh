@@ -29,7 +29,7 @@ done
 
 out="$stage/findings.txt"
 status=0
-(cd "$stage" && "$lint" --semantic lib) >"$out" 2>&1 || status=$?
+(cd "$stage" && "$lint" lib) >"$out" 2>&1 || status=$?
 
 fail() {
   echo "lint_smoke: FAIL: $1" >&2
@@ -42,20 +42,20 @@ fail() {
 grep -q ' L10 ' "$out" || fail "missing L10 finding"
 grep -q ' L11 ' "$out" || fail "missing L11 finding"
 grep -q ' L12 ' "$out" || fail "missing L12 finding"
-grep -q ' L2 ' "$out" || fail "missing lexical L2 finding (fast pass not run?)"
+grep -q ' L2 ' "$out" || fail "missing lexical L2 finding (lexical rules not run?)"
 grep -q ' L13 ' "$out" || fail "missing L13 finding (supervision bypass)"
 grep -q 'Planted_l10.choose -> Entropy_pool.draw -> Random.int' "$out" ||
   fail "L10 chain does not name every hop"
 
 # The corpus must also round-trip through the JSON emitter (exit 1 still).
 jstatus=0
-(cd "$stage" && "$lint" --semantic --json lib) >"$stage/findings.json" 2>/dev/null ||
+(cd "$stage" && "$lint" --json lib) >"$stage/findings.json" 2>/dev/null ||
   jstatus=$?
 [ "$jstatus" -eq 1 ] || fail "expected exit 1 from --json on the corpus, got $jstatus"
 grep -q '"cc-lint/1"' "$stage/findings.json" || fail "JSON output lacks schema tag"
 
 # The shipped tree must stay clean under the same gate.
-(cd "$repo_root" && "$lint" --semantic lib bin bench test) >"$out" 2>&1 ||
+(cd "$repo_root" && "$lint" lib bin bench test) >"$out" 2>&1 ||
   fail "shipped tree is not clean"
 
 echo "lint_smoke: OK"

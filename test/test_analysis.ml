@@ -206,61 +206,6 @@ let test_scan_strip_preserves_lines () =
     (List.length (Scan.lines src))
     (List.length (Scan.lines stripped))
 
-(* --------------------------------------------------------- planted L8 *)
-
-let test_l8_hot_alloc () =
-  (* Only functions named by the hot marker are in scope; the marker's
-     position in the file does not matter. *)
-  let findings =
-    scan ~file:"lib/runtime/fake_kernel.ml"
-      [
-        "(* cc_lint: hot deliver scatter *)";
-        "let create n = Array.make n 0";
-        "let deliver t =";
-        "  let tbl = Hashtbl.create 16 in";
-        "  ignore tbl;";
-        "  Array.make 4 0";
-        "let cold () = Bytes.create 8";
-        "and scatter () = Bytes.create 8";
-      ]
-  in
-  check_findings "allocs inside hot functions only"
-    [ (Rule.L8, 4); (Rule.L8, 6); (Rule.L8, 8) ]
-    findings;
-  List.iter
-    (fun f ->
-      Alcotest.(check bool) "message names the offending primitive" true
-        (String.length f.Lint.message > 0))
-    findings
-
-let test_l8_requires_marker () =
-  check_findings "no marker, no findings" []
-    (scan ~file:"lib/runtime/fake_kernel.ml"
-       [ "let deliver t = Hashtbl.create 16" ]);
-  (* The rule is lexical and file-global, so it also works outside lib
-     (the hot marker is an explicit opt-in, unlike the charged-layer
-     path scoping of L1/L2/L7). *)
-  check_findings "marker works in bin too"
-    [ (Rule.L8, 2) ]
-    (scan ~file:"bin/fake_tool.ml"
-       [ "(* cc_lint: hot main *)"; "let main () = Array.make 3 1" ])
-
-let test_l8_allow_suppression () =
-  check_findings "allow marker silences the hot-path rule" []
-    (scan ~file:"lib/runtime/fake_kernel.ml"
-       [
-         "(* cc_lint: hot deliver *)";
-         "let deliver t = Array.make t 0 (* cc_lint: allow L8 — escapes *)";
-       ]);
-  (* Suppressing a different rule does not silence L8. *)
-  check_findings "unrelated allow id keeps the finding"
-    [ (Rule.L8, 2) ]
-    (scan ~file:"lib/runtime/fake_kernel.ml"
-       [
-         "(* cc_lint: hot deliver *)";
-         "let deliver t = Array.make t 0 (* cc_lint: allow L5 *)";
-       ])
-
 (* --------------------------------------------------------- planted L9 *)
 
 let test_l9_raw_sockets () =
@@ -315,7 +260,9 @@ let test_report_format () =
     = "lib/flow/x.ml:1 L2 ")
 
 let test_rule_catalog () =
-  Alcotest.(check int) "thirteen rules" 13 (List.length Rule.all);
+  Alcotest.(check int) "twelve rules" 12 (List.length Rule.all);
+  Alcotest.(check (option rule_t)) "the retired L8 is no rule" None
+    (Rule.of_string "L8");
   List.iter
     (fun id ->
       Alcotest.(check (option rule_t))
@@ -365,12 +312,6 @@ let lexical_suite =
       test_l7_recovery_in_charged_layer;
     Alcotest.test_case "L13: Shard_down outside the supervisor" `Quick
       test_l13_shard_down_outside_supervisor;
-    Alcotest.test_case "L8: allocation in hot-marked function" `Quick
-      test_l8_hot_alloc;
-    Alcotest.test_case "L8: marker is the opt-in" `Quick
-      test_l8_requires_marker;
-    Alcotest.test_case "L8: allow suppression" `Quick
-      test_l8_allow_suppression;
     Alcotest.test_case "L9: raw sockets outside the wire layer" `Quick
       test_l9_raw_sockets;
     Alcotest.test_case "L9: wire layer is privileged" `Quick
@@ -551,11 +492,8 @@ let factory_src =
   \  deliver\n"
 
 let test_l12_nested_let_blind_spot () =
-  (* Pinned blind spot #2: the lexical tracker only follows column-0
-     bindings, so a hot function bound by a nested [let] under a cold
-     factory hides its allocation from L8. *)
-  check_findings "lexical pass is blind to the nested binding" []
-    (Lint.scan_source ~file:"lib/runtime/fake_factory.ml" factory_src);
+  (* A hot function bound by a nested [let] under a cold factory is in
+     scope too: L12 finds bindings in the parse tree, at any depth. *)
   let findings =
     sem_findings [ ("lib/runtime/fake_factory.ml", factory_src) ]
   in
@@ -564,47 +502,58 @@ let test_l12_nested_let_blind_spot () =
   Alcotest.(check bool) "names the primitive and the hot function" true
     (contains msg "Array.make" && contains msg "deliver")
 
-let test_l12_matches_l8_on_flat_code () =
-  (* The differential between the passes is itself a test: on column-0
-     code the AST rule must agree line-for-line with the lexical one. *)
-  let src_lines =
-    [
-      "(* cc_lint: hot deliver scatter *)";
-      "let create n = Array.make n 0";
-      "let deliver t =";
-      "  let tbl = Hashtbl.create 16 in";
-      "  ignore tbl;";
-      "  Array.make 4 0";
-      "let cold () = Bytes.create 8";
-      "and scatter () = Bytes.create 8";
-    ]
+let test_l12_flat_code () =
+  (* Only functions named by the hot marker are in scope; the marker's
+     position in the file does not matter. *)
+  let src =
+    String.concat "\n"
+      [
+        "(* cc_lint: hot deliver scatter *)";
+        "let create n = Array.make n 0";
+        "let deliver t =";
+        "  let tbl = Hashtbl.create 16 in";
+        "  ignore tbl;";
+        "  Array.make 4 0";
+        "let cold () = Bytes.create 8";
+        "and scatter () = Bytes.create 8";
+      ]
+    ^ "\n"
   in
-  let file = "lib/runtime/fake_kernel.ml" in
-  let src = String.concat "\n" src_lines ^ "\n" in
-  let lexical =
-    List.map
-      (fun (f : Lint.finding) -> f.line)
-      (Lint.scan_source ~file src)
-  in
-  let semantic =
-    List.map (fun (f : Lint.finding) -> f.line) (sem_findings [ (file, src) ])
-  in
-  Alcotest.(check (list int)) "same allocation sites" lexical semantic;
-  check_findings "semantic findings carry L12"
+  let findings = sem_findings [ ("lib/runtime/fake_kernel.ml", src) ] in
+  check_findings "allocs inside hot functions only"
     [ (Rule.L12, 4); (Rule.L12, 6); (Rule.L12, 8) ]
-    (sem_findings [ (file, src) ])
+    findings;
+  List.iter
+    (fun (f : Lint.finding) ->
+      Alcotest.(check bool) "message names the offending primitive" true
+        (List.exists (contains f.message)
+           [ "Hashtbl.create"; "Array.make"; "Bytes.create" ]))
+    findings;
+  check_findings "no marker, no findings" []
+    (sem_findings
+       [ ("lib/runtime/fake_kernel.ml", "let deliver t = Hashtbl.create 16\n") ]);
+  (* The hot marker is an explicit opt-in, so it works outside lib too
+     (unlike the charged-layer path scoping of L1/L2/L7). *)
+  check_findings "marker works in bin too"
+    [ (Rule.L12, 2) ]
+    (sem_findings
+       [
+         ( "bin/fake_tool.ml",
+           "(* cc_lint: hot main *)\nlet main () = Array.make 3 1\n" );
+       ])
 
-let test_l12_honors_l8_allow () =
+let test_l12_allow_markers () =
   let with_marker marker =
     Printf.sprintf
       "(* cc_lint: hot deliver *)\nlet deliver t = Array.make t 0 (* cc_lint: \
        allow %s *)\n"
       marker
   in
-  check_findings "legacy allow L8 markers keep working" []
-    (sem_findings [ ("lib/runtime/fake_kernel.ml", with_marker "L8") ]);
-  check_findings "allow L12 works too" []
+  check_findings "allow L12 silences the finding" []
     (sem_findings [ ("lib/runtime/fake_kernel.ml", with_marker "L12") ]);
+  check_findings "a reason after the id is fine" []
+    (sem_findings
+       [ ("lib/runtime/fake_kernel.ml", with_marker "L12 — escapes") ]);
   check_findings "unrelated allow id keeps the finding"
     [ (Rule.L12, 2) ]
     (sem_findings [ ("lib/runtime/fake_kernel.ml", with_marker "L5") ])
@@ -669,10 +618,9 @@ let semantic_suite =
       test_l11_exemptions;
     Alcotest.test_case "L12: nested-let blind spot" `Quick
       test_l12_nested_let_blind_spot;
-    Alcotest.test_case "L12: agrees with L8 on flat code" `Quick
-      test_l12_matches_l8_on_flat_code;
-    Alcotest.test_case "L12: honors legacy allow L8" `Quick
-      test_l12_honors_l8_allow;
+    Alcotest.test_case "L12: hot functions on flat code" `Quick
+      test_l12_flat_code;
+    Alcotest.test_case "L12: allow markers" `Quick test_l12_allow_markers;
     Alcotest.test_case "parse errors are collected, not fatal" `Quick
       test_parse_errors_are_collected;
     Alcotest.test_case "JSON round-trips through Metrics.Json" `Quick

@@ -15,11 +15,11 @@ let fresh_addr () =
   Printf.sprintf "unix:/tmp/cc-serve-test-%d-%d.sock" (Unix.getpid ())
     !sock_counter
 
-let with_daemon ?(jobs = 2) ?(cache = 8) ?(policy = Serve.Exec.Off)
-    ?(max_bytes = 8 * 1024 * 1024) f =
+let with_daemon ?(addr = fresh_addr ()) ?(jobs = 2) ?(cache = 8)
+    ?(policy = Serve.Exec.Off) ?(max_bytes = 8 * 1024 * 1024) f =
   let config =
     {
-      Serve.Daemon.addr = fresh_addr ();
+      Serve.Daemon.addr;
       jobs;
       cache_cap = cache;
       policy;
@@ -94,8 +94,7 @@ let mst_req ?(extra = "") ?(id = 1) () =
 let test_malformed_json_keeps_connection () =
   with_daemon (fun addr ->
       (* drive the link directly: a frame whose payload is not JSON *)
-      let fd = Link.connect_unix (String.sub addr 5 (String.length addr - 5)) in
-      let link = Link.of_fd ~peer:"test" fd in
+      let link = Link.dial ~peer:"test" (Link.address addr) in
       Link.send link
         {
           Wire.Frame.kind = Serve.Job.frame_job;
@@ -167,12 +166,13 @@ let test_oversized_frame_refused_connection_kept () =
 
 let test_corrupt_stream_closed () =
   with_daemon (fun addr ->
-      let fd = Link.connect_unix (String.sub addr 5 (String.length addr - 5)) in
-      let link = Link.of_fd ~peer:"test" fd in
+      let link = Link.dial ~peer:"test" (Link.address addr) in
       (* 40 bytes of garbage: the header parse fails and the daemon must
          reply with an error and hang up (stream desynchronized). *)
       let garbage = Bytes.make 40 'Z' in
-      let written = Unix.write fd garbage 0 (Bytes.length garbage) (* cc_lint: allow L9 *) in
+      let written =
+        Unix.write (Link.fd link) garbage 0 (Bytes.length garbage) (* cc_lint: allow L9 *)
+      in
       Alcotest.(check int) "garbage written" 40 written;
       let reply = Link.recv ~deadline:(deadline ()) link in
       Alcotest.(check int) "error frame" Serve.Job.frame_error
@@ -183,6 +183,19 @@ let test_corrupt_stream_closed () =
         | _ -> false
         | exception Link.Closed _ -> true);
       Link.close link)
+
+(* The daemon takes Wire.Link's address grammar, tcp:HOST:PORT included
+   (the form cc_worker documents), and reports the port it bound. *)
+let test_tcp_addr () =
+  with_daemon ~addr:"tcp:127.0.0.1:0" (fun addr ->
+      Alcotest.(check bool) "bound port reported" true
+        (match Wire.Link.address addr with
+        | Wire.Link.Tcp ("127.0.0.1", port) -> port > 0
+        | _ -> false);
+      let r = request addr (solve_req ~id:60 ()) in
+      check_ok "solve over tcp" r;
+      Alcotest.(check bool) "answer carried" true
+        (get_string [ "result"; "x_fnv" ] r <> ""))
 
 (* ---------------------------------------------------------- scheduling *)
 
@@ -415,6 +428,8 @@ let () =
             test_oversized_frame_refused_connection_kept;
           Alcotest.test_case "corrupt stream closed" `Quick
             test_corrupt_stream_closed;
+          Alcotest.test_case "tcp: address answers a solve" `Quick
+            test_tcp_addr;
           Alcotest.test_case "job codec" `Quick test_job_parse_roundtrip;
         ] );
       ( "scheduling",

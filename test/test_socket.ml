@@ -33,22 +33,52 @@ let () =
   match Sys.getenv_opt "CC_TEST_MUTE_CLIENT" with
   | None -> ()
   | Some addr ->
-    let host, port = Wire.Link.parse_addr addr in
     let rec connect () =
-      (* A mute client must bypass Wire.Link on purpose. *)
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 (* cc_lint: allow L9 *) in
-      match
-        Unix.connect fd (* cc_lint: allow L9 *)
-          (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
-      with
-      | () -> fd
+      (* Dialing sends nothing: the client stays mute after it. *)
+      match Wire.Link.dial ~peer:"mute" (Wire.Link.address addr) with
+      | l -> l
       | exception Unix.Unix_error _ ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
         Unix.sleepf 0.02;
         connect ()
     in
-    let _fd = connect () in
+    let _link = connect () in
     Unix.sleep 600;
+    exit 0
+
+(* Diversion: spawned as a remote worker that reports a foreign mesh
+   address, this process dials the rendezvous in CC_TEST_RENDEZVOUS,
+   sends a hello naming [unix:<CC_TEST_FOREIGN_MESH>], answers the
+   Config with a Ready and stays until the coordinator hangs up. Kinds 9
+   and 11 are the hello and ready frames of DESIGN §11.1. *)
+let () =
+  match Sys.getenv_opt "CC_TEST_FOREIGN_MESH" with
+  | None -> ()
+  | Some file ->
+    let addr = Wire.Link.address (Sys.getenv "CC_TEST_RENDEZVOUS") in
+    let rec connect () =
+      match Wire.Link.dial ~peer:"coordinator" addr with
+      | l -> l
+      | exception Unix.Unix_error _ ->
+        Unix.sleepf 0.02;
+        connect ()
+    in
+    let l = connect () in
+    let hello = Wire.Frame.Writer.create ~hint:64 () in
+    Wire.Frame.Writer.string hello ("unix:" ^ file);
+    Wire.Link.send l
+      { Wire.Frame.kind = 9; src = -1; dst = -1; seq = 0; epoch = 0;
+        payload = Wire.Frame.Writer.contents hello };
+    let assign = Wire.Link.recv l in
+    let config = Wire.Link.recv l in
+    Wire.Link.send l
+      { Wire.Frame.kind = 11; src = assign.Wire.Frame.dst; dst = -1;
+        seq = config.Wire.Frame.seq; epoch = config.Wire.Frame.epoch;
+        payload = Bytes.empty };
+    (try
+       while true do
+         ignore (Wire.Link.recv l)
+       done
+     with Wire.Link.Closed _ | Wire.Frame.Malformed _ -> ());
     exit 0
 
 (* An ephemeral TCP port for tests that must know the address before the
@@ -333,6 +363,38 @@ let test_heartbeat_probes_and_recovers () =
     reference (Sock.exchange t out);
   Sock.close t
 
+(* A stopped (not dead) worker: its peers wait on the mesh for its
+   frames. Workers must wait with the session's timeout, not their own
+   environment's, so that they report the silent peer before the
+   coordinator's reply deadline ([2·timeout + 1]) runs out and only the
+   stopped shard is recovered, once. 3 s leaves a slow exec on a loaded
+   runner a wide margin, and is still far below the 30 s a worker reads
+   from an unset CC_SHARD_TIMEOUT. *)
+let test_stopped_worker policy () =
+  let n = 9 in
+  let t = Sock.create ~shards:3 ~policy ~timeout:3.0 ~backoff:0.05 n in
+  let out = all_to_all n in
+  let reference, _ = M.deliver ~n ~width:2 out in
+  let victim = List.nth (Sock.pids t) 1 in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill victim Sys.sigcont with Unix.Unix_error _ -> ());
+      Sock.close t)
+    (fun () ->
+      Unix.kill victim Sys.sigstop;
+      Alcotest.check inboxes_t "recovered round equals Mailbox.deliver"
+        reference (Sock.exchange t out);
+      Alcotest.(check int) "one shard lost" 1 (stat "shard.deaths" t);
+      match policy with
+      | Shard.Drain ->
+        Alcotest.(check int) "only the stopped shard drained" 1
+          (stat "shard.drain" t);
+        Alcotest.(check int) "two survivors" 2 (Sock.live_workers t)
+      | _ ->
+        Alcotest.(check int) "one respawn for one stopped worker" 1
+          (stat "shard.respawn" t);
+        Alcotest.(check int) "three live workers" 3 (Sock.live_workers t))
+
 (* ---------------------------------------------------- bootstrap bounds *)
 
 (* The bootstrap-hang regression: a client that connects to the
@@ -392,21 +454,45 @@ let test_remote_worker_joins () =
         (Sock.broadcast t values);
       Sock.close t)
 
-(* ------------------------------------------------------------- tcp leg *)
+(* The mesh address in a hello is the peer's word — over TCP, any host
+   that reaches the rendezvous can send one — so the coordinator must
+   never remove it. A remote worker reports a plain file here; the file
+   must outlive the session, over either kind of rendezvous. *)
+let test_reported_mesh_path_kept addr () =
+  let file = Filename.temp_file "cc-decoy" ".keep" in
+  let fake =
+    spawn_with_env
+      [ "CC_TEST_FOREIGN_MESH=" ^ file; "CC_TEST_RENDEZVOUS=" ^ addr ]
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      reap fake;
+      try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      let t = Sock.create ~shards:1 ~remote:1 ~addr ~timeout:10.0 2 in
+      Alcotest.(check (list int)) "the only slot is remote" [ -1 ]
+        (Sock.pids t);
+      Sock.close t;
+      Alcotest.(check bool) "reported file left in place" true
+        (Sys.file_exists file))
 
-let test_tcp_leg () =
+(* ------------------------------------------------------ address legs *)
+
+(* The rendezvous address takes Wire.Link's grammar: bare HOST:PORT,
+   tcp:HOST:PORT or unix:PATH. *)
+let test_addr_leg addr () =
   let n = 6 in
-  let t = Sock.create ~shards:2 ~addr:"127.0.0.1:0" n in
+  let t = Sock.create ~shards:2 ~addr n in
   let out = all_to_all n in
   let expected, _ = M.deliver ~n ~width:2 out in
-  Alcotest.check inboxes_t "tcp inboxes parity" expected (Sock.exchange t out);
+  Alcotest.check inboxes_t (addr ^ ": inboxes parity") expected (Sock.exchange t out);
   let values = Array.init n (fun v -> [| v; v * v |]) in
-  Alcotest.(check (array (array int))) "tcp broadcast parity"
+  Alcotest.(check (array (array int))) (addr ^ ": broadcast parity")
     (fst (M.broadcast ~n ~width:2 values))
     (Sock.broadcast t values);
   let msgs = [ (0, 5, [| 3 |]); (4, 1, [| 9; 9 |]) ] in
   let expected, _, batches = M.route ~n ~width:2 msgs in
-  Alcotest.check inboxes_t "tcp route parity" expected (Sock.route t msgs);
+  Alcotest.check inboxes_t (addr ^ ": route parity") expected (Sock.route t msgs);
   Alcotest.(check int) "route rounds charged identically"
     (1 + Runtime.Cost.broadcast_rounds
     + (batches * Runtime.Cost.lenzen_routing_rounds))
@@ -519,6 +605,29 @@ let test_per_call_sessions_closed () =
           (open_fds ()))
   end
 
+(* Every Unix-domain session names its rendezvous and its workers' mesh
+   sockets cc-wire-<pid>-…; once the session is closed none may be left
+   in the temp directory — the coordinator removes its spawned workers'
+   files, since it may SIGKILL them before they could. *)
+let test_no_socket_files_left () =
+  let prefix = Printf.sprintf "cc-wire-%d-" (Unix.getpid ()) in
+  let ours () =
+    List.filter
+      (String.starts_with ~prefix)
+      (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())))
+  in
+  let t = Sock.create ~shards:2 6 in
+  ignore (Sock.exchange t (all_to_all 6));
+  Alcotest.(check bool) "a live session has its socket files" true
+    (ours () <> []);
+  Sock.close t;
+  Alcotest.(check (list string)) "no socket file left" [] (ours ());
+  let t = Sock.create ~shards:2 6 in
+  Unix.kill (List.nth (Sock.pids t) 1) Sys.sigkill;
+  Sock.close t;
+  Alcotest.(check (list string)) "none left by a SIGKILLed worker" []
+    (ours ())
+
 let () =
   Alcotest.run "socket"
     [
@@ -546,14 +655,38 @@ let () =
             test_drain_exhaustion_fails;
           Alcotest.test_case "heartbeat probes and recovers" `Quick
             test_heartbeat_probes_and_recovers;
+          Alcotest.test_case "drain: stopped worker drained alone" `Quick
+            (test_stopped_worker Shard.Drain);
+          Alcotest.test_case "respawn: stopped worker respawned once" `Quick
+            (test_stopped_worker Shard.Respawn);
           Alcotest.test_case "mute client cannot hang bootstrap" `Quick
             test_mute_client_bootstrap_timeout;
           Alcotest.test_case "remote worker joins the rendezvous" `Quick
             test_remote_worker_joins;
+          Alcotest.test_case "tcp: reported mesh path never removed" `Quick
+            (fun () ->
+              test_reported_mesh_path_kept
+                (Printf.sprintf "127.0.0.1:%d" (ephemeral_port ()))
+                ());
+          Alcotest.test_case "unix: reported mesh path never removed" `Quick
+            (test_reported_mesh_path_kept
+               ("unix:"
+               ^ Filename.concat
+                   (Filename.get_temp_dir_name ())
+                   (Printf.sprintf "cc-wire-%d-rendezvous" (Unix.getpid ()))));
         ] );
       ( "transports",
         [
-          Alcotest.test_case "tcp leg parity" `Quick test_tcp_leg;
+          Alcotest.test_case "tcp leg parity" `Quick
+            (test_addr_leg "127.0.0.1:0");
+          Alcotest.test_case "tcp: address leg parity" `Quick
+            (test_addr_leg "tcp:127.0.0.1:0");
+          Alcotest.test_case "unix: address leg parity" `Quick
+            (test_addr_leg
+               ("unix:"
+               ^ Filename.concat
+                   (Filename.get_temp_dir_name ())
+                   (Printf.sprintf "cc-wire-%d-explicit" (Unix.getpid ()))));
           Alcotest.test_case "fault injection composes bit-identically" `Quick
             test_fault_injection_composes;
         ] );
@@ -564,5 +697,7 @@ let () =
           Alcotest.test_case "shards clamp to n" `Quick test_shards_clamped;
           Alcotest.test_case "per-call runtimes close their sessions" `Quick
             test_per_call_sessions_closed;
+          Alcotest.test_case "no socket file left after close" `Quick
+            test_no_socket_files_left;
         ] );
     ]

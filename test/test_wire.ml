@@ -157,13 +157,58 @@ let test_link_socketpair () =
   Link.close b;
   Link.close b (* idempotent *)
 
-let test_link_tcp () =
-  let lsock = Link.listen "127.0.0.1:0" in
-  let a, b = Link.tcp_pair ~peer:"tcp-unit" lsock in
-  send_recv "tcp payload" a b;
+(* Listen on [addr], dial the address the listener reports, and move one
+   frame across; the listener's socket file (if any) is removed after. *)
+let round_trip what addr =
+  let lsock, bound = Link.listen (Link.address addr) in
+  let a = Link.dial ~peer:what bound in
+  let b = Link.of_fd ~peer:what (Link.accept lsock) in
+  send_recv what a b;
   Link.close a;
   Link.close b;
-  try Unix.close lsock with Unix.Unix_error _ -> ()
+  (try Unix.close lsock with Unix.Unix_error _ -> ());
+  Link.unlink bound;
+  Link.to_string bound
+
+let test_link_tcp () =
+  let bound = round_trip "tcp payload" "127.0.0.1:0" in
+  Alcotest.(check bool) "port 0 resolved" true
+    (match Link.address bound with
+    | Link.Tcp ("127.0.0.1", port) -> port > 0
+    | _ -> false)
+
+(* One grammar: unix:PATH, tcp:HOST:PORT and bare HOST:PORT all listen
+   and dial; listen hands back a canonical address dial accepts; anything
+   else is an Invalid_argument that names the address. *)
+let test_link_address_grammar () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "cc-wire-test-%d.sock" (Unix.getpid ()))
+  in
+  let bound = round_trip "unix payload" ("unix:" ^ path) in
+  Alcotest.(check string) "unix address is already canonical"
+    ("unix:" ^ path) bound;
+  Alcotest.(check bool) "socket file removed" false (Sys.file_exists path);
+  List.iter
+    (fun addr ->
+      let bound = round_trip addr addr in
+      Alcotest.(check bool) (addr ^ " binds tcp:127.0.0.1:PORT") true
+        (String.starts_with ~prefix:"tcp:127.0.0.1:" bound
+        && bound <> "tcp:127.0.0.1:0"))
+    [ "tcp:127.0.0.1:0"; "127.0.0.1:0" ];
+  List.iter
+    (fun addr ->
+      Alcotest.(check bool) (Printf.sprintf "%S refused by name" addr) true
+        (match Link.address addr with
+        | _ -> false
+        | exception Invalid_argument msg ->
+          let q = Printf.sprintf "%S" addr in
+          let n = String.length msg and k = String.length q in
+          let rec go i = i + k <= n && (String.sub msg i k = q || go (i + 1)) in
+          go 0))
+    [ "unix:"; "tcp:127.0.0.1"; "localhost"; "127.0.0.1:http"; ":80";
+      "tcp:127.0.0.1:70000" ]
 
 (* A bounded recv on a silent link raises Timeout at the deadline instead
    of blocking — the primitive every supervised wait builds on. *)
@@ -489,6 +534,7 @@ let suite =
     Alcotest.test_case "fnv pinned vectors" `Quick test_fnv_pinned;
     Alcotest.test_case "link over socketpair" `Quick test_link_socketpair;
     Alcotest.test_case "link over tcp" `Quick test_link_tcp;
+    Alcotest.test_case "link address grammar" `Quick test_link_address_grammar;
     Alcotest.test_case "link recv deadline" `Quick test_link_recv_deadline;
     Alcotest.test_case "shard owners/bounds" `Quick test_owners;
     Alcotest.test_case "bounds edge cases" `Quick test_bounds_edge_cases;
