@@ -235,6 +235,9 @@ let e1_sparsifier () =
               ("sparsifier_edges", J.Int (Graph.m h));
               ("alpha", J.Float alpha);
               ("size_bound", J.Int size_bound);
+              ( "sparsifier_fnv",
+                J.String (Serve.Fingerprint.to_hex (Serve.Fingerprint.graph h))
+              );
             ]
           ~rounds:r.Sparsify.Spectral.rounds
           ~phases:r.Sparsify.Spectral.phase_rounds ())
@@ -250,6 +253,10 @@ let e1_sparsifier () =
     [ { s_name = "size-and-alpha"; s_seed = 3L; s_rows = rows } ]
 
 (* ------------------------------------------------------------------- E2 *)
+
+(* The solution's IEEE bits, spelled as cc_serve spells its x_fnv. *)
+let x_fnv x =
+  Serve.Fingerprint.to_hex (Serve.Fingerprint.vec Wire.Fnv.offset x)
 
 let e2_solver () =
   header
@@ -285,6 +292,7 @@ let e2_solver () =
               ("iteration_bound", J.Int reference);
               ("error", J.Float err);
               ("cg_rounds", J.Int cg.Laplacian.Solver.rounds);
+              ("x_fnv", J.String (x_fnv r.Laplacian.Solver.x));
             ]
           ~rounds:r.Laplacian.Solver.rounds
           ~phases:r.Laplacian.Solver.phase_rounds ())
@@ -314,6 +322,7 @@ let e2_solver () =
               ("m", J.Int (Graph.m g));
               ("iterations", J.Int r.Laplacian.Solver.iterations);
               ("kappa", J.Float r.Laplacian.Solver.kappa);
+              ("x_fnv", J.String (x_fnv r.Laplacian.Solver.x));
             ]
           ~rounds:r.Laplacian.Solver.rounds
           ~phases:r.Laplacian.Solver.phase_rounds ())

@@ -6,7 +6,10 @@
    OLD and NEW are either two directories containing BENCH_E<k>.json files
    (the committed baseline vs a fresh run) or two individual files. The
    round series of seeded experiments are bit-for-bit deterministic, so any
-   drift in the "rounds" subtree of any row is a hard failure; "stats"
+   drift in the "rounds" subtree of any row is a hard failure. So is a
+   changed "*_fnv" key in a row's "stats" (a fingerprint of a solution or
+   a sparsifier, present in both files): decomposition rounds are charged
+   by formula, so a changed partition shows only there. Other "stats"
    differences are reported but never fail (floats may drift across
    platforms); wall-clock is gated by a ratio threshold and is meant to run
    as a soft CI step. Policy: DESIGN.md §8.
@@ -79,6 +82,23 @@ let get_series exp_j =
     List.map (fun s -> (str_field "name" s, get_rows s)) ss
   | _ -> die "experiment %s has no series list" (str_field "experiment" exp_j)
 
+(* Fingerprints are exact: a "*_fnv" stats key present in both rows must
+   not change. *)
+let fingerprint_drift ~id ~series_name ~key old_stats new_stats =
+  match (old_stats, new_stats) with
+  | J.Assoc o, J.Assoc n ->
+    List.iter
+      (fun (name, v) ->
+        match List.assoc_opt name n with
+        | Some v' when String.ends_with ~suffix:"_fnv" name && not (J.equal v v')
+          ->
+          fail_drift "%s %s %s: %s %s -> %s" id series_name key name
+            (J.to_string ~minify:true v)
+            (J.to_string ~minify:true v')
+        | _ -> ())
+      o
+  | _ -> ()
+
 (* The hard gate: the "rounds" subtree (total, ref, per-phase breakdown)
    must be structurally identical for every row key present in OLD. *)
 let compare_rows ~id ~series_name old_rows new_rows =
@@ -98,6 +118,7 @@ let compare_rows ~id ~series_name old_rows new_rows =
         | _ -> fail_drift "%s %s %s: malformed rounds field" id series_name key);
         match (J.member "stats" old_row, J.member "stats" new_row) with
         | Some o, Some n when not (J.equal o n) ->
+          fingerprint_drift ~id ~series_name ~key o n;
           note "%s %s %s: stats %s -> %s (informational)" id series_name key
             (J.to_string ~minify:true o)
             (J.to_string ~minify:true n)

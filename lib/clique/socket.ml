@@ -806,23 +806,39 @@ let live : t list ref = ref []
 
 let sigpipe_ignored = Atomic.make false
 
-(* Close slot [s]'s link and reap its process (SIGKILLed first when
-   [kill]). A spawned slot of a Unix-domain session also loses its mesh
-   socket, at the path its boot derives from the rendezvous: a killed
+(* Reap [pid] once it has exited, polling until [deadline]; a child still
+   running then (stopped, wedged, or never told to exit) is SIGKILLed and
+   reaped. A past deadline kills at once. *)
+let reap_pid ~deadline pid =
+  let rec wait pause =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      (try Unix.sleepf pause with Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      wait (Float.min (2. *. pause) 0.05)
+    | 0, _ ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait pause
+    | exception Unix.Unix_error _ -> ()
+  in
+  wait 0.001
+
+(* Close slot [s]'s link and reap its process by [deadline] (see
+   [reap_pid]). A spawned slot of a Unix-domain session also loses its
+   mesh socket, at the path its boot derives from the rendezvous: a killed
    worker cannot remove it itself, and a respawn binds the same path
    afresh. The mesh address a hello reports is the peer's word, so the
    coordinator never removes that path; a remote worker removes its
    own. *)
-let reap_slot t ~kill s =
+let reap_slot t ~deadline s =
   (match t.links.(s) with
   | Some l ->
     Link.close l;
     t.links.(s) <- None
   | None -> ());
   if t.pids.(s) > 0 then begin
-    if kill then
-      (try Unix.kill t.pids.(s) Sys.sigkill with Unix.Unix_error _ -> ());
-    (try ignore (Unix.waitpid [] t.pids.(s)) with Unix.Unix_error _ -> ());
+    reap_pid ~deadline t.pids.(s);
     t.pids.(s) <- -1
   end;
   match t.rendezvous with
@@ -830,9 +846,9 @@ let reap_slot t ~kill s =
     Link.unlink (mesh_socket path (spawned_tag s))
   | Link.Unix_socket _ | Link.Tcp _ -> ()
 
-let reap_all t ~kill =
+let reap_all t ~deadline =
   for s = 0 to t.k - 1 do
-    reap_slot t ~kill s
+    reap_slot t ~deadline s
   done;
   (try Unix.close t.lfd with Unix.Unix_error _ -> ());
   Link.unlink t.rendezvous
@@ -846,19 +862,22 @@ let close t =
     t.state <- Closed;
     live := List.filter (fun s -> s != t) !live; (* cc_lint: allow L11 — main-domain-only session registry *)
     if was = Live then begin
+      (* Workers exit on Shutdown. One that has not by the session
+         timeout (stopped, wedged, or not reading, so that its Shutdown
+         could not be written) is killed: one deadline bounds the sends
+         and the reaping, so closing takes about one timeout at most. *)
+      let deadline = Unix.gettimeofday () +. t.timeout in
       Array.iter
         (function
           | Some l -> (
             try
-              Link.send
-                ~deadline:(Unix.gettimeofday () +. t.timeout)
-                l
+              Link.send ~deadline l
                 { Frame.kind = k_shutdown; src = -1; dst = 0; seq = 0;
                   epoch = epoch t; payload = Bytes.create 0 }
             with Link.Closed _ | Link.Timeout _ | Unix.Unix_error _ -> ())
           | None -> ())
         t.links;
-      reap_all t ~kill:false
+      reap_all t ~deadline
     end;
     close_log t
 
@@ -872,7 +891,7 @@ let exit_hook_registered = Atomic.make false
 let session_down t ~shard ~during =
   logf t "session down: shard %d during %s" shard during;
   t.state <- Down (shard, during);
-  reap_all t ~kill:true;
+  reap_all t ~deadline:neg_infinity;
   close_log t;
   raise (Shard.Shard_down { shard; round = t.rounds; during })
 
@@ -1098,7 +1117,7 @@ let rec recover t ~during dead =
     match t.policy with
     | Shard.Fail -> session_down t ~shard:first ~during
     | Shard.Drain ->
-      List.iter (reap_slot t ~kill:true) dead;
+      List.iter (reap_slot t ~deadline:neg_infinity) dead;
       let part =
         List.fold_left
           (fun p d ->
@@ -1135,7 +1154,7 @@ and respawn_loop t ~during dead attempt =
         pause;
       Unix.sleepf pause
     end;
-    List.iter (reap_slot t ~kill:true) dead;
+    List.iter (reap_slot t ~deadline:neg_infinity) dead;
     t.part <- Shard.Partition.bump t.part;
     let e = epoch t in
     List.iter
@@ -1153,7 +1172,7 @@ and respawn_loop t ~during dead attempt =
       match reconfig t with
       | [] -> ()
       | newly ->
-        List.iter (reap_slot t ~kill:true) newly;
+        List.iter (reap_slot t ~deadline:neg_infinity) newly;
         respawn_loop t ~during
           (List.sort_uniq compare (newly @ dead))
           (attempt + 1))
@@ -1338,7 +1357,7 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
        t.pids.(s) <- spawn_worker t ~epoch:1 s
      done
    with e ->
-     reap_all t ~kill:true;
+     reap_all t ~deadline:neg_infinity;
      close_log t;
      raise e);
   let all = List.init k Fun.id in

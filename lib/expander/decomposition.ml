@@ -20,35 +20,18 @@ let bcast_rounds_formula ~n =
   let logn = Runtime.Cost.log2_ceil (max n 2) in
   (4 * (logn + 1) * (logn + 1)) + (4 * logn)
 
-(* Exact minimum-conductance cut by enumeration; n ≤ 16. *)
-let best_cut_small g =
-  let n = Graph.n g in
-  let best_phi = ref infinity in
-  let best = ref (Array.make n false) in
-  for mask = 1 to (1 lsl (n - 1)) - 1 do
-    let inside = Array.make n false in
-    inside.(0) <- true;
-    for b = 0 to n - 2 do
-      if (mask lsr b) land 1 = 1 then inside.(b + 1) <- true
-    done;
-    if not (Array.for_all (fun x -> x) inside) then begin
-      let phi = Conductance.of_cut g inside in
-      if phi < !best_phi then begin
-        best_phi := phi;
-        best := inside
-      end
-    end
-  done;
-  (!best, !best_phi)
-
 let decompose ?(phi = 0.05) ?(gamma = 0.25) g =
   let n = Graph.n g in
   let clusters = ref [] in
-  let rec refine (vs : int array) =
+  (* [sub] is [vs]'s induced subgraph when the caller already has it: the
+     top call's [vs] is [0..n-1], whose induced subgraph is [g] itself. *)
+  let rec refine ?sub (vs : int array) =
     let k = Array.length vs in
     if k <= 2 then clusters := vs :: !clusters
     else begin
-      let sub, _ = Graph.induced g vs in
+      let sub =
+        match sub with Some s -> s | None -> fst (Graph.induced g vs)
+      in
       let comps = Traversal.component_members sub in
       match comps with
       | [] -> ()
@@ -60,7 +43,7 @@ let decompose ?(phi = 0.05) ?(gamma = 0.25) g =
       | [ _ ] ->
         let certified, cut =
           if k <= 14 then begin
-            let inside, best_phi = best_cut_small sub in
+            let inside, best_phi = Conductance.exact_cut sub in
             (best_phi >= phi, inside)
           end
           else begin
@@ -88,7 +71,7 @@ let decompose ?(phi = 0.05) ?(gamma = 0.25) g =
         end
     end
   in
-  refine (Array.init n (fun i -> i));
+  refine ~sub:g (Array.init n (fun i -> i));
   let cluster_index = Array.make n (-1) in
   List.iteri
     (fun ci vs -> Array.iter (fun v -> cluster_index.(v) <- ci) vs)
@@ -105,13 +88,6 @@ let decompose ?(phi = 0.05) ?(gamma = 0.25) g =
     phi;
     rounds = rounds_formula ~n ~gamma;
   }
-
-let cluster_of d v =
-  let rec loop i = function
-    | [] -> invalid_arg "Decomposition.cluster_of: vertex not found"
-    | vs :: rest -> if Array.exists (( = ) v) vs then i else loop (i + 1) rest
-  in
-  loop 0 d.clusters
 
 let check g d =
   let n = Graph.n g in

@@ -9,7 +9,9 @@
     pipeline (Theorem 3.3) recurses on. *)
 
 type t = {
-  clusters : int array list;  (** vertex sets, disjoint, covering [0..n-1] *)
+  clusters : int array list;
+      (** vertex sets, disjoint, covering [0..n-1]; a cluster that spans
+          all [n] vertices is [0..n-1] in order *)
   crossing : int list;  (** edge ids of [g] crossing the partition *)
   phi : float;  (** the conductance target that was certified *)
   rounds : int;  (** rounds charged per the Theorem 3.2 formula *)
@@ -18,9 +20,6 @@ type t = {
 val decompose : ?phi:float -> ?gamma:float -> Graph.t -> t
 (** [phi] defaults to [0.05]; [gamma] (the [n^{O(γ)}] knob of Theorem 3.2)
     defaults to [0.25] and only affects the charged round count. *)
-
-val cluster_of : t -> int -> int
-(** [cluster_of d v] is the index (into [clusters]) of [v]'s cluster. *)
 
 val check : Graph.t -> t -> bool
 (** Validates: clusters partition the vertex set; [crossing] is exactly the

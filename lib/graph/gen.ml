@@ -101,7 +101,7 @@ let connected_gnp ?(seed = 42L) n p =
       if Prng.float rng 1. < p then acc := edge i j 1. :: !acc
     done
   done;
-  Graph.reweight_simple (Graph.create n !acc)
+  Graph.simple_of_edges n (Array.of_list !acc)
 
 let weighted_gnp ?(seed = 42L) n p u =
   let rng = Prng.create (Int64.add seed 1L) in
@@ -127,7 +127,7 @@ let planted_partition ?(seed = 42L) n p_in p_out =
         (fun i -> edge (half + i) (half + i + 1) 1.)
     @ [ edge 0 half 1. ]
   in
-  Graph.reweight_simple (Graph.create n (backbone @ !acc))
+  Graph.simple_of_edges n (Array.of_list (backbone @ !acc))
 
 let barbell k =
   if k < 3 then invalid_arg "Gen.barbell: need k >= 3";

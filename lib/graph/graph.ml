@@ -15,19 +15,19 @@ let build_adj n edges =
     edges;
   adj
 
+let check_edge n e =
+  if e.u < 0 || e.u >= n || e.v < 0 || e.v >= n then
+    invalid_arg
+      (Printf.sprintf "Graph.create: edge (%d,%d) out of range" e.u e.v);
+  if e.u = e.v then
+    invalid_arg (Printf.sprintf "Graph.create: self-loop at %d" e.u);
+  if e.w <= 0. then
+    invalid_arg
+      (Printf.sprintf "Graph.create: non-positive weight %g on (%d,%d)" e.w
+         e.u e.v)
+
 let create n edge_list =
-  List.iter
-    (fun e ->
-      if e.u < 0 || e.u >= n || e.v < 0 || e.v >= n then
-        invalid_arg
-          (Printf.sprintf "Graph.create: edge (%d,%d) out of range" e.u e.v);
-      if e.u = e.v then
-        invalid_arg (Printf.sprintf "Graph.create: self-loop at %d" e.u);
-      if e.w <= 0. then
-        invalid_arg
-          (Printf.sprintf "Graph.create: non-positive weight %g on (%d,%d)"
-             e.w e.u e.v))
-    edge_list;
+  List.iter (check_edge n) edge_list;
   let edges = Array.of_list edge_list in
   { n; edges; adj = build_adj n edges }
 
@@ -150,18 +150,21 @@ let is_connected g =
     !count = g.n
   end
 
-let reweight_simple g =
-  let tbl = Hashtbl.create (m g) in
+(* Sum parallel edges in a table sized for [edges]; the table's order is
+   the result's edge order. *)
+let simple_of_edges n edges =
+  Array.iter (check_edge n) edges;
+  let tbl = Hashtbl.create (Array.length edges) in
   Array.iter
     (fun e ->
       let key = (min e.u e.v, max e.u e.v) in
       let cur = try Hashtbl.find tbl key with Not_found -> 0. in
       Hashtbl.replace tbl key (cur +. e.w))
-    g.edges;
+    edges;
   let edge_list =
     Hashtbl.fold (fun (u, v) w acc -> { u; v; w } :: acc) tbl []
   in
-  create g.n edge_list
+  create n edge_list
 
 let canonical_edges g =
   Array.to_list g.edges

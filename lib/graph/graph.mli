@@ -75,9 +75,11 @@ val scale_weights : float -> t -> t
 
 val is_connected : t -> bool
 
-val reweight_simple : t -> t
-(** Collapses parallel edges by summing weights, producing a simple graph
-    with the same Laplacian. *)
+val simple_of_edges : int -> edge array -> t
+(** [simple_of_edges n es] collapses the parallel edges of the multigraph
+    [create n (Array.to_list es)] by summing their weights, producing a
+    simple graph with the same Laplacian, without building the multigraph
+    in between. Raises as {!create} does. *)
 
 val equal_structure : t -> t -> bool
 (** Same vertex count and same multiset of (endpoints, weight) edges. *)

@@ -5,9 +5,13 @@ let scale_of g =
   let total = Graph.total_weight g in
   if total <= 0. then 0. else 2. /. total
 
+let need_two name g =
+  if Graph.n g < 2 then
+    invalid_arg (Printf.sprintf "Product_demand.%s: need n >= 2" name)
+
 let complete g =
+  need_two "complete" g;
   let n = Graph.n g in
-  if n < 2 then invalid_arg "Product_demand.complete: need n >= 2";
   let d = weighted_degrees g in
   let s = scale_of g in
   let acc = ref [] in
@@ -21,10 +25,6 @@ let complete g =
 
 let default_degree n = 3 + Runtime.Cost.log2_ceil (max n 2)
 
-let edge_count_bound ~n ~degree =
-  let classes = Runtime.Cost.log2_ceil (max n 2) + 2 in
-  (n * degree) + (classes * classes * degree)
-
 (* Offsets 1, 2, 4, ... — the same deterministic circulant family as
    Gen.expander. *)
 let circulant_offsets limit count =
@@ -33,28 +33,53 @@ let circulant_offsets limit count =
   in
   if limit < 1 then [] else loop 1 count [ 1 ] |> List.sort_uniq compare
 
-let sparse ?degree g =
-  let n = Graph.n g in
-  if n < 2 then invalid_arg "Product_demand.sparse: need n >= 2";
-  let t = match degree with Some d -> max 1 d | None -> default_degree n in
-  let d = weighted_degrees g in
-  let s = scale_of g in
-  (* Binary degree classes over vertices with positive degree. *)
+(* Binary degree classes over vertices with positive degree [d], in
+   increasing class order, each listing its vertices in increasing order. *)
+let degree_classes d =
   let buckets = Hashtbl.create 8 in
-  for v = 0 to n - 1 do
-    if d.(v) > 0. then begin
-      let c = int_of_float (Float.floor (Float.log2 d.(v))) in
-      let cur = try Hashtbl.find buckets c with Not_found -> [] in
-      Hashtbl.replace buckets c (v :: cur)
-    end
-  done;
-  let classes =
-    Hashtbl.fold (fun c vs acc -> (c, Array.of_list (List.rev vs)) :: acc)
-      buckets []
-    |> List.sort compare
-    |> List.map snd
-    |> Array.of_list
-  in
+  Array.iteri
+    (fun v dv ->
+      if dv > 0. then begin
+        let c = int_of_float (Float.floor (Float.log2 dv)) in
+        let cur = try Hashtbl.find buckets c with Not_found -> [] in
+        Hashtbl.replace buckets c (v :: cur)
+      end)
+    d;
+  Hashtbl.fold (fun c vs acc -> (c, Array.of_list (List.rev vs)) :: acc)
+    buckets []
+  |> List.sort compare
+  |> List.map snd
+  |> Array.of_list
+
+(* The pairs [build] places, counted from the class sizes alone. An
+   intra-class circulant on [a] vertices has [a] pairs per offset, [a/2]
+   when the offset is [a/2] (both endpoints name the same pair); the
+   bipartite circulant from class size [a] to [b] (in class order) reaches
+   [r = min t b] right vertices from each left one, covering right indices
+   [0 .. a+r-2], and the sweep adds one pair per right vertex left over. *)
+let count_pairs n classes =
+  let t = default_degree n in
+  let sizes = Array.map Array.length classes in
+  let count = ref 0 in
+  Array.iteri
+    (fun i a ->
+      if a >= 2 then
+        List.iter
+          (fun o -> count := !count + if 2 * o = a then a / 2 else a)
+          (circulant_offsets (a / 2) t);
+      for j = i + 1 to Array.length sizes - 1 do
+        let b = sizes.(j) in
+        let r = min t b in
+        count := !count + (a * r) + max 0 (b - (a + r - 1))
+      done)
+    sizes;
+  !count
+
+(* The stand-in for [g] with weighted degrees [d] and their [classes]. *)
+let build g d classes =
+  let n = Graph.n g in
+  let t = default_degree n in
+  let s = scale_of g in
   let acc = ref [] in
   let add_edges pairs mass =
     (* Distribute [mass] over [pairs] proportionally to d_u·d_v. *)
@@ -139,3 +164,30 @@ let sparse ?degree g =
     done
   done;
   Graph.create n !acc
+
+let sparse g =
+  need_two "sparse" g;
+  let d = weighted_degrees g in
+  build g d (degree_classes d)
+
+let edge_count g =
+  need_two "edge_count" g;
+  count_pairs (Graph.n g) (degree_classes (weighted_degrees g))
+
+(* A pair weight [mass·d_u·d_v/z] that underflows to zero or is not a
+   number is dropped by [build], and one that overflows is infinite: both
+   happen only for degrees near the ends of the float range. *)
+let sparse_below ~limit g =
+  need_two "sparse_below" g;
+  let d = weighted_degrees g in
+  let classes = degree_classes d in
+  let count = count_pairs (Graph.n g) classes in
+  if count >= limit then None
+  else begin
+    let h = build g d classes in
+    if
+      Graph.m h = count
+      && Array.for_all (fun e -> Float.is_finite e.Graph.w) (Graph.edges h)
+    then Some h
+    else None
+  end

@@ -17,12 +17,25 @@ val complete : Graph.t -> Graph.t
     (a complete graph; only for analysis and tests on small clusters).
     Isolated vertices are left isolated. Requires [Graph.n g' ≥ 2]. *)
 
-val sparse : ?degree:int -> Graph.t -> Graph.t
+val sparse : Graph.t -> Graph.t
 (** [sparse g'] is the deterministic sparse stand-in for [complete g']:
-    [O(n·degree + (#degree classes)²·degree)] edges with the same total
-    weight between and within degree classes. [degree] defaults to
-    [3 + ⌈log₂ n⌉]. *)
+    [O(n·t + (#degree classes)²·t)] edges, with circulant degree
+    [t = 3 + ⌈log₂ n⌉], and the same total weight between and within
+    degree classes. *)
 
-val edge_count_bound : n:int -> degree:int -> int
-(** Upper bound on [Graph.m (sparse g')] used by the size accounting of
-    Theorem 3.3. *)
+val edge_count : Graph.t -> int
+(** [edge_count g'] is the number of vertex pairs [sparse g'] places,
+    computed from the degree-class sizes and circulant offsets without
+    building the graph. It equals [Graph.m (sparse g')] unless degrees
+    near the ends of the float range make pair weights underflow to zero
+    or stop being numbers, and [sparse] drops those pairs. Requires
+    [Graph.n g' ≥ 2]. *)
+
+val sparse_below : limit:int -> Graph.t -> Graph.t option
+(** [sparse_below ~limit g'] is [Some (sparse g')] when that stand-in has
+    fewer than [limit] edges and is numerically whole: it holds every pair
+    {!edge_count} counts, each with a finite weight. Otherwise it is
+    [None], and a stand-in of [limit] edges or more is never built.
+    Theorem 3.3's pipeline passes a cluster's own edge count as [limit]
+    and keeps the cluster verbatim on [None], so an emptied or partial
+    stand-in never disconnects it. Requires [Graph.n g' ≥ 2]. *)

@@ -10,26 +10,31 @@ type result = {
 
 let weight_class w = int_of_float (Float.floor (Float.log2 w))
 
-(* Sparsify one expander cluster: translate the induced-subgraph stand-in
-   back to original vertex identifiers. *)
-let cluster_sparsifier backend sub vs =
-  let k = Graph.n sub in
-  let translate h =
-    Array.to_list (Graph.edges h)
-    |> List.map (fun e -> { e with Graph.u = vs.(e.Graph.u); v = vs.(e.Graph.v) })
-  in
-  if k < 2 then []
+(* Sparsify one expander cluster [vs] of [g], in [g]'s vertex ids. A
+   cluster spanning all of [g] is [0..n-1] (Decomposition's contract), so
+   it is its own induced subgraph and needs no translation. *)
+let cluster_sparsifier backend g vs =
+  let k = Array.length vs in
+  if k < 2 then [||]
   else begin
+    let whole = k = Graph.n g in
+    let sub = if whole then g else fst (Graph.induced g vs) in
+    let translate h =
+      if whole then Graph.edges h
+      else
+        Array.map
+          (fun e -> { e with Graph.u = vs.(e.Graph.u); v = vs.(e.Graph.v) })
+          (Graph.edges h)
+    in
     match backend with
-    | Buckets ->
-      if Graph.m sub <= 2 * k then translate sub
-      else begin
-        (* Keep whichever representation is smaller — a cluster below the
-           stand-in's own size would only grow. *)
-        let candidate = Product_demand.sparse sub in
-        if Graph.m candidate < Graph.m sub then translate candidate
-        else translate sub
-      end
+    | Buckets when Graph.m sub <= 2 * k -> translate sub
+    | Buckets -> (
+      (* Keep whichever representation is smaller — a cluster below the
+         stand-in's own size would only grow — and the cluster itself
+         when the stand-in is not numerically whole. *)
+      match Product_demand.sparse_below ~limit:(Graph.m sub) sub with
+      | Some h -> translate h
+      | None -> translate sub)
     | Bss_internal d ->
       if Graph.m sub <= d * (k - 1) || not (Graph.is_connected sub) then
         translate sub
@@ -62,7 +67,10 @@ let sparsify ?(phi = 0.05) ?(gamma = 0.25) ?max_levels ?(backend = Buckets)
   in
   let ledger = Runtime.Cost.create () in
   let max_level_used = ref 0 in
-  let sparsifier_edges = ref [] in
+  (* Per-cluster edge blocks, newest first; concatenated in this order
+     they are the edge sequence [Graph.simple_of_edges] merges, whose
+     hash-table order is the sparsifier's edge order. *)
+  let blocks = ref [] in
   List.iter
     (fun (_c, ids) ->
       let current = ref (Graph.sub_edges g ids) in
@@ -86,19 +94,14 @@ let sparsify ?(phi = 0.05) ?(gamma = 0.25) ?max_levels ?(backend = Buckets)
         Runtime.Cost.charge ledger ~phase:"decompose"
           (decompose_rounds + Runtime.Cost.broadcast_rounds);
         List.iter
-          (fun vs ->
-            let sub, _ = Graph.induced !current vs in
-            sparsifier_edges :=
-              cluster_sparsifier backend sub vs @ !sparsifier_edges)
+          (fun vs -> blocks := cluster_sparsifier backend !current vs :: !blocks)
           d.Expander.Decomposition.clusters;
         current := Graph.sub_edges !current d.Expander.Decomposition.crossing
       done;
       (* Level cap reached with edges remaining: keep them verbatim. *)
-      if Graph.m !current > 0 then
-        sparsifier_edges :=
-          Array.to_list (Graph.edges !current) @ !sparsifier_edges)
+      if Graph.m !current > 0 then blocks := Graph.edges !current :: !blocks)
     class_list;
-  let h = Graph.reweight_simple (Graph.create n !sparsifier_edges) in
+  let h = Graph.simple_of_edges n (Array.concat !blocks) in
   (* Make the sparsifier globally known: gather all its edges everywhere. *)
   let u = Float.max 1. (Graph.max_weight g) in
   let bits_per_edge =

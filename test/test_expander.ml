@@ -526,3 +526,98 @@ let suite =
       Alcotest.test_case "fiedler zero-alloc steps" `Quick
         test_fiedler_steps_allocate_nothing;
     ]
+
+(* ------------------------------------------ allocation-free exact cuts *)
+
+(* Verbatim copy of the decomposition's former exact small-cluster cut: a
+   fresh [inside] array per cut, and [Conductance.of_cut] refolding every
+   degree, 2Σw and the cut. The differential oracle pinning
+   [Conductance.exact_cut] to it bit for bit. *)
+let seed_best_cut_small g =
+  let n = Graph.n g in
+  let best_phi = ref infinity in
+  let best = ref (Array.make n false) in
+  for mask = 1 to (1 lsl (n - 1)) - 1 do
+    let inside = Array.make n false in
+    inside.(0) <- true;
+    for b = 0 to n - 2 do
+      if (mask lsr b) land 1 = 1 then inside.(b + 1) <- true
+    done;
+    if not (Array.for_all (fun x -> x) inside) then begin
+      let phi = Expander.Conductance.of_cut g inside in
+      if phi < !best_phi then begin
+        best_phi := phi;
+        best := inside
+      end
+    end
+  done;
+  (!best, !best_phi)
+
+(* A random multigraph on [k] vertices: a spanning path half the time (the
+   decomposition only cuts connected clusters, the rest need not be), then
+   up to 3k edges with repeats, weights log-uniform in [1e-3, 2^40]. *)
+let random_small_graph rng k =
+  let weight () = 1e-3 *. Float.pow 2. (Prng.float rng 50.) in
+  let path =
+    if Prng.bool rng then
+      List.init (k - 1) (fun i -> { Graph.u = i; v = i + 1; w = weight () })
+    else []
+  in
+  let extra =
+    List.init (Prng.int rng (3 * k)) (fun _ ->
+        let u = Prng.int rng k in
+        let v = (u + 1 + Prng.int rng (k - 1)) mod k in
+        { Graph.u; v; w = weight () })
+  in
+  Graph.create k (path @ extra)
+
+(* 3,300 graphs: 300 per k = 3..12, and 20 each at k = 13, 14, where one
+   verbatim enumeration alone takes ~10-20 ms. *)
+let test_exact_cut_bit_identical_to_seed () =
+  let rng = Prng.create 0x5eedL in
+  let ks =
+    List.concat_map (fun k -> List.init 300 (fun _ -> k)) (List.init 10 (( + ) 3))
+    @ List.init 20 (fun _ -> 13)
+    @ List.init 20 (fun _ -> 14)
+  in
+  let mismatches = ref 0 in
+  List.iter
+    (fun k ->
+      let g = random_small_graph rng k in
+      let inside0, phi0 = seed_best_cut_small g in
+      let inside1, phi1 = Expander.Conductance.exact_cut g in
+      if
+        inside0 <> inside1
+        || Int64.bits_of_float phi0 <> Int64.bits_of_float phi1
+      then incr mismatches)
+    ks;
+  Alcotest.(check int)
+    (Printf.sprintf "mismatches in inside or phi bits over %d graphs"
+       (List.length ks))
+    0 !mismatches
+
+(* The cut scan allocates per call (the degrees, the result), never per
+   cut: one k = 14 call scans 8,190 cuts and allocates fewer words than
+   that, where a single boxed float per cut would take two words each. *)
+let test_exact_cut_allocates_nothing_per_cut () =
+  if Sys.backend_type = Sys.Native then begin
+    let g = random_small_graph (Prng.create 14L) 14 in
+    let cuts = (1 lsl 13) - 2 in
+    ignore (Expander.Conductance.exact_cut g) (* warm-up *);
+    let w0 = Gc.minor_words () in
+    ignore (Expander.Conductance.exact_cut g);
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f words for %d cuts" words cuts)
+      true
+      (words < float_of_int cuts)
+  end
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "exact cut bit-identical to seed" `Quick
+        test_exact_cut_bit_identical_to_seed;
+      Alcotest.test_case "exact cut zero-alloc cuts" `Quick
+        test_exact_cut_allocates_nothing_per_cut;
+    ]

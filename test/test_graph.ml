@@ -37,7 +37,7 @@ let test_graph_multigraph () =
   Alcotest.(check int) "two parallel edges" 2 (Graph.m g);
   Alcotest.(check (float 1e-12)) "weighted degree sums" 3.
     (Graph.weighted_degree g 0);
-  let simple = Graph.reweight_simple g in
+  let simple = Graph.simple_of_edges (Graph.n g) (Graph.edges g) in
   Alcotest.(check int) "collapsed" 1 (Graph.m simple);
   Alcotest.(check (float 1e-12)) "weights summed" 3.
     (Graph.edge simple 0).Graph.w

@@ -709,6 +709,48 @@ let test_chebyshev_iterations_allocate_nothing () =
       (d2 -. d1)
   end
 
+(* The same delta-of-deltas for single-call kernels: 21 calls allocate
+   exactly what one call does. *)
+let calls_allocate_nothing what f =
+  if Sys.backend_type = Sys.Native then begin
+    f () (* warm-up *);
+    let d1 = minor_words_delta f in
+    let d21 =
+      minor_words_delta (fun () ->
+          for _ = 1 to 21 do
+            f ()
+          done)
+    in
+    check_float (what ^ ": 20 extra calls allocate zero words") 0. 0.
+      (d21 -. d1)
+  end
+
+let dense_spd n =
+  let open Linalg in
+  let l = Graph.laplacian_dense (Graph_gen.weighted_gnp ~seed:23L n 0.3 8) in
+  Dense.init n (fun i j -> l.(i).(j) +. if i = j then 1. else 0.)
+
+let test_dense_mul_vec_into_allocates_nothing () =
+  let a = dense_spd 40 in
+  let x = Linalg.Vec.init 40 (fun i -> float_of_int ((i * 5) mod 7) -. 3.) in
+  let y = Linalg.Vec.create 40 in
+  calls_allocate_nothing "Dense.mul_vec_into" (fun () ->
+      Linalg.Dense.mul_vec_into a x y)
+
+let test_dense_cholesky_solve_into_allocates_nothing () =
+  let l = Linalg.Dense.cholesky (dense_spd 40) in
+  let b = Linalg.Vec.init 40 (fun i -> float_of_int ((i * 3) mod 11) -. 5.) in
+  let scratch = Linalg.Vec.create 40 and x = Linalg.Vec.create 40 in
+  calls_allocate_nothing "Dense.cholesky_solve_into" (fun () ->
+      Linalg.Dense.cholesky_solve_into l b scratch x)
+
+let test_apply_laplacian_into_allocates_nothing () =
+  let g = Graph_gen.weighted_gnp ~seed:24L 80 0.2 16 in
+  let x = Linalg.Vec.init 80 (fun i -> float_of_int ((i * 7) mod 13) -. 6.) in
+  let y = Linalg.Vec.create 80 in
+  calls_allocate_nothing "Graph.apply_laplacian_into" (fun () ->
+      Graph.apply_laplacian_into g x y)
+
 let suite =
   suite
   @ [
@@ -728,4 +770,10 @@ let suite =
         test_cg_iterations_allocate_nothing;
       Alcotest.test_case "chebyshev zero-alloc iterations" `Quick
         test_chebyshev_iterations_allocate_nothing;
+      Alcotest.test_case "dense mul_vec_into zero-alloc calls" `Quick
+        test_dense_mul_vec_into_allocates_nothing;
+      Alcotest.test_case "dense cholesky_solve_into zero-alloc calls" `Quick
+        test_dense_cholesky_solve_into_allocates_nothing;
+      Alcotest.test_case "apply_laplacian_into zero-alloc calls" `Quick
+        test_apply_laplacian_into_allocates_nothing;
     ]

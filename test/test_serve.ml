@@ -203,9 +203,12 @@ let test_queue_timeout () =
   (* One worker, three slow guard jobs: the 1 ms-deadline job lands
      behind them in the FIFO queue, and the guards cannot all drain
      within the 20 ms head start, so by dequeue time it is long
-     expired. (One guard is not enough — a single n=80 preparation
-     takes ~40 ms and occasionally finished before the timed job was
-     enqueued.) *)
+     expired. The guards must outlast that head start however fast a
+     preparation gets: one n=80 guard was not enough when a preparation
+     took ~40 ms, and three n=80 guards (about 2 ms each once the
+     sparsifier stopped building discarded candidates) sometimes
+     drained first on a loaded 2-core host; an n=240 preparation takes
+     about 17 ms there. *)
   with_daemon ~jobs:1 (fun addr ->
       let fast = Serve.Client.connect addr in
       let guards =
@@ -218,7 +221,7 @@ let test_queue_timeout () =
                   result :=
                     Some
                       (Serve.Client.request_string ~deadline:(deadline ()) c
-                         (solve_req ~id ~n:80 ~extra:{|,"nocache":true|} ())))
+                         (solve_req ~id ~n:240 ~extra:{|,"nocache":true|} ())))
             in
             (c, result, d))
           [ 20; 22; 23 ]

@@ -377,9 +377,7 @@ let test_stopped_worker policy () =
   let reference, _ = M.deliver ~n ~width:2 out in
   let victim = List.nth (Sock.pids t) 1 in
   Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill victim Sys.sigcont with Unix.Unix_error _ -> ());
-      Sock.close t)
+    ~finally:(fun () -> Sock.close t)
     (fun () ->
       Unix.kill victim Sys.sigstop;
       Alcotest.check inboxes_t "recovered round equals Mailbox.deliver"
@@ -609,24 +607,71 @@ let test_per_call_sessions_closed () =
    sockets cc-wire-<pid>-…; once the session is closed none may be left
    in the temp directory — the coordinator removes its spawned workers'
    files, since it may SIGKILL them before they could. *)
-let test_no_socket_files_left () =
+let our_socket_files () =
   let prefix = Printf.sprintf "cc-wire-%d-" (Unix.getpid ()) in
-  let ours () =
-    List.filter
-      (String.starts_with ~prefix)
-      (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())))
-  in
+  List.filter
+    (String.starts_with ~prefix)
+    (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())))
+
+let test_no_socket_files_left () =
   let t = Sock.create ~shards:2 6 in
   ignore (Sock.exchange t (all_to_all 6));
   Alcotest.(check bool) "a live session has its socket files" true
-    (ours () <> []);
+    (our_socket_files () <> []);
   Sock.close t;
-  Alcotest.(check (list string)) "no socket file left" [] (ours ());
+  Alcotest.(check (list string)) "no socket file left" [] (our_socket_files ());
   let t = Sock.create ~shards:2 6 in
   Unix.kill (List.nth (Sock.pids t) 1) Sys.sigkill;
   Sock.close t;
   Alcotest.(check (list string)) "none left by a SIGKILLed worker" []
-    (ours ())
+    (our_socket_files ())
+
+(* Closing a session whose worker is stopped: the worker never acts on
+   Shutdown, so [close] must give up on it at the session timeout, kill
+   and reap it, and still remove every socket file. A watchdog of its own
+   SIGKILLs the family if [close] is still blocked well past that bound,
+   so an unbounded wait fails this test instead of hanging the suite; the
+   suite's watchdog is re-armed afterwards. *)
+let test_close_stopped_worker () =
+  let t = Sock.create ~shards:2 ~timeout:1.0 6 in
+  ignore (Sock.exchange t (all_to_all 6));
+  let pids = Sock.pids t in
+  Unix.kill (List.nth pids 1) Sys.sigstop;
+  let fired = ref false in
+  let suite_watchdog =
+    Sys.signal Sys.sigalrm
+      (Sys.Signal_handle
+         (fun _ ->
+           fired := true;
+           List.iter
+             (fun p -> try Unix.kill p Sys.sigkill with Unix.Unix_error _ -> ())
+             pids))
+  in
+  let left = Unix.alarm 8 in
+  let t0 = Unix.gettimeofday () in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm suite_watchdog;
+      ignore (Unix.alarm (max 1 (left - 8))))
+    (fun () -> Sock.close t);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "close returned before the watchdog" false !fired;
+  Alcotest.(check bool)
+    (Printf.sprintf "close took %.2f s, bound is the 1 s timeout + 3 s"
+       elapsed)
+    true (elapsed < 4.0);
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        (Printf.sprintf "worker %d reaped" p)
+        true
+        (match Unix.waitpid [ Unix.WNOHANG ] p with
+        | _ -> false
+        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true))
+    pids;
+  Alcotest.(check (list string)) "no socket file left" []
+    (our_socket_files ())
 
 let () =
   Alcotest.run "socket"
@@ -699,5 +744,7 @@ let () =
             test_per_call_sessions_closed;
           Alcotest.test_case "no socket file left after close" `Quick
             test_no_socket_files_left;
+          Alcotest.test_case "close bounded on a stopped worker" `Quick
+            test_close_stopped_worker;
         ] );
     ]

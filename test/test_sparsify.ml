@@ -299,3 +299,356 @@ let suite =
       Alcotest.test_case "sampling deterministic per seed" `Quick
         test_sampling_deterministic_given_seed;
     ]
+
+(* ------------------------------------------- sparsifier assembly pinned *)
+
+(* Verbatim copy of the sparsifier before candidates were counted first
+   and clusters assembled as arrays: every cluster copied by
+   [Graph.induced] (the whole-graph one too), every product-demand
+   candidate built before the size test, edge lists joined with [@] and
+   merged by the former [Graph.reweight_simple]. The one addition is
+   [on_candidate], which observes each candidate built and its cluster.
+   The differential oracle for [Spectral.sparsify]. *)
+module Seed_spectral = struct
+  let weight_class w = int_of_float (Float.floor (Float.log2 w))
+
+  let reweight_simple g =
+    let tbl = Hashtbl.create (Graph.m g) in
+    Array.iter
+      (fun e ->
+        let key = (min e.Graph.u e.Graph.v, max e.Graph.u e.Graph.v) in
+        let cur = try Hashtbl.find tbl key with Not_found -> 0. in
+        Hashtbl.replace tbl key (cur +. e.Graph.w))
+      (Graph.edges g);
+    let edge_list =
+      Hashtbl.fold (fun (u, v) w acc -> { Graph.u; v; w } :: acc) tbl []
+    in
+    Graph.create (Graph.n g) edge_list
+
+  let cluster_sparsifier ~on_candidate backend sub vs =
+    let k = Graph.n sub in
+    let translate h =
+      Array.to_list (Graph.edges h)
+      |> List.map (fun e -> { e with Graph.u = vs.(e.Graph.u); v = vs.(e.Graph.v) })
+    in
+    if k < 2 then []
+    else begin
+      match backend with
+      | Sparsify.Spectral.Buckets ->
+        if Graph.m sub <= 2 * k then translate sub
+        else begin
+          let candidate = Sparsify.Product_demand.sparse sub in
+          on_candidate sub candidate;
+          if Graph.m candidate < Graph.m sub then translate candidate
+          else translate sub
+        end
+      | Sparsify.Spectral.Bss_internal d ->
+        if Graph.m sub <= d * (k - 1) || not (Graph.is_connected sub) then
+          translate sub
+        else translate (Sparsify.Bss.sparsify ~d sub)
+    end
+
+  let sparsify ?(on_candidate = fun _ _ -> ()) ?(phi = 0.05) ?(gamma = 0.25)
+      ?max_levels ?(backend = Sparsify.Spectral.Buckets) ?model g =
+    let model =
+      match model with Some m -> m | None -> Runtime.Model.default ()
+    in
+    let n = Graph.n g in
+    let m = Graph.m g in
+    let max_levels =
+      match max_levels with
+      | Some k -> k
+      | None -> (4 * Runtime.Cost.log2_ceil (max m 2)) + 4
+    in
+    let class_tbl = Hashtbl.create 8 in
+    Array.iteri
+      (fun id e ->
+        let c = weight_class e.Graph.w in
+        let cur = try Hashtbl.find class_tbl c with Not_found -> [] in
+        Hashtbl.replace class_tbl c (id :: cur))
+      (Graph.edges g);
+    let class_list =
+      Hashtbl.fold (fun c ids acc -> (c, List.rev ids) :: acc) class_tbl []
+      |> List.sort compare
+    in
+    let ledger = Runtime.Cost.create () in
+    let max_level_used = ref 0 in
+    let sparsifier_edges = ref [] in
+    List.iter
+      (fun (_c, ids) ->
+        let current = ref (Graph.sub_edges g ids) in
+        let level = ref 0 in
+        while Graph.m !current > 0 && !level < max_levels do
+          incr level;
+          max_level_used := max !max_level_used !level;
+          let d = Expander.Decomposition.decompose ~phi ~gamma !current in
+          let decompose_rounds =
+            match model with
+            | Runtime.Model.Unicast -> d.Expander.Decomposition.rounds
+            | Runtime.Model.Broadcast ->
+              Expander.Decomposition.bcast_rounds_formula
+                ~n:(Graph.n !current)
+          in
+          Runtime.Cost.charge ledger ~phase:"decompose"
+            (decompose_rounds + Runtime.Cost.broadcast_rounds);
+          List.iter
+            (fun vs ->
+              let sub, _ = Graph.induced !current vs in
+              sparsifier_edges :=
+                cluster_sparsifier ~on_candidate backend sub vs
+                @ !sparsifier_edges)
+            d.Expander.Decomposition.clusters;
+          current := Graph.sub_edges !current d.Expander.Decomposition.crossing
+        done;
+        if Graph.m !current > 0 then
+          sparsifier_edges :=
+            Array.to_list (Graph.edges !current) @ !sparsifier_edges)
+      class_list;
+    let h = reweight_simple (Graph.create n !sparsifier_edges) in
+    let u = Float.max 1. (Graph.max_weight g) in
+    let bits_per_edge =
+      (3 * Runtime.Cost.log2_ceil (max n 2))
+      + Runtime.Cost.log2_ceil (int_of_float (Float.ceil u) + 1)
+    in
+    Runtime.Cost.charge ledger ~phase:"gather"
+      (match model with
+      | Runtime.Model.Unicast ->
+        Runtime.Cost.gather_rounds ~n ~m:(Graph.m h) ~bits_per_edge
+      | Runtime.Model.Broadcast ->
+        Runtime.Cost.bcast_gather_rounds ~n ~m:(Graph.m h) ~bits_per_edge);
+    {
+      Sparsify.Spectral.sparsifier = h;
+      levels = !max_level_used;
+      classes = List.length class_list;
+      rounds = Runtime.Cost.rounds ledger;
+      phase_rounds = Runtime.Cost.phases ledger;
+    }
+end
+
+(* Everything a result carries, weights by their IEEE bits. *)
+let result_bits (r : Sparsify.Spectral.result) =
+  ( Graph.n r.Sparsify.Spectral.sparsifier,
+    Array.map
+      (fun e -> (e.Graph.u, e.Graph.v, Int64.bits_of_float e.Graph.w))
+      (Graph.edges r.Sparsify.Spectral.sparsifier),
+    ( r.Sparsify.Spectral.levels,
+      r.Sparsify.Spectral.classes,
+      r.Sparsify.Spectral.rounds,
+      r.Sparsify.Spectral.phase_rounds ) )
+
+let shift k g =
+  List.map
+    (fun e -> { e with Graph.u = e.Graph.u + k; v = e.Graph.v + k })
+    (Array.to_list (Graph.edges g))
+
+(* Degenerate inputs, each with the sparsifier fingerprint
+   ([Test_expander.fnv_sparsifier]: edge bits, levels, rounds) recorded
+   before candidates were counted first; each passes
+   [Fault.Check.sparsifier]. The isolated vertex is vertex 0, so the big
+   cluster is renumbered and is not the whole graph. *)
+let degenerate_cases =
+  [
+    ("n = 1", 0x07295d91aa94b524L, fun () -> Graph.create 1 []);
+    ( "n = 2",
+      0x83a8be31ef880932L,
+      fun () -> Graph.create 2 [ { Graph.u = 0; v = 1; w = 3. } ] );
+    ("no edges", 0x01d0aaab079e74a3L, fun () -> Graph.create 6 []);
+    ( "disconnected",
+      0xf6cd2e627282b9adL,
+      fun () ->
+        let a = Graph_gen.connected_gnp ~seed:7L 20 0.4
+        and b = Graph_gen.connected_gnp ~seed:8L 15 0.5 in
+        Graph.create 35 (Array.to_list (Graph.edges a) @ shift 20 b) );
+    ( "multi-edges",
+      0x9d03db8681e15338L,
+      fun () ->
+        let g = Graph_gen.weighted_gnp ~seed:9L 30 0.4 4 in
+        Graph.create 30
+          (Array.to_list (Graph.edges g)
+          @ List.map
+              (fun e -> { e with Graph.w = 3. *. e.Graph.w })
+              (Array.to_list (Graph.edges g))) );
+    ( "isolated vertex 0 plus G(40, 0.4)",
+      0x889b2a11f7fc8781L,
+      fun () ->
+        Graph.create 41 (shift 1 (Graph_gen.connected_gnp ~seed:10L 40 0.4)) );
+    (* 33 vertices: a stand-in for the 32-vertex cluster takes its
+       circulant degree from ⌈log₂ 32⌉, one less than the whole graph's. *)
+    ( "isolated vertex 0 plus G(32, 0.5)",
+      0xcdc0ef041f7423d8L,
+      fun () ->
+        Graph.create 33 (shift 1 (Graph_gen.connected_gnp ~seed:12L 32 0.5)) );
+    ( "weights 1 and 2^40",
+      0xbc76f894d099b413L,
+      fun () ->
+        Graph.map_weights
+          (fun e -> if (e.Graph.u + e.Graph.v) land 1 = 0 then 1. else 0x1p40)
+          (Graph_gen.connected_gnp ~seed:11L 50 0.3) );
+  ]
+
+let test_degenerate_inputs_pinned () =
+  List.iter
+    (fun (name, expected, g) ->
+      let g = g () in
+      let r = Sparsify.Spectral.sparsify ~model:Runtime.Model.Unicast g in
+      Alcotest.(check string) (name ^ ": certified") "pass"
+        (Fault.Check.to_string
+           (Fault.Check.sparsifier g r.Sparsify.Spectral.sparsifier));
+      Alcotest.(check string) (name ^ ": fingerprint")
+        (Printf.sprintf "%016Lx" expected)
+        (Printf.sprintf "%016Lx" (Test_expander.fnv_sparsifier r)))
+    degenerate_cases
+
+(* Weight scales at the ends of the float range. In G(60, 0.5) with
+   weights 1..8 no cluster's stand-in is smaller than the cluster; one
+   built regardless comes back empty at 1e-120 and 1e200. K_40 is one
+   cluster whose 200-pair stand-in beats its 780 edges, so only the
+   wholeness test refuses it: its pair weights underflow to zero at
+   1e-120, overflow to infinity at 1e120, and are not numbers at 1e200.
+   At 1e100 they are finite and the stand-in is kept. *)
+let test_scaled_weights_stay_certified () =
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun s ->
+          let gs = Graph.scale_weights s g in
+          List.iter
+            (fun (entry, h) ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s of %s at weight scale %g" entry name s)
+                "pass"
+                (Fault.Check.to_string (Fault.Check.sparsifier gs h)))
+            [
+              ( "Spectral.sparsify",
+                (Sparsify.Spectral.sparsify gs).Sparsify.Spectral.sparsifier );
+              ( "Core.spectral_sparsifier",
+                (Core.spectral_sparsifier gs).Sparsify.Spectral.sparsifier );
+            ])
+        [ 1e-120; 1e100; 1e120; 1e200 ])
+    [
+      ("G(60, 0.5)", Graph_gen.weighted_gnp ~seed:5L 60 0.5 8);
+      ("K_40", Graph_gen.complete 40);
+    ]
+
+(* Random multigraphs for the count differential: repeated pairs, isolated
+   vertices, and weights log-uniform in [1e-6, 2^40], which scatter the
+   vertices over many degree classes, often of one vertex. *)
+let random_multigraph rng =
+  let n = 2 + Prng.int rng 39 in
+  let weight () = 1e-6 *. Float.pow 2. (Prng.float rng 60.) in
+  let uniform = Prng.bool rng in
+  let edges =
+    List.init (Prng.int rng (4 * n)) (fun _ ->
+        let u = Prng.int rng n in
+        let v = (u + 1 + Prng.int rng (n - 1)) mod n in
+        { Graph.u; v; w = (if uniform then 1. else weight ()) })
+  in
+  Graph.create n edges
+
+let test_edge_count_exact () =
+  let rng = Prng.create 0xc0a7L in
+  let graphs = 1200 in
+  let mismatches = ref [] in
+  for i = 1 to graphs do
+    let g = random_multigraph rng in
+    let counted = Sparsify.Product_demand.edge_count g in
+    let built = Graph.m (Sparsify.Product_demand.sparse g) in
+    if counted <> built then
+      mismatches :=
+        Printf.sprintf "graph %d (n=%d m=%d): counted %d, built %d" i
+          (Graph.n g) (Graph.m g) counted built
+        :: !mismatches
+  done;
+  Alcotest.(check (list string))
+    (Printf.sprintf "count = Graph.m (sparse g) on %d graphs" graphs)
+    [] (List.rev !mismatches)
+
+let test_sparsify_equals_seed () =
+  let graphs =
+    List.map (fun (name, _, g) -> (name, g ())) degenerate_cases
+    @ [
+        ("connected_gnp 60/0.3", Graph_gen.connected_gnp ~seed:13L 60 0.3);
+        ("weighted_gnp 70/0.4/64", Graph_gen.weighted_gnp ~seed:15L 70 0.4 64);
+        ("expander 64/8", Graph_gen.expander 64 8);
+        ("barbell 12", Graph_gen.barbell 12);
+        ("grid 6x9", Graph_gen.grid 6 9);
+        ( "planted_partition 60/0.5/0.02",
+          Graph_gen.planted_partition ~seed:21L 60 0.5 0.02 );
+        ("complete 30", Graph_gen.complete 30);
+      ]
+  in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun model ->
+          Alcotest.(check bool) name true
+            (result_bits (Seed_spectral.sparsify ~model g)
+            = result_bits (Sparsify.Spectral.sparsify ~model g)))
+        [ Runtime.Model.Unicast; Runtime.Model.Broadcast ])
+    graphs;
+  let g = Graph_gen.connected_gnp ~seed:8L 24 0.5 in
+  let backend = Sparsify.Spectral.Bss_internal 6 in
+  Alcotest.(check bool) "bss backend" true
+    (result_bits (Seed_spectral.sparsify ~backend g)
+    = result_bits (Sparsify.Spectral.sparsify ~backend g))
+
+(* perfbench's solve-cold fleet for [seed] (24 weighted G(n, 0.3) graphs,
+   n from 128 to 192, weights 1..8), after the solver's weight rounding
+   to multiples of eps = 1e-6: the graphs Theorem 1.1's solver sparsifies. *)
+let solve_cold_fleet seed =
+  List.init 24 (fun i ->
+      let n = 128 + (64 * i / 23) in
+      Graph.map_weights
+        (fun e -> 1e-6 *. Float.max 1. (Float.round (e.Graph.w /. 1e-6)))
+        (Graph_gen.weighted_gnp ~seed:(Int64.of_int ((seed * 24) + i)) n 0.3 8))
+
+(* On the fleets of seeds 1-4: the sparsifier equals the seed's bit for
+   bit, every candidate the seed built has its counted size, and
+   [sparse_below] keeps it exactly when the seed did. *)
+let test_solve_cold_fleets_equal_seed () =
+  let candidates = ref 0 and kept = ref 0 and wrong = ref [] in
+  List.iter
+    (fun seed ->
+      List.iteri
+        (fun i g ->
+          let on_candidate sub candidate =
+            incr candidates;
+            let limit = Graph.m sub in
+            let counted = Sparsify.Product_demand.edge_count sub in
+            let keeps = Sparsify.Product_demand.sparse_below ~limit sub in
+            let seed_keeps = Graph.m candidate < limit in
+            if seed_keeps then incr kept;
+            if counted <> Graph.m candidate || seed_keeps <> Option.is_some keeps
+            then
+              wrong :=
+                Printf.sprintf "seed %d graph %d: counted %d, built %d, cluster %d"
+                  seed i counted (Graph.m candidate) (Graph.m sub)
+                :: !wrong
+          in
+          let expected = Seed_spectral.sparsify ~on_candidate g in
+          Alcotest.(check bool)
+            (Printf.sprintf "seed %d graph %d: sparsifier bits" seed i)
+            true
+            (result_bits expected = result_bits (Sparsify.Spectral.sparsify g)))
+        (solve_cold_fleet seed))
+    [ 1; 2; 3; 4 ];
+  Alcotest.(check (list string))
+    (Printf.sprintf "keep/discard decisions (%d of %d candidates kept)" !kept
+       !candidates)
+    [] (List.rev !wrong);
+  Alcotest.(check bool) "both decisions occur" true
+    (!kept > 0 && !kept < !candidates)
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "sparsify degenerate inputs pinned" `Quick
+        test_degenerate_inputs_pinned;
+      Alcotest.test_case "sparsify scaled weights certified" `Quick
+        test_scaled_weights_stay_certified;
+      Alcotest.test_case "product demand edge count exact" `Quick
+        test_edge_count_exact;
+      Alcotest.test_case "sparsify equals seed" `Quick test_sparsify_equals_seed;
+      Alcotest.test_case "sparsify equals seed on solve-cold fleets" `Slow
+        test_solve_cold_fleets_equal_seed;
+    ]
