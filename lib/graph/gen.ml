@@ -51,6 +51,7 @@ let hypercube d =
   Graph.create n !acc
 
 let circulant n offsets =
+  if n < 1 then invalid_arg "Gen.circulant: need n >= 1";
   let offsets =
     List.sort_uniq compare
       (List.filter_map

@@ -24,12 +24,13 @@ val hypercube : int -> Graph.t
 
 val circulant : int -> int list -> Graph.t
 (** [circulant n offsets] connects [i] to [i ± o mod n] for each offset;
-    offsets are deduplicated. *)
+    offsets are deduplicated. Raises [Invalid_argument] when [n < 1]. *)
 
 val expander : int -> int -> Graph.t
 (** [expander n d] is a deterministic d-ish-regular circulant expander
     (offsets [1, 2, 4, 8, ...]): conductance bounded away from 0 in practice,
-    used to exercise the "already an expander" path of the decomposition. *)
+    used to exercise the "already an expander" path of the decomposition.
+    Raises [Invalid_argument] when [n < 1]. *)
 
 val gnp : ?seed:int64 -> int -> float -> Graph.t
 (** Erdős–Rényi-style deterministic graph: every pair is an edge when the

@@ -21,10 +21,11 @@ let check_edge n e =
       (Printf.sprintf "Graph.create: edge (%d,%d) out of range" e.u e.v);
   if e.u = e.v then
     invalid_arg (Printf.sprintf "Graph.create: self-loop at %d" e.u);
-  if e.w <= 0. then
+  (* Written so that NaN fails too: every comparison with NaN is false. *)
+  if not (e.w > 0. && e.w < Float.infinity) then
     invalid_arg
-      (Printf.sprintf "Graph.create: non-positive weight %g on (%d,%d)" e.w
-         e.u e.v)
+      (Printf.sprintf "Graph.create: weight %g on (%d,%d) is not finite and \
+                       positive" e.w e.u e.v)
 
 let create n edge_list =
   List.iter (check_edge n) edge_list;

@@ -12,8 +12,8 @@ type t
 
 val create : int -> edge list -> t
 (** [create n edges] builds a graph on vertices [0..n-1]. Raises
-    [Invalid_argument] on out-of-range endpoints, self-loops, or
-    non-positive weights. *)
+    [Invalid_argument] on out-of-range endpoints, self-loops, or a
+    weight that is not finite and positive (zero, negative, NaN, ±∞). *)
 
 val n : t -> int
 (** Number of vertices. *)
@@ -79,7 +79,8 @@ val simple_of_edges : int -> edge array -> t
 (** [simple_of_edges n es] collapses the parallel edges of the multigraph
     [create n (Array.to_list es)] by summing their weights, producing a
     simple graph with the same Laplacian, without building the multigraph
-    in between. Raises as {!create} does. *)
+    in between. Raises as {!create} does, on an input edge or on a sum
+    that overflows to ∞. *)
 
 val equal_structure : t -> t -> bool
 (** Same vertex count and same multiset of (endpoints, weight) edges. *)

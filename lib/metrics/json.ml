@@ -91,16 +91,25 @@ let to_string ?(minify = false) j =
 
 exception Parse_error of int * string
 
-let of_string s =
-  let n = String.length s in
+(* Arrays and objects nest at most this deep. Each level is one frame of
+   [parse_value]'s recursion on the parsing domain's stack, so without a
+   bound a request of nothing but ['['] would exhaust it. *)
+let max_depth = 512
+
+(* The one parser, over the first [n] bytes of [s]: it only reads [s],
+   and every string it returns is a fresh copy, so the tree never aliases
+   the caller's buffer. *)
+let parse s n =
   let pos = ref 0 in
   let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
+  let peek () = if !pos < n then Some (Bytes.get s !pos) else None in
   let advance () = incr pos in
   let skip_ws () =
     while
       !pos < n
-      && match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false
+      && match Bytes.get s !pos with
+         | ' ' | '\t' | '\n' | '\r' -> true
+         | _ -> false
     do
       advance ()
     done
@@ -112,9 +121,12 @@ let of_string s =
     | None -> fail (Printf.sprintf "expected '%c', found end of input" c)
   in
   let literal word value =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
+    let k = String.length word in
+    let rec matches i =
+      i = k || (Bytes.get s (!pos + i) = word.[i] && matches (i + 1))
+    in
+    if !pos + k <= n && matches 0 then begin
+      pos := !pos + k;
       value
     end
     else fail (Printf.sprintf "invalid literal (expected %s)" word)
@@ -141,22 +153,32 @@ let of_string s =
   in
   let hex4 () =
     if !pos + 4 > n then fail "truncated \\u escape";
-    let v = int_of_string ("0x" ^ String.sub s !pos 4) in
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | c -> fail (Printf.sprintf "invalid hex digit '%c' in \\u escape" c)
+    in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      v := (!v lsl 4) lor digit (Bytes.get s (!pos + i))
+    done;
     pos := !pos + 4;
-    v
+    !v
   in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
     let rec loop () =
       if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
+      let c = Bytes.get s !pos in
       advance ();
       match c with
       | '"' -> Buffer.contents buf
       | '\\' -> (
         if !pos >= n then fail "unterminated escape";
-        let e = s.[!pos] in
+        let e = Bytes.get s !pos in
         advance ();
         match e with
         | '"' -> Buffer.add_char buf '"'; loop ()
@@ -171,7 +193,7 @@ let of_string s =
           let cp = hex4 () in
           let cp =
             if cp >= 0xD800 && cp <= 0xDBFF && !pos + 6 <= n
-               && s.[!pos] = '\\' && s.[!pos + 1] = 'u'
+               && Bytes.get s !pos = '\\' && Bytes.get s (!pos + 1) = 'u'
             then begin
               pos := !pos + 2;
               let lo = hex4 () in
@@ -192,7 +214,7 @@ let of_string s =
     if peek () = Some '-' then advance ();
     while
       !pos < n
-      && match s.[!pos] with
+      && match Bytes.get s !pos with
          | '0' .. '9' -> true
          | '.' | 'e' | 'E' | '+' | '-' ->
            is_float := true;
@@ -201,7 +223,7 @@ let of_string s =
     do
       advance ()
     done;
-    let text = String.sub s start (!pos - start) in
+    let text = Bytes.sub_string s start (!pos - start) in
     if !is_float then
       match float_of_string_opt text with
       | Some f -> Float f
@@ -215,7 +237,8 @@ let of_string s =
         | Some f -> Float f
         | None -> fail (Printf.sprintf "invalid number %S" text))
   in
-  let rec parse_value () =
+  (* [depth] counts the arrays and objects around the value. *)
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> fail "unexpected end of input"
@@ -223,6 +246,8 @@ let of_string s =
     | Some 't' -> literal "true" (Bool true)
     | Some 'f' -> literal "false" (Bool false)
     | Some 'n' -> literal "null" Null
+    | Some ('[' | '{') when depth >= max_depth ->
+      fail (Printf.sprintf "nesting deeper than %d" max_depth)
     | Some '[' ->
       advance ();
       skip_ws ();
@@ -231,11 +256,11 @@ let of_string s =
         List []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [ parse_value (depth + 1) ] in
         skip_ws ();
         while peek () = Some ',' do
           advance ();
-          items := parse_value () :: !items;
+          items := parse_value (depth + 1) :: !items;
           skip_ws ()
         done;
         expect ']';
@@ -254,7 +279,7 @@ let of_string s =
           let k = parse_string () in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
+          let v = parse_value (depth + 1) in
           (k, v)
         in
         let fields = ref [ field () ] in
@@ -271,7 +296,7 @@ let of_string s =
     | Some c -> fail (Printf.sprintf "unexpected character '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos <> n then fail "trailing garbage after document";
     v
@@ -279,6 +304,13 @@ let of_string s =
   | v -> Ok v
   | exception Parse_error (at, msg) ->
     Error (Printf.sprintf "at byte %d: %s" at msg)
+
+let of_bytes b ~len =
+  if len < 0 || len > Bytes.length b then invalid_arg "Json.of_bytes: len";
+  parse b len
+
+(* [parse] never writes to its input, so the string can be read in place. *)
+let of_string s = parse (Bytes.unsafe_of_string s) (String.length s)
 
 (* ------------------------------------------------------------ accessors *)
 

@@ -26,7 +26,15 @@ val to_string : ?minify:bool -> t -> string
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; [Error] carries a byte offset and
-    message. Numbers without [.]/[e] that fit in [int] parse as [Int]. *)
+    message. Numbers without [.]/[e] that fit in [int] parse as [Int].
+    Arrays and objects nested more than 512 deep are an [Error], so the
+    parser's recursion stays shallow on any input. Never raises. *)
+
+val of_bytes : Bytes.t -> len:int -> (t, string) result
+(** {!of_string} over the first [len] bytes of a buffer, read in place.
+    The tree shares no memory with the buffer, so the caller may reuse it
+    at once. Raises [Invalid_argument] only when [len] is outside
+    [\[0, Bytes.length b\]]. *)
 
 val escape_string : string -> string
 (** [escape_string s] is [s] with JSON string escapes applied (no

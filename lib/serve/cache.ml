@@ -8,7 +8,8 @@
 
    Eviction drops the least-recently-used entry from the table only; a
    worker still holding the evicted entry keeps a valid reference and
-   finishes normally. *)
+   finishes normally. An entry makes room for itself only once its build
+   has succeeded, so a request that cannot be built evicts nothing. *)
 
 type 'v entry = {
   key : string;
@@ -63,7 +64,6 @@ let find_or_add t key =
       t.hits <- t.hits + 1;
       (true, e)
     | None ->
-      if Hashtbl.length t.tbl >= t.cap then evict_lru t;
       let e =
         { key; lock = Mutex.create (); value = None; last_used = tick }
       in
@@ -74,6 +74,22 @@ let find_or_add t key =
   Mutex.unlock t.m;
   (hit, entry)
 
+(* Drop [entry] from the table unless it has been replaced there. *)
+let forget t entry =
+  Mutex.lock t.m;
+  (match Hashtbl.find_opt t.tbl entry.key with
+  | Some e when e == entry -> Hashtbl.remove t.tbl entry.key
+  | Some _ | None -> ());
+  Mutex.unlock t.m
+
+(* Evict least-recently-used entries until at most [cap] remain. *)
+let make_room t =
+  Mutex.lock t.m;
+  while Hashtbl.length t.tbl > t.cap do
+    evict_lru t
+  done;
+  Mutex.unlock t.m
+
 let use t key ~build f =
   let hit, entry = find_or_add t key in
   Mutex.lock entry.lock;
@@ -81,10 +97,15 @@ let use t key ~build f =
     let v =
       match entry.value with
       | Some v -> v
-      | None ->
-        let v = build () in
-        entry.value <- Some v;
-        v
+      | None -> (
+        match build () with
+        | v ->
+          entry.value <- Some v;
+          make_room t;
+          v
+        | exception e ->
+          forget t entry;
+          raise e)
     in
     f v
   with

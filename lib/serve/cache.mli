@@ -10,17 +10,20 @@
 type 'v t
 
 val create : cap:int -> 'v t
-(** [cap] (clamped to ≥ 1) bounds the entry count; inserting into a full
-    cache evicts the least-recently-used entry (a worker still holding an
-    evicted entry finishes normally on its private reference). *)
+(** [cap] (clamped to ≥ 1) bounds the count of built entries: an entry
+    whose build succeeds evicts least-recently-used entries until at most
+    [cap] remain, and a failed build evicts nothing (a worker still
+    holding an evicted entry finishes normally on its private
+    reference). *)
 
 val use : 'v t -> string -> build:(unit -> 'v) -> ('v -> 'a) -> 'a * bool
 (** [use t key ~build f] looks up [key] — counting a hit iff the entry
     already existed — locks the entry, runs [build] if it has no value yet
     (exactly one caller ever builds a given entry), applies [f] to the
     value and returns [(f value, hit)]. Exceptions from [build] or [f]
-    release the entry lock and propagate ([build]'s failure leaves the
-    entry empty for the next caller). *)
+    release the entry lock and propagate; [build]'s failure also drops
+    the entry from the table, so an operand that cannot be built leaves
+    nothing behind. *)
 
 type stats = { entries : int; hits : int; misses : int; evictions : int }
 

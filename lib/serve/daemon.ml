@@ -52,6 +52,7 @@ let config_of_env () =
 
 type client = {
   link : Link.t;
+  rx : Link.buffer;  (* requests are read and parsed in place *)
   send_m : Mutex.t;
   mutable alive : bool;
 }
@@ -141,7 +142,13 @@ let process t (it : item) =
          ((now -. it.enqueued_at) *. 1000.))
   | _ -> (
     let queue_wait = now -. it.enqueued_at in
-    match Exec.run ~policy:t.config.policy ~cache:t.cache it.job with
+    (* Exec.run turns the exceptions of invalid instances into [Error];
+       anything else that escapes it is refused too, so no request can
+       end a worker domain. *)
+    match
+      try Exec.run ~policy:t.config.policy ~cache:t.cache it.job
+      with e -> Error ("internal error: " ^ Printexc.to_string e)
+    with
     | Ok outcome ->
       let wall = Unix.gettimeofday () -. now in
       bump t (fun c -> c.completed <- c.completed + 1);
@@ -220,61 +227,55 @@ let request_stop t =
   Condition.broadcast t.queue_c;
   Mutex.unlock t.queue_m
 
-(* Handle one frame from [client]. Returns [false] if the connection must
-   be dropped (desynchronized stream). *)
-let handle_frame t client (frame : Wire.Frame.t) =
-  let id = frame.Wire.Frame.seq in
-  if frame.Wire.Frame.kind <> Job.frame_job then begin
-    send_error client ~id
-      (Printf.sprintf "unexpected frame kind 0x%02x" frame.Wire.Frame.kind);
-    true
-  end
-  else if Bytes.length frame.Wire.Frame.payload > t.config.max_bytes then begin
-    (* The frame was fully read, so the stream stays in sync: refuse the
+(* Parse the request in the first [len] bytes of [payload], then answer
+   it inline or queue it. *)
+let handle_request t client ~id payload ~len =
+  bump t (fun c -> c.received <- c.received + 1);
+  match Job.parse_bytes payload ~len with
+  | Error msg ->
+    bump t (fun c -> c.refused <- c.refused + 1);
+    send_error client ~id msg
+  | Ok job -> (
+    match job.Job.payload with
+    | Job.Stats ->
+      bump t (fun c -> c.completed <- c.completed + 1);
+      send_to client
+        (Job.frame ~kind:Job.frame_result ~id:job.Job.id
+           (stats_body t ~id:job.Job.id))
+    | Job.Shutdown ->
+      bump t (fun c -> c.completed <- c.completed + 1);
+      send_to client
+        (Job.frame ~kind:Job.frame_result ~id:job.Job.id
+           (Job.result_body ~id:job.Job.id ~kind:"shutdown"
+              ~result:[ ("stopping", Json.Bool true) ]
+              ~metrics:[]));
+      request_stop t
+    | _ ->
+      let now = Unix.gettimeofday () in
+      let deadline =
+        match job.Job.timeout_ms with
+        | None -> None
+        | Some ms -> Some (now +. (ms /. 1000.))
+      in
+      Mutex.lock t.queue_m;
+      Queue.push { job; from = client; enqueued_at = now; deadline } t.queue;
+      Condition.signal t.queue_c;
+      Mutex.unlock t.queue_m)
+
+let handle_frame t client = function
+  | (Link.Payload (hdr, _) | Link.Oversized hdr)
+    when hdr.Wire.Frame.kind <> Job.frame_job ->
+    send_error client ~id:hdr.Wire.Frame.seq
+      (Printf.sprintf "unexpected frame kind 0x%02x" hdr.Wire.Frame.kind)
+  | Link.Oversized hdr ->
+    (* The payload was drained, so the stream stays in sync: refuse the
        request but keep the connection. *)
-    send_error client ~id
+    send_error client ~id:hdr.Wire.Frame.seq
       (Printf.sprintf "request of %d bytes exceeds the %d-byte limit"
-         (Bytes.length frame.Wire.Frame.payload)
-         t.config.max_bytes);
-    true
-  end
-  else begin
-    bump t (fun c -> c.received <- c.received + 1);
-    match Job.parse_string (Bytes.to_string frame.Wire.Frame.payload) with
-    | Error msg ->
-      bump t (fun c -> c.refused <- c.refused + 1);
-      send_error client ~id msg;
-      true
-    | Ok job -> (
-      match job.Job.payload with
-      | Job.Stats ->
-        bump t (fun c -> c.completed <- c.completed + 1);
-        send_to client
-          (Job.frame ~kind:Job.frame_result ~id:job.Job.id
-             (stats_body t ~id:job.Job.id));
-        true
-      | Job.Shutdown ->
-        bump t (fun c -> c.completed <- c.completed + 1);
-        send_to client
-          (Job.frame ~kind:Job.frame_result ~id:job.Job.id
-             (Job.result_body ~id:job.Job.id ~kind:"shutdown"
-                ~result:[ ("stopping", Json.Bool true) ]
-                ~metrics:[]));
-        request_stop t;
-        true
-      | _ ->
-        let now = Unix.gettimeofday () in
-        let deadline =
-          match job.Job.timeout_ms with
-          | None -> None
-          | Some ms -> Some (now +. (ms /. 1000.))
-        in
-        Mutex.lock t.queue_m;
-        Queue.push { job; from = client; enqueued_at = now; deadline } t.queue;
-        Condition.signal t.queue_c;
-        Mutex.unlock t.queue_m;
-        true)
-  end
+         hdr.Wire.Frame.len t.config.max_bytes)
+  | Link.Payload (hdr, payload) ->
+    handle_request t client ~id:hdr.Wire.Frame.seq payload
+      ~len:hdr.Wire.Frame.len
 
 let drop_client clients client =
   client.alive <- false;
@@ -299,17 +300,20 @@ let listener_loop t () =
           | cfd ->
             let link = Link.of_fd ~peer:"cc-serve-client" cfd in
             Hashtbl.replace clients cfd
-              { link; send_m = Mutex.create (); alive = true }
+              {
+                link;
+                rx = Link.buffer ~max_bytes:t.config.max_bytes;
+                send_m = Mutex.create ();
+                alive = true;
+              }
           | exception Unix.Unix_error _ -> ()
         end
         else
           match Hashtbl.find_opt clients fd with
           | None -> ()
           | Some client -> (
-            match Link.recv client.link with
-            | frame ->
-              if not (handle_frame t client frame) then
-                drop_client clients client
+            match Link.recv_into client.link client.rx with
+            | received -> handle_frame t client received
             | exception Link.Closed _ -> drop_client clients client
             | exception Wire.Frame.Malformed { what } ->
               (* After a corrupt header the stream is desynchronized:

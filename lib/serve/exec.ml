@@ -19,7 +19,7 @@ let policy_name = function
   | Recover -> "recover"
 
 type artifact =
-  | A_solve of (Linalg.Vec.t -> Laplacian.Solver.report)
+  | A_solve of { g : Graph.t; solve : Linalg.Vec.t -> Laplacian.Solver.report }
   | A_sparsify of Sparsify.Spectral.result * int * bool
   | A_maxflow of Maxflow_ipm.report * int * bool
   | A_mst of Clique.Boruvka.result * int * bool
@@ -101,43 +101,59 @@ let solve_fields ~return_x (r : Laplacian.Solver.report) =
   else base
 
 let run_solve ~policy ~cache ~inject ~nocache ~g ~b ~solver ~eps ~return_x =
-  (* The solver answers L x = b in the pseudo-inverse sense: it solves
-     against the centered rhs (the component of b along 1 is outside
-     range L), so that is what the residual must be measured against —
-     checking raw b would report mean(b)·1 as a phantom residual and
-     refuse honest answers. *)
-  let b_centered = Linalg.Vec.center b in
-  let check (r : Laplacian.Solver.report) =
-    Fault.Check.solver_residual g ~b:b_centered r.Laplacian.Solver.x
-  in
   (* Either method is a prepare step and a solve closure over its handle.
      Prepare stays outside [with_policy]: a Recover retry re-solves on the
-     same handle. *)
+     same handle. The graph is built (a generator run) only here, on a
+     miss or under [nocache]; the artifact keeps it, so a hit checks its
+     rhs and certifies its answer against the graph it was prepared
+     from. *)
   let key_prefix, prepare_solve =
     match solver with
     | Job.Chebyshev ->
       ( "solve-cheb:",
-        fun () -> Laplacian.Solver.(solve_prepared (prepare ~eps g)) )
+        fun g -> Laplacian.Solver.(solve_prepared (prepare ~eps g)) )
     | Job.Cg_baseline ->
       ( "solve-cg:",
-        fun () -> Laplacian.Solver.(solve_cg_prepared (prepare_cg ~eps g)) )
+        fun g -> Laplacian.Solver.(solve_cg_prepared (prepare_cg ~eps g)) )
   in
-  let solve_with solve =
-    with_policy ~policy ~inject ~name:"serve.solve" ~check
-      ~corrupt:corrupt_report (fun () -> solve b)
+  let build () =
+    let g = Job.build g in
+    (* A wrong-length rhs is refused before the prepare it would waste;
+       the refused build leaves no entry and evicts none. *)
+    (match Job.rhs b ~n:(Graph.n g) with
+    | Ok _ -> ()
+    | Error msg -> raise (Refused msg));
+    A_solve { g; solve = prepare_solve g }
+  in
+  let solve_with = function
+    | A_solve { g; solve } ->
+      let b =
+        match Job.rhs b ~n:(Graph.n g) with
+        | Ok b -> b
+        | Error msg -> raise (Refused msg)
+      in
+      (* The solver answers L x = b in the pseudo-inverse sense: it solves
+         against the centered rhs (the component of b along 1 is outside
+         range L), so that is what the residual must be measured against —
+         checking raw b would report mean(b)·1 as a phantom residual and
+         refuse honest answers. *)
+      let b_centered = Linalg.Vec.center b in
+      let check (r : Laplacian.Solver.report) =
+        Fault.Check.solver_residual g ~b:b_centered r.Laplacian.Solver.x
+      in
+      with_policy ~policy ~inject ~name:"serve.solve" ~check
+        ~corrupt:corrupt_report (fun () -> solve b)
+    | _ -> kind_mismatch ()
   in
   let (report, attempts, recovered), cache_state =
-    if nocache then (solve_with (prepare_solve ()), `Bypass)
+    if nocache then (solve_with (build ()), `Bypass)
     else
       let key =
-        key_prefix
-        ^ Fingerprint.to_hex (Fingerprint.float (Fingerprint.graph g) eps)
+        Printf.sprintf "%s%s:eps=%Lx" key_prefix
+          (Job.key Fingerprint.graph g)
+          (Int64.bits_of_float eps)
       in
-      let r, hit =
-        Cache.use cache key
-          ~build:(fun () -> A_solve (prepare_solve ()))
-          (function A_solve solve -> solve_with solve | _ -> kind_mismatch ())
-      in
+      let r, hit = Cache.use cache key ~build solve_with in
       (r, if hit then `Hit else `Miss)
   in
   {
@@ -188,16 +204,20 @@ let run ~policy ~cache (job : Job.t) =
         (run_solve ~policy ~cache ~inject ~nocache ~g ~b ~solver ~eps
            ~return_x)
     | Job.Sparsify { g } ->
-      let check (r : Sparsify.Spectral.result) =
-        Fault.Check.sparsifier g r.Sparsify.Spectral.sparsifier
-      in
-      let corrupt (r : Sparsify.Spectral.result) =
-        { r with Sparsify.Spectral.sparsifier = Graph.create (Graph.n g) [] }
-      in
       Ok
         (memoized ~cache ~nocache
-           ~key:("sparsify:" ^ Fingerprint.to_hex (Fingerprint.graph g))
+           ~key:("sparsify:" ^ Job.key Fingerprint.graph g)
            ~build:(fun () ->
+             let g = Job.build g in
+             let check (r : Sparsify.Spectral.result) =
+               Fault.Check.sparsifier g r.Sparsify.Spectral.sparsifier
+             in
+             let corrupt (r : Sparsify.Spectral.result) =
+               {
+                 r with
+                 Sparsify.Spectral.sparsifier = Graph.create (Graph.n g) [];
+               }
+             in
              with_policy ~policy ~inject ~name:"serve.sparsify" ~check
                ~corrupt (fun () ->
                  Sparsify.Spectral.sparsify g))
@@ -218,21 +238,26 @@ let run ~policy ~cache (job : Job.t) =
              ])
            ~rounds:(fun r -> r.Sparsify.Spectral.rounds))
     | Job.Maxflow { net; s; t } ->
-      let check (r : Maxflow_ipm.report) =
-        Fault.Check.max_flow net ~s ~t
-          ~value:(float_of_int r.Maxflow_ipm.value)
-          r.Maxflow_ipm.f
-      in
-      let corrupt (r : Maxflow_ipm.report) =
-        { r with Maxflow_ipm.value = r.Maxflow_ipm.value + 1 }
-      in
+      (* An omitted sink keys as "last": the key must not depend on the
+         network, which a spec does not have yet. *)
       let key =
-        Printf.sprintf "maxflow:%d:%d:%s" s t
-          (Fingerprint.to_hex (Fingerprint.digraph net))
+        Printf.sprintf "maxflow:%d:%s:%s" s
+          (match t with Some t -> string_of_int t | None -> "last")
+          (Job.key Fingerprint.digraph net)
       in
       Ok
         (memoized ~cache ~nocache ~key
            ~build:(fun () ->
+             let net = Job.build net in
+             let t = Option.value t ~default:(Digraph.n net - 1) in
+             let check (r : Maxflow_ipm.report) =
+               Fault.Check.max_flow net ~s ~t
+                 ~value:(float_of_int r.Maxflow_ipm.value)
+                 r.Maxflow_ipm.f
+             in
+             let corrupt (r : Maxflow_ipm.report) =
+               { r with Maxflow_ipm.value = r.Maxflow_ipm.value + 1 }
+             in
              with_policy ~policy ~inject ~name:"serve.maxflow" ~check
                ~corrupt (fun () ->
                  Maxflow_ipm.max_flow net ~s ~t))
@@ -251,17 +276,18 @@ let run ~policy ~cache (job : Job.t) =
              ])
            ~rounds:(fun r -> r.Maxflow_ipm.rounds))
     | Job.Mst { g } ->
-      let check (r : Clique.Boruvka.result) =
-        Fault.Check.mst g ~weight:r.Clique.Boruvka.weight
-          r.Clique.Boruvka.edges
-      in
-      let corrupt (r : Clique.Boruvka.result) =
-        { r with Clique.Boruvka.weight = r.Clique.Boruvka.weight +. 1. }
-      in
       Ok
         (memoized ~cache ~nocache
-           ~key:("mst:" ^ Fingerprint.to_hex (Fingerprint.graph g))
+           ~key:("mst:" ^ Job.key Fingerprint.graph g)
            ~build:(fun () ->
+             let g = Job.build g in
+             let check (r : Clique.Boruvka.result) =
+               Fault.Check.mst g ~weight:r.Clique.Boruvka.weight
+                 r.Clique.Boruvka.edges
+             in
+             let corrupt (r : Clique.Boruvka.result) =
+               { r with Clique.Boruvka.weight = r.Clique.Boruvka.weight +. 1. }
+             in
              with_policy ~policy ~inject ~name:"serve.mst" ~check ~corrupt
                (fun () ->
                  Clique.Boruvka.minimum_spanning_tree g))

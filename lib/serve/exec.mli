@@ -2,11 +2,12 @@
     certification policy (DESIGN.md §15).
 
     Solve jobs cache the {e prepared} solver handle (sparsifier, κ
-    estimate, workspaces) keyed by graph fingerprint, so repeat solves on
-    the same graph skip straight to the zero-allocation Chebyshev/CG
-    iteration; sparsify / max-flow / MST jobs memoize the certified result
-    itself. The [CC_SERVE_POLICY] certification policy decides what
-    happens between computing an answer and returning it. *)
+    estimate, workspaces) keyed by the operand's {!Job.key}, so repeat
+    solves on the same graph skip straight to the zero-allocation
+    Chebyshev/CG iteration; sparsify / max-flow / MST jobs memoize the
+    certified result itself. A generator operand is run only on a cache
+    miss or under [nocache]. The [CC_SERVE_POLICY] certification policy
+    decides what happens between computing an answer and returning it. *)
 
 module Json = Metrics.Json
 
@@ -24,8 +25,8 @@ val policy_name : policy -> string
 
 type artifact
 (** What the daemon's {!Cache} stores: a solve closure over a prepared
-    solver handle (either method), or a memoized certified report per
-    other job kind. *)
+    solver handle (either method) together with the graph it was
+    prepared from, or a memoized certified report per other job kind. *)
 
 type outcome = {
   fields : (string * Json.t) list;  (** the response's [result] object *)
@@ -39,7 +40,8 @@ type outcome = {
 val run :
   policy:policy -> cache:artifact Cache.t -> Job.t -> (outcome, string) result
 (** Execute one job. [Error] carries a client-facing refusal message —
-    certification failures, recovery exhaustion, and invalid instances all
+    certification failures, recovery exhaustion, and invalid instances
+    (a generator's [Invalid_argument], an rhs of the wrong length) all
     land here; control payloads ([Stats]/[Shutdown]) are rejected because
     the listener answers them inline. Thread-safe: same-graph jobs
     serialize on the cache entry's lock, everything else runs

@@ -15,17 +15,21 @@ let frame_error = 0x32
 
 type solver = Chebyshev | Cg_baseline
 
+type 'a operand = Given of 'a | Spec of { key : string; build : unit -> 'a }
+
+type rhs = Values of Linalg.Vec.t | Pattern of int
+
 type payload =
   | Solve of {
-      g : Graph.t;
-      b : Linalg.Vec.t;
+      g : Graph.t operand;
+      b : rhs;
       solver : solver;
       eps : float;
       return_x : bool;
     }
-  | Sparsify of { g : Graph.t }
-  | Maxflow of { net : Digraph.t; s : int; t : int }
-  | Mst of { g : Graph.t }
+  | Sparsify of { g : Graph.t operand }
+  | Maxflow of { net : Digraph.t operand; s : int; t : int option }
+  | Mst of { g : Graph.t operand }
   | Stats
   | Shutdown
 
@@ -36,6 +40,14 @@ type t = {
   inject : bool;
   nocache : bool;
 }
+
+let build = function Given v -> v | Spec { build; _ } -> build ()
+
+(* Spec keys read "name(k=v,...)" and fingerprint keys "fnv:" and 16 hex
+   digits, so the two never collide. *)
+let key fingerprint = function
+  | Given v -> "fnv:" ^ Fingerprint.to_hex (fingerprint v)
+  | Spec { key; _ } -> key
 
 let kind_name = function
   | Solve _ -> "solve"
@@ -85,37 +97,53 @@ let opt_float name ~default j =
 let opt_bool name j =
   match Json.member name j with Some (Json.Bool b) -> b | _ -> false
 
-let seed_field j =
+(* One generator parameter, spelled into the spec key as the generator
+   receives it: an int in decimal, a float by its IEEE bits, so "0.3" and
+   "3e-1" give one key. *)
+let int_param name j =
+  let* v = int_field name j in
+  Ok (v, Printf.sprintf "%s=%d" name v)
+
+let float_param name j =
+  let* v = float_field name j in
+  Ok (v, Printf.sprintf "%s=%Lx" name (Int64.bits_of_float v))
+
+let seed_param j =
   let* s = opt_int "seed" ~default:1 j in
-  Ok (Int64.of_int s)
+  Ok (Int64.of_int s, Printf.sprintf "seed=%d" s)
+
+let spec name params build =
+  Ok (Spec { key = name ^ "(" ^ String.concat "," params ^ ")"; build })
 
 (* A graph is either explicit — {"n": 4, "edges": [[u, v, w], ...]} — or a
    named deterministic generator from Gen, so requests stay small and the
-   bench can describe whole workloads inline. *)
+   bench can describe whole workloads inline. A generator is not run
+   here: Exec runs it on a cache miss, and every generator is a pure
+   function of its parameters (gen.mli), so the spec names one graph. *)
 let graph_of_json j =
   match Json.member "gen" j with
-  | Some (Json.String "connected_gnp") ->
-    let* n = int_field "n" j in
-    let* p = float_field "p" j in
-    let* seed = seed_field j in
-    Ok (Gen.connected_gnp ~seed n p)
-  | Some (Json.String "weighted_gnp") ->
-    let* n = int_field "n" j in
-    let* p = float_field "p" j in
-    let* u = int_field "u" j in
-    let* seed = seed_field j in
-    Ok (Gen.weighted_gnp ~seed n p u)
-  | Some (Json.String "expander") ->
-    let* n = int_field "n" j in
-    let* d = int_field "d" j in
-    Ok (Gen.expander n d)
-  | Some (Json.String "grid") ->
-    let* r = int_field "rows" j in
-    let* c = int_field "cols" j in
-    Ok (Gen.grid r c)
-  | Some (Json.String "barbell") ->
-    let* k = int_field "k" j in
-    Ok (Gen.barbell k)
+  | Some (Json.String ("connected_gnp" as name)) ->
+    let* n, kn = int_param "n" j in
+    let* p, kp = float_param "p" j in
+    let* seed, ks = seed_param j in
+    spec name [ kn; kp; ks ] (fun () -> Gen.connected_gnp ~seed n p)
+  | Some (Json.String ("weighted_gnp" as name)) ->
+    let* n, kn = int_param "n" j in
+    let* p, kp = float_param "p" j in
+    let* u, ku = int_param "u" j in
+    let* seed, ks = seed_param j in
+    spec name [ kn; kp; ku; ks ] (fun () -> Gen.weighted_gnp ~seed n p u)
+  | Some (Json.String ("expander" as name)) ->
+    let* n, kn = int_param "n" j in
+    let* d, kd = int_param "d" j in
+    spec name [ kn; kd ] (fun () -> Gen.expander n d)
+  | Some (Json.String ("grid" as name)) ->
+    let* r, kr = int_param "rows" j in
+    let* c, kc = int_param "cols" j in
+    spec name [ kr; kc ] (fun () -> Gen.grid r c)
+  | Some (Json.String ("barbell" as name)) ->
+    let* k, kk = int_param "k" j in
+    spec name [ kk ] (fun () -> Gen.barbell k)
   | Some (Json.String g) -> Error (Printf.sprintf "unknown graph gen %S" g)
   | Some _ -> Error "field \"gen\" must be a string"
   | None ->
@@ -141,23 +169,25 @@ let graph_of_json j =
           | _ -> Error "each edge must be a [u, v, w] triple")
         (Ok []) lst
     in
-    (try Ok (Graph.create n (List.rev edges))
+    (try Ok (Given (Graph.create n (List.rev edges)))
      with Invalid_argument m -> Error m)
 
 let net_of_json j =
   match Json.member "gen" j with
-  | Some (Json.String "layered") ->
-    let* layers = int_field "layers" j in
-    let* width = int_field "width" j in
-    let* maxcap = int_field "maxcap" j in
-    let* seed = seed_field j in
-    Ok (Gen.layered_network ~seed layers width maxcap)
-  | Some (Json.String "random_network") ->
-    let* n = int_field "n" j in
-    let* m = int_field "m" j in
-    let* maxcap = int_field "maxcap" j in
-    let* seed = seed_field j in
-    Ok (Gen.random_network ~seed n m maxcap)
+  | Some (Json.String ("layered" as name)) ->
+    let* layers, kl = int_param "layers" j in
+    let* width, kw = int_param "width" j in
+    let* maxcap, kc = int_param "maxcap" j in
+    let* seed, ks = seed_param j in
+    spec name [ kl; kw; kc; ks ] (fun () ->
+        Gen.layered_network ~seed layers width maxcap)
+  | Some (Json.String ("random_network" as name)) ->
+    let* n, kn = int_param "n" j in
+    let* m, km = int_param "m" j in
+    let* maxcap, kc = int_param "maxcap" j in
+    let* seed, ks = seed_param j in
+    spec name [ kn; km; kc; ks ] (fun () ->
+        Gen.random_network ~seed n m maxcap)
   | Some (Json.String g) -> Error (Printf.sprintf "unknown network gen %S" g)
   | Some _ -> Error "field \"gen\" must be a string"
   | None ->
@@ -183,12 +213,13 @@ let net_of_json j =
           | _ -> Error "each arc must be a [src, dst, cap] triple")
         (Ok []) lst
     in
-    (try Ok (Digraph.create n (List.rev arcs))
+    (try Ok (Given (Digraph.create n (List.rev arcs)))
      with Invalid_argument m -> Error m)
 
 (* The right-hand side: an explicit float list, or {"seed": k} for the
-   deterministic full-support pattern (the solver centers it). *)
-let rhs_of_json n j =
+   deterministic full-support pattern (the solver centers it). Its length
+   is checked against the graph by [rhs], once the graph is at hand. *)
+let rhs_of_json j =
   match j with
   | Json.List l ->
     let* b =
@@ -200,20 +231,26 @@ let rhs_of_json n j =
           | None -> Error "field \"b\" entries must be numbers")
         (Ok []) l
     in
-    let b = Array.of_list (List.rev b) in
+    Ok (Values (Array.of_list (List.rev b)))
+  | Json.Assoc _ ->
+    let* seed = opt_int "seed" ~default:1 j in
+    Ok (Pattern seed)
+  | _ -> Error "field \"b\" must be a list of numbers or {\"seed\": k}"
+
+let rhs b ~n =
+  match b with
+  | Values b ->
     if Array.length b <> n then
       Error
         (Printf.sprintf "field \"b\" has %d entries for %d nodes"
            (Array.length b) n)
     else Ok b
-  | Json.Assoc _ ->
-    let* seed = opt_int "seed" ~default:1 j in
+  | Pattern seed ->
     Ok
       (Linalg.Vec.init n (fun i ->
            let s = if (i + seed) land 1 = 0 then 1. else -1. in
            s *. (1. +. (float_of_int (((i + seed) * 40503) land 0xffff)
                         /. 65536.))))
-  | _ -> Error "field \"b\" must be a list of numbers or {\"seed\": k}"
 
 let parse j =
   let* id = opt_int "id" ~default:0 j in
@@ -239,8 +276,8 @@ let parse j =
       let* eps = opt_float "eps" ~default:1e-6 j in
       let* b =
         match Json.member "b" j with
-        | None -> rhs_of_json (Graph.n g) (Json.Assoc [])
-        | Some bj -> rhs_of_json (Graph.n g) bj
+        | None -> Ok (Pattern 1)
+        | Some bj -> rhs_of_json bj
       in
       Ok (Solve { g; b; solver; eps; return_x = opt_bool "return_x" j })
     | "sparsify" ->
@@ -251,7 +288,13 @@ let parse j =
       let* nj = field "net" j in
       let* net = net_of_json nj in
       let* s = opt_int "s" ~default:0 j in
-      let* t = opt_int "t" ~default:(Digraph.n net - 1) j in
+      let* t =
+        match Json.member "t" j with
+        | None -> Ok None
+        | Some _ ->
+          let* t = int_field "t" j in
+          Ok (Some t)
+      in
       Ok (Maxflow { net; s; t })
     | "mst" ->
       let* gj = field "graph" j in
@@ -278,12 +321,14 @@ let parse j =
       nocache = opt_bool "nocache" j;
     }
 
-let parse_string s =
-  match Json.of_string s with
+let parse_document = function
   | Error e -> Error (Printf.sprintf "malformed JSON: %s" e)
-  | Ok j -> ( match j with
-    | Json.Assoc _ -> parse j
-    | _ -> Error "request must be a JSON object")
+  | Ok (Json.Assoc _ as j) -> parse j
+  | Ok _ -> Error "request must be a JSON object"
+
+let parse_string s = parse_document (Json.of_string s)
+
+let parse_bytes b ~len = parse_document (Json.of_bytes b ~len)
 
 (* ----------------------------------------------------------- responses *)
 

@@ -7,7 +7,9 @@
     as the frame sequence number and in the body. Graph and network
     operands are given either explicitly ([{"n": …, "edges": [[u,v,w],…]}])
     or as named deterministic {!Gen} generators, so a whole benchmark
-    workload fits in a few hundred bytes of request. *)
+    workload fits in a few hundred bytes of request. A generator operand
+    stays a spec until {!Exec.run} needs the graph, which a cache hit
+    does not. *)
 
 module Json = Metrics.Json
 
@@ -23,17 +25,50 @@ val frame_error : int
 type solver = Chebyshev  (** the Theorem 1.1 pipeline *)
             | Cg_baseline  (** plain distributed CG *)
 
+(** A graph or network operand. *)
+type 'a operand =
+  | Given of 'a  (** an explicit edge or arc list, checked when parsed *)
+  | Spec of { key : string; build : unit -> 'a }
+      (** a named {!Gen} generator, not yet run. [key] spells the
+          generator and every parameter after defaults ([seed] defaults
+          to 1), ints in decimal and floats by their IEEE bits, so two
+          spellings of one spec share a key. [build] runs the generator
+          and raises whatever it raises on parameters it refuses. *)
+
+val build : 'a operand -> 'a
+(** The operand itself: {!Given}'s value, or {!Spec}'s [build ()]. *)
+
+val key : ('a -> int64) -> 'a operand -> string
+(** The operand's cache key, the one keying rule for every job kind:
+    {!Spec}'s [key], or ["fnv:"] and the hex of the given fingerprint
+    function applied to a {!Given} operand. A spec key is sound because
+    every generator is a pure function of its parameters; the two forms
+    never collide, and a spec and an explicit copy of the same graph
+    simply get separate entries. *)
+
+(** A solve's right-hand side, checked against the graph by {!rhs}. *)
+type rhs =
+  | Values of Linalg.Vec.t  (** an explicit list of numbers *)
+  | Pattern of int
+      (** [{"seed": k}] (or no [b] at all, [k = 1]): the deterministic
+          full-support pattern *)
+
+val rhs : rhs -> n:int -> (Linalg.Vec.t, string) result
+(** The vector for an [n]-vertex graph; [Error] when explicit values
+    have the wrong length. *)
+
 type payload =
   | Solve of {
-      g : Graph.t;
-      b : Linalg.Vec.t;
+      g : Graph.t operand;
+      b : rhs;
       solver : solver;
       eps : float;
       return_x : bool;  (** include the full solution vector in the reply *)
     }
-  | Sparsify of { g : Graph.t }
-  | Maxflow of { net : Digraph.t; s : int; t : int }
-  | Mst of { g : Graph.t }
+  | Sparsify of { g : Graph.t operand }
+  | Maxflow of { net : Digraph.t operand; s : int; t : int option }
+      (** [t = None]: the network's last vertex *)
+  | Mst of { g : Graph.t operand }
   | Stats  (** daemon counters; answered inline by the listener *)
   | Shutdown  (** acknowledged, then the daemon drains and exits *)
 
@@ -56,7 +91,12 @@ val parse : Json.t -> (t, string) result
 (** Parse a request object; [Error] carries a client-facing message. *)
 
 val parse_string : string -> (t, string) result
-(** {!Json.of_string} then {!parse}. *)
+(** {!Json.of_string} then {!parse}. Never raises: a request runs no
+    generator and sizes nothing by its parameters until {!Exec.run}. *)
+
+val parse_bytes : Bytes.t -> len:int -> (t, string) result
+(** {!parse_string} over the first [len] bytes of a buffer, read in
+    place ({!Json.of_bytes}); the job shares no memory with the buffer. *)
 
 val error_body : id:int -> string -> Json.t
 

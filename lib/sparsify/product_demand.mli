@@ -15,7 +15,8 @@
 val complete : Graph.t -> Graph.t
 (** [complete g'] is the scaled product demand graph [2/|E| · H(deg_{g'})]
     (a complete graph; only for analysis and tests on small clusters).
-    Isolated vertices are left isolated. Requires [Graph.n g' ≥ 2]. *)
+    Isolated vertices are left isolated, and so is a pair whose weight
+    underflows to zero or overflows to ∞. Requires [Graph.n g' ≥ 2]. *)
 
 val sparse : Graph.t -> Graph.t
 (** [sparse g'] is the deterministic sparse stand-in for [complete g']:
@@ -27,14 +28,14 @@ val edge_count : Graph.t -> int
 (** [edge_count g'] is the number of vertex pairs [sparse g'] places,
     computed from the degree-class sizes and circulant offsets without
     building the graph. It equals [Graph.m (sparse g')] unless degrees
-    near the ends of the float range make pair weights underflow to zero
-    or stop being numbers, and [sparse] drops those pairs. Requires
-    [Graph.n g' ≥ 2]. *)
+    near the ends of the float range make pair weights underflow to zero,
+    overflow to ∞ or stop being numbers, and [sparse] drops those pairs.
+    Requires [Graph.n g' ≥ 2]. *)
 
 val sparse_below : limit:int -> Graph.t -> Graph.t option
 (** [sparse_below ~limit g'] is [Some (sparse g')] when that stand-in has
-    fewer than [limit] edges and is numerically whole: it holds every pair
-    {!edge_count} counts, each with a finite weight. Otherwise it is
+    fewer than [limit] edges and is numerically whole: no pair
+    {!edge_count} counts was dropped. Otherwise it is
     [None], and a stand-in of [limit] edges or more is never built.
     Theorem 3.3's pipeline passes a cluster's own edge count as [limit]
     and keeps the cluster verbatim on [None], so an emptied or partial

@@ -96,11 +96,19 @@ let decode_header b =
     sum = Bytes.get_int64_le b 28;
   }
 
-let verify hdr payload =
-  let sum = Fnv.hash_bytes payload ~pos:0 ~len:(Bytes.length payload) in
-  if sum <> hdr.sum then
+let check_sum hdr b len =
+  if Fnv.hash_bytes b ~pos:0 ~len <> hdr.sum then
     malformed "checksum mismatch on kind=%d frame (src=%d, dst=%d, seq=%d)"
-      hdr.kind hdr.src hdr.dst hdr.seq;
+      hdr.kind hdr.src hdr.dst hdr.seq
+
+let check hdr b =
+  if Bytes.length b < hdr.len then
+    malformed "a %d-byte buffer cannot hold a %d-byte payload" (Bytes.length b)
+      hdr.len;
+  check_sum hdr b hdr.len
+
+let verify hdr payload =
+  check_sum hdr payload (Bytes.length payload);
   { kind = hdr.kind; src = hdr.src; dst = hdr.dst; seq = hdr.seq;
     epoch = hdr.epoch; payload }
 

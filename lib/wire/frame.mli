@@ -65,6 +65,11 @@ val verify : header -> Bytes.t -> t
 (** Check the payload against the header's length/checksum and assemble
     the frame. *)
 
+val check : header -> Bytes.t -> unit
+(** [check hdr b] checks bytes [\[0, hdr.len)] of [b] against the header's
+    checksum, raising {!Malformed} on a mismatch: {!verify} for a payload
+    read into a reused buffer, assembling no frame. *)
+
 val decode : Bytes.t -> t
 (** [verify] over a contiguous [encode] result — the round-trip inverse. *)
 

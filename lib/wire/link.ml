@@ -114,14 +114,70 @@ let send ?deadline t frame =
   write_all ?deadline t b 0 (Bytes.length b);
   t.frames_sent <- t.frames_sent + 1
 
-let recv ?deadline t =
-  let hdr_buf = Bytes.create Frame.header_bytes in
+let read_header ?deadline t hdr_buf =
   read_exact ?deadline t hdr_buf 0 Frame.header_bytes;
-  let hdr = Frame.decode_header hdr_buf in
+  Frame.decode_header hdr_buf
+
+let recv ?deadline t =
+  let hdr = read_header ?deadline t (Bytes.create Frame.header_bytes) in
   let payload = Bytes.create hdr.Frame.len in
   read_exact ?deadline t payload 0 hdr.Frame.len;
   t.frames_recv <- t.frames_recv + 1;
   Frame.verify hdr payload
+
+(* Storage a buffer keeps between payloads. A longer payload (within
+   [max_bytes]) is read into storage of its own, garbage once its reader
+   drops it, so an idle connection holds at most this much. *)
+let kept_bytes = 64 * 1024
+
+type buffer = {
+  max_bytes : int;
+  header : Bytes.t;
+  mutable kept : Bytes.t;  (* never longer than [kept_bytes] or [max_bytes] *)
+}
+
+let buffer ~max_bytes =
+  let max_bytes = max 1 max_bytes in
+  {
+    max_bytes;
+    header = Bytes.create Frame.header_bytes;
+    kept = Bytes.create (min max_bytes 1024);
+  }
+
+type received = Payload of Frame.header * Bytes.t | Oversized of Frame.header
+
+(* The payload lands in [b.kept], grown (doubling) when it is too short
+   and the payload fits [kept_bytes]; a longer one gets a fresh block.
+   One longer than [max_bytes] is read through [b.kept] in chunks and
+   dropped, so the stream stays in step and no storage grows for it. *)
+let recv_into t b =
+  let hdr = read_header t b.header in
+  let len = hdr.Frame.len in
+  let have = Bytes.length b.kept in
+  let received =
+    if len <= b.max_bytes then begin
+      let keep = min b.max_bytes kept_bytes in
+      if len > have && len <= keep then
+        b.kept <- Bytes.create (min keep (max len (2 * have)));
+      let storage =
+        if len <= Bytes.length b.kept then b.kept else Bytes.create len
+      in
+      read_exact t storage 0 len;
+      Frame.check hdr storage;
+      Payload (hdr, storage)
+    end
+    else begin
+      let left = ref len in
+      while !left > 0 do
+        let k = min have !left in
+        read_exact t b.kept 0 k;
+        left := !left - k
+      done;
+      Oversized hdr
+    end
+  in
+  t.frames_recv <- t.frames_recv + 1;
+  received
 
 (* ------------------------------------------------------------ endpoints *)
 

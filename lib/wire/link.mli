@@ -37,6 +37,38 @@ val recv : ?deadline:float -> t -> Frame.t
     is bounded and expiry raises {!Timeout}; without it the read blocks
     indefinitely. *)
 
+(** {2 Receiving in place}
+
+    A server that parses each request and then forgets it reads through
+    a {!buffer} the connection keeps, so a request allocates no payload.
+    {!recv_into} shares {!recv}'s read loop and checks. *)
+
+type buffer
+(** A receive buffer for {!recv_into}. It keeps storage for payloads of
+    up to 64 KiB (or [max_bytes], if less), grown to the largest such
+    payload received; a longer payload within [max_bytes] is read into
+    storage of its own, which is garbage once the caller drops it. So a
+    connection holds at most 64 KiB between requests. *)
+
+val buffer : max_bytes:int -> buffer
+(** An empty buffer accepting payloads of up to [max_bytes] (at least
+    1). *)
+
+type received =
+  | Payload of Frame.header * Bytes.t
+      (** the checksum-verified payload: the first [len] bytes (the
+          header's) of the storage. When that is the buffer's own, the
+          next {!recv_into} overwrites it. *)
+  | Oversized of Frame.header
+      (** the payload is longer than [max_bytes]: it was read in chunks
+          through the buffer and dropped unverified, so the stream is
+          still in step *)
+
+val recv_into : t -> buffer -> received
+(** {!recv} into [buffer]: the same reads, checks and exceptions, but the
+    payload is left in the buffer's storage rather than returned in a
+    fresh frame. The read blocks; there is no deadline. *)
+
 val close : t -> unit
 (** Idempotent. *)
 

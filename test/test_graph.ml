@@ -394,6 +394,114 @@ let test_sub_edges () =
   Alcotest.(check int) "two edges kept" 2 (Graph.m h);
   Alcotest.(check int) "vertex set unchanged" 5 (Graph.n h)
 
+(* Every weight that is not finite and positive is refused, by [create]
+   and by [simple_of_edges] alike: NaN slipped past a [w <= 0.] test. *)
+let test_non_finite_weights_rejected () =
+  let raises what f =
+    Alcotest.(check bool) what true
+      (match f () with
+      | (_ : Graph.t) -> false
+      | exception Invalid_argument _ -> true)
+  in
+  List.iter
+    (fun w ->
+      let es = [ { Graph.u = 0; v = 1; w = 1. }; { Graph.u = 1; v = 2; w } ] in
+      raises (Printf.sprintf "create refuses %g" w) (fun () ->
+          Graph.create 3 es);
+      raises (Printf.sprintf "simple_of_edges refuses %g" w) (fun () ->
+          Graph.simple_of_edges 3 (Array.of_list es)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ];
+  raises "simple_of_edges refuses a sum overflowing to infinity" (fun () ->
+      Graph.simple_of_edges 2
+        [| { Graph.u = 0; v = 1; w = Float.max_float };
+           { Graph.u = 1; v = 0; w = Float.max_float } |])
+
+(* The SplitMix64 stream as it was with a boxed [mutable int64] state,
+   verbatim: the in-place state must draw the same numbers. *)
+module Boxed_prng = struct
+  type t = { mutable state : int64 }
+
+  let create seed = { state = seed }
+
+  let golden = 0x9E3779B97F4A7C15L
+
+  let next_int64 t =
+    t.state <- Int64.add t.state golden;
+    let z = t.state in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let int t bound =
+    if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
+    (* Keep 62 bits so the value is non-negative as a native int. *)
+    let v = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
+    v mod bound
+
+  let float t bound =
+    let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
+    bound *. (v /. 9007199254740992.)
+
+  let bool t = Int64.logand (next_int64 t) 1L = 1L
+
+  let shuffle t a =
+    for i = Array.length a - 1 downto 1 do
+      let j = int t (i + 1) in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+end
+
+let test_prng_matches_boxed_state () =
+  for seed = 0 to 1199 do
+    let seed = Int64.of_int ((seed * 7919) - 3000) in
+    let a = Prng.create seed and b = Boxed_prng.create seed in
+    for i = 1 to 12 do
+      if Prng.int a (1 + (i * 97)) <> Boxed_prng.int b (1 + (i * 97)) then
+        Alcotest.failf "int differs at seed %Ld" seed;
+      if
+        Int64.bits_of_float (Prng.float a 3.5)
+        <> Int64.bits_of_float (Boxed_prng.float b 3.5)
+      then Alcotest.failf "float differs at seed %Ld" seed;
+      if Prng.bool a <> Boxed_prng.bool b then
+        Alcotest.failf "bool differs at seed %Ld" seed;
+      if Prng.next_int64 a <> Boxed_prng.next_int64 b then
+        Alcotest.failf "next_int64 differs at seed %Ld" seed
+    done;
+    let xa = Array.init 20 Fun.id and xb = Array.init 20 Fun.id in
+    Prng.shuffle a xa;
+    Boxed_prng.shuffle b xb;
+    if xa <> xb then Alcotest.failf "shuffle differs at seed %Ld" seed
+  done
+
+(* A float draw allocates its boxed result and nothing else; an int draw
+   allocates nothing. Native only, like the other word-counting tests. *)
+let test_prng_draw_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let r = Prng.create 9L in
+    let draws = 10_000 in
+    let acc = ref 0. in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to draws do
+      acc := !acc +. Prng.float r 1.
+    done;
+    let per_draw = (Gc.minor_words () -. w0) /. float_of_int draws in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.2f words per float draw (<= 2)" per_draw)
+      true (per_draw <= 2.);
+    let k = ref 0 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to draws do
+      k := !k + Prng.int r 1000
+    done;
+    let per_draw = (Gc.minor_words () -. w0) /. float_of_int draws in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.2f words per int draw (<= 2)" per_draw)
+      true (per_draw <= 2.);
+    ignore (Sys.opaque_identity (!acc, !k))
+  end
+
 let more_graph_qcheck =
   let open QCheck in
   [
@@ -448,5 +556,11 @@ let suite =
       Alcotest.test_case "bfs digraph residual mask" `Quick
         test_bfs_digraph_residual_mask;
       Alcotest.test_case "sub edges" `Quick test_sub_edges;
+      Alcotest.test_case "non-finite weights rejected" `Quick
+        test_non_finite_weights_rejected;
+      Alcotest.test_case "prng matches boxed state" `Quick
+        test_prng_matches_boxed_state;
+      Alcotest.test_case "prng draw allocation" `Quick
+        test_prng_draw_allocation;
     ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) more_graph_qcheck

@@ -309,9 +309,24 @@ let test_disconnected_rejected () =
         b);
   rejects "Solver.prepare_cg" (fun () -> Laplacian.Solver.solve_cg_baseline g b)
 
+(* A NaN weight used to reach the solver, which answered x = nan with
+   residual nan; the graph is now refused before any solve runs. *)
+let test_nan_weight_refused () =
+  let b = [| 1.; 0.; -1. |] in
+  Alcotest.(check bool) "NaN weight raises Invalid_argument" true
+    (match
+       Laplacian.Solver.solve
+         (Graph.create 3
+            [ { Graph.u = 0; v = 1; w = 1. }; { Graph.u = 1; v = 2; w = nan } ])
+         b
+     with
+    | (_ : Laplacian.Solver.report) -> false
+    | exception Invalid_argument _ -> true)
+
 let suite =
   suite
   @ [
+      Alcotest.test_case "NaN weight refused" `Quick test_nan_weight_refused;
       Alcotest.test_case "rhs dimension checked" `Quick
         test_rhs_dimension_checked;
       Alcotest.test_case "n=1 and n=2" `Quick test_tiny_graphs;

@@ -108,7 +108,44 @@ let test_parser_rejects () =
       match J.of_string s with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail (Printf.sprintf "%S should not parse" s))
-    [ "{"; "tru"; "[1 2]"; "\"unterminated"; "{}garbage"; "\"bad \\x\""; "" ]
+    [ "{"; "tru"; "[1 2]"; "\"unterminated"; "{}garbage"; "\"bad \\x\""; "";
+      "\"\\u12G4\""; "\"\\u-123\""; "\"\\u00\"" ]
+
+(* Nesting is bounded at 512 levels: a deeper document is an [Error], not
+   a stack overflow, however deep it goes. *)
+let test_parser_nesting_bound () =
+  let nested k = String.make k '[' ^ String.make k ']' in
+  Alcotest.(check bool) "512 levels parse" true
+    (Result.is_ok (J.of_string (nested 512)));
+  let refused what doc =
+    match J.of_string doc with
+    | Ok _ -> Alcotest.failf "%s parsed" what
+    | Error msg ->
+      Alcotest.(check bool) (what ^ ": " ^ msg) true
+        (String.ends_with ~suffix:"nesting deeper than 512" msg)
+  in
+  refused "513 levels" (nested 513);
+  refused "513 objects" (String.concat "" (List.init 513 (fun _ -> {|{"a":|})));
+  refused "100,000 open brackets" (String.make 100_000 '[')
+
+(* The bytes entry point parses a prefix in place, and the tree it returns
+   shares nothing with the buffer. *)
+let test_parser_of_bytes () =
+  let doc = {|{"k":"abc","n":[1,2.5]}|} in
+  let buf = Bytes.of_string (doc ^ "garbage past len") in
+  let want =
+    match J.of_string doc with Ok j -> j | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "the whole buffer does not parse" true
+    (match J.of_bytes buf ~len:(Bytes.length buf) with
+    | Error _ -> true
+    | Ok _ -> false);
+  match J.of_bytes buf ~len:(String.length doc) with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+    Bytes.fill buf 0 (Bytes.length buf) 'X';
+    Alcotest.(check bool) "tree unchanged after the buffer is reused" true
+      (J.equal j want)
 
 (* --------------------------------------------------------- registry *)
 
@@ -224,6 +261,9 @@ let suite =
     Alcotest.test_case "json round-trip" `Quick test_roundtrip;
     Alcotest.test_case "json parser accepts" `Quick test_parser_accepts;
     Alcotest.test_case "json parser rejects" `Quick test_parser_rejects;
+    Alcotest.test_case "json parser nesting bound" `Quick
+      test_parser_nesting_bound;
+    Alcotest.test_case "json parser of_bytes" `Quick test_parser_of_bytes;
     Alcotest.test_case "counters and gauges" `Quick test_counters_gauges;
     Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
     Alcotest.test_case "spans" `Quick test_spans;

@@ -164,6 +164,56 @@ let test_oversized_frame_refused_connection_kept () =
       check_ok "small after oversized" small;
       Serve.Client.close c)
 
+(* A request far over the limit is drained in bounded chunks rather than
+   read whole, then refused; the connection keeps serving. *)
+let test_large_request_drained () =
+  with_daemon ~max_bytes:256 (fun addr ->
+      let c = Serve.Client.connect addr in
+      let big =
+        Serve.Client.request_string ~deadline:(deadline ()) c
+          (Printf.sprintf {|{"id":6,"kind":"stats","pad":"%s"}|}
+             (String.make (64 * 1024) 'x'))
+      in
+      check_refused "64-KB request" big;
+      for id = 7 to 9 do
+        check_ok "served after the 64-KB request"
+          (Serve.Client.request_string ~deadline:(deadline ()) c
+             (Printf.sprintf {|{"id":%d,"kind":"stats"}|} id))
+      done;
+      Serve.Client.close c)
+
+(* A request nested 100,000 arrays deep is refused by the parser's depth
+   bound instead of overflowing the listener domain's stack; the daemon
+   answers the next request. *)
+let test_deep_nesting_refused () =
+  with_daemon (fun addr ->
+      let link = Link.dial ~peer:"test" (Link.address addr) in
+      let exchange ~id payload =
+        Link.send link
+          {
+            Wire.Frame.kind = Serve.Job.frame_job;
+            src = 0;
+            dst = 0;
+            seq = id;
+            epoch = 0;
+            payload = Bytes.of_string payload;
+          };
+        let reply = Link.recv ~deadline:(deadline ()) link in
+        match Json.of_string (Bytes.to_string reply.Wire.Frame.payload) with
+        | Ok j -> j
+        | Error e -> Alcotest.fail e
+      in
+      let deep = exchange ~id:1 (String.make 100_000 '[') in
+      check_refused "100,000 open brackets" deep;
+      Alcotest.(check bool) "refused by the depth bound" true
+        (match Serve.Client.error_message deep with
+        | Some m -> String.ends_with ~suffix:"nesting deeper than 512" m
+        | None -> false);
+      let s = exchange ~id:2 {|{"id":2,"kind":"stats"}|} in
+      Link.close link;
+      check_ok "stats after the deep request" s;
+      Alcotest.(check int) "refused" 1 (get_int [ "result"; "jobs_refused" ] s))
+
 let test_corrupt_stream_closed () =
   with_daemon (fun addr ->
       let link = Link.dial ~peer:"test" (Link.address addr) in
@@ -387,6 +437,328 @@ let test_stats_and_shutdown () =
       false
     | exception Unix.Unix_error _ -> true)
 
+(* ----------------------------------------------- bad generator specs *)
+
+(* Each of these makes its generator raise; before generators ran inside
+   Exec, the listener ran them and the first one ended the daemon. *)
+let bad_specs =
+  [
+    {|{"id":1,"kind":"solve","graph":{"gen":"barbell","k":2}}|};
+    {|{"id":2,"kind":"solve","graph":{"gen":"grid","rows":-1,"cols":2}}|};
+    {|{"id":3,"kind":"solve","graph":{"gen":"weighted_gnp","n":10,"p":0.5,"u":0}}|};
+    {|{"id":4,"kind":"solve","graph":{"gen":"expander","n":-3,"d":2}}|};
+    {|{"id":5,"kind":"solve","graph":{"gen":"expander","n":0,"d":2}}|};
+    {|{"id":6,"kind":"maxflow","net":{"gen":"layered","layers":0,"width":0,"maxcap":1}}|};
+    {|{"id":7,"kind":"mst","graph":{"gen":"connected_gnp","n":-4,"p":0.5}}|};
+  ]
+
+let test_bad_specs_refused () =
+  with_daemon (fun addr ->
+      let c = Serve.Client.connect addr in
+      List.iter
+        (fun body ->
+          check_refused body
+            (Serve.Client.request_string ~deadline:(deadline ()) c body))
+        bad_specs;
+      let s =
+        Serve.Client.request_string ~deadline:(deadline ()) c
+          {|{"id":8,"kind":"stats"}|}
+      in
+      Serve.Client.close c;
+      check_ok "stats after the bad specs" s;
+      Alcotest.(check int) "every bad spec refused" (List.length bad_specs)
+        (get_int [ "result"; "jobs_refused" ] s);
+      Alcotest.(check int) "no cache entry left behind" 0
+        (get_int [ "result"; "cache"; "entries" ] s))
+
+(* ------------------------------------------------- spec-keyed cache *)
+
+let parse_ok s =
+  match Serve.Job.parse_string s with
+  | Ok j -> j
+  | Error e -> Alcotest.fail e
+
+let run_ok ?(policy = Serve.Exec.Off) cache s =
+  match Serve.Exec.run ~policy ~cache (parse_ok s) with
+  | Ok o -> o
+  | Error e -> Alcotest.fail e
+
+let cache_state (o : Serve.Exec.outcome) =
+  match o.Serve.Exec.cache with
+  | `Hit -> "hit"
+  | `Miss -> "miss"
+  | `Bypass -> "bypass"
+
+let wgnp_req ?(p = "0.3") ?(seed = {|,"seed":3|}) ?(n = 40) ?(u = 8)
+    ?(extra = "") () =
+  Printf.sprintf
+    {|{"kind":"solve","graph":{"gen":"weighted_gnp","n":%d,"p":%s,"u":%d%s}%s}|}
+    n p u seed extra
+
+let test_spec_key_canonical () =
+  let cache = Serve.Cache.create ~cap:32 in
+  let expect what state req =
+    Alcotest.(check string) what state (cache_state (run_ok cache req))
+  in
+  expect "first spec" "miss" (wgnp_req ());
+  expect "p spelled 3e-1" "hit" (wgnp_req ~p:"3e-1" ());
+  expect "p spelled 0.30" "hit" (wgnp_req ~p:"0.30" ());
+  expect "another seed" "miss" (wgnp_req ~seed:{|,"seed":4|} ());
+  expect "another n" "miss" (wgnp_req ~n:41 ());
+  expect "another u" "miss" (wgnp_req ~u:9 ());
+  expect "another eps" "miss" (wgnp_req ~extra:{|,"eps":1e-7|} ());
+  expect "another solver" "miss" (wgnp_req ~extra:{|,"solver":"cg"|} ());
+  expect "seed omitted" "miss" (wgnp_req ~seed:"" ());
+  expect "seed 1 is the default" "hit" (wgnp_req ~seed:{|,"seed":1|} ())
+
+(* The same graph as a spec and as an explicit edge list: two cache
+   entries, one answer. *)
+let test_spec_and_explicit_agree () =
+  let g = Gen.weighted_gnp ~seed:3L 40 0.3 8 in
+  let edges =
+    Json.List
+      (Array.to_list
+         (Array.map
+            (fun (e : Graph.edge) ->
+              Json.List [ Json.Int e.Graph.u; Json.Int e.Graph.v;
+                          Json.Float e.Graph.w ])
+            (Graph.edges g)))
+  in
+  let explicit =
+    Json.to_string ~minify:true
+      (Json.Assoc
+         [
+           ("kind", Json.String "solve");
+           ("graph", Json.Assoc [ ("n", Json.Int 40); ("edges", edges) ]);
+         ])
+  in
+  let cache = Serve.Cache.create ~cap:8 in
+  let a = run_ok cache (wgnp_req ()) and b = run_ok cache explicit in
+  Alcotest.(check string) "explicit list is its own entry" "miss"
+    (cache_state b);
+  let field k (o : Serve.Exec.outcome) =
+    Json.to_string (List.assoc k o.Serve.Exec.fields)
+  in
+  Alcotest.(check string) "same x_fnv" (field "x_fnv" a) (field "x_fnv" b);
+  Alcotest.(check int) "same rounds" a.Serve.Exec.rounds b.Serve.Exec.rounds
+
+(* Under Verify a hit certifies its answer against the graph cached with
+   the prepared handle: the corrupted answer of an [inject] is refused on
+   a hit exactly as on a miss. *)
+let test_verify_inject_on_hit () =
+  let cache = Serve.Cache.create ~cap:8 in
+  let policy = Serve.Exec.Verify in
+  Alcotest.(check string) "warm" "miss"
+    (cache_state (run_ok ~policy cache (wgnp_req ())));
+  let hits0 = (Serve.Cache.stats cache).Serve.Cache.hits in
+  (match
+     Serve.Exec.run ~policy ~cache
+       (parse_ok (wgnp_req ~extra:{|,"inject":true|} ()))
+   with
+  | Ok _ -> Alcotest.fail "corrupted answer on a hit was not refused"
+  | Error msg ->
+    Alcotest.(check bool) ("refused by certification: " ^ msg) true
+      (String.starts_with ~prefix:"certification failed" msg));
+  Alcotest.(check int) "it was a hit" (hits0 + 1)
+    (Serve.Cache.stats cache).Serve.Cache.hits;
+  Alcotest.(check string) "an honest hit still passes" "hit"
+    (cache_state (run_ok ~policy cache (wgnp_req ())))
+
+(* An rhs of the wrong length is refused before the sparsifier is
+   prepared, on a spec and on an explicit graph alike: the refused miss
+   leaves no entry and evicts none, so the warm entry of a one-slot cache
+   still hits. *)
+let test_bad_rhs_leaves_no_entry () =
+  let cache = Serve.Cache.create ~cap:1 in
+  Alcotest.(check string) "warm" "miss" (cache_state (run_ok cache (wgnp_req ())));
+  let refused what req =
+    match Serve.Exec.run ~policy:Serve.Exec.Off ~cache (parse_ok req) with
+    | Ok _ -> Alcotest.failf "%s: a 3-entry rhs was accepted" what
+    | Error msg ->
+      Alcotest.(check bool) (what ^ ": " ^ msg) true
+        (String.starts_with ~prefix:{|field "b" has 3 entries|} msg)
+  in
+  refused "spec" (wgnp_req ~n:41 ~extra:{|,"b":[1,2,3]|} ());
+  refused "explicit"
+    {|{"kind":"solve","graph":{"n":4,"edges":[[0,1,1],[1,2,1],[2,3,1]]},"b":[1,2,3]}|};
+  let st = Serve.Cache.stats cache in
+  Alcotest.(check int) "one entry" 1 st.Serve.Cache.entries;
+  Alcotest.(check int) "no eviction" 0 st.Serve.Cache.evictions;
+  Alcotest.(check string) "the warm entry still hits" "hit"
+    (cache_state (run_ok cache (wgnp_req ())))
+
+(* A hit does only the per-rhs work: parsing the request and running it on
+   a warmed entry allocates a few thousand words (the rhs and the reply
+   fields), not the graph's hundreds of thousands. Counted as minor plus
+   direct major words, so a large block cannot hide; native only, like
+   the zero-alloc kernel tests. *)
+let test_hit_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let n = 160 in
+    let rng = Prng.create 11L in
+    let b =
+      Json.List
+        (List.init n (fun _ -> Json.Float (Prng.float rng 2. -. 1.)))
+    in
+    let req =
+      Json.to_string ~minify:true
+        (Json.Assoc
+           [
+             ("id", Json.Int 1);
+             ("kind", Json.String "solve");
+             ( "graph",
+               Json.Assoc
+                 [
+                   ("gen", Json.String "weighted_gnp");
+                   ("n", Json.Int n);
+                   ("p", Json.Float 0.3);
+                   ("u", Json.Int 8);
+                 ] );
+             ("b", b);
+           ])
+    in
+    let cache = Serve.Cache.create ~cap:8 in
+    let policy = Serve.Exec.Verify in
+    let hit () =
+      let o = run_ok ~policy cache req in
+      Alcotest.(check string) "cache state" "hit" (cache_state o)
+    in
+    ignore (run_ok ~policy cache req : Serve.Exec.outcome);
+    hit ();
+    (* Gc.minor_words for the minor heap (Gc.counters' minor count lags
+       between collections), Gc.counters for direct major allocations. *)
+    let words () =
+      let _, promoted, major = Gc.counters () in
+      Gc.minor_words () +. major -. promoted
+    in
+    let w0 = words () in
+    hit ();
+    let used = words () -. w0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "a hit allocates %.0f words (< 20000)" used)
+      true (used < 20000.)
+  end
+
+(* -------------------------------------------------- decoder fuzzing *)
+
+(* Random JSON over the protocol's own vocabulary, so that a good share
+   of the trees reach the decoders behind "kind", "graph" and "net". *)
+let vocabulary =
+  [ "id"; "kind"; "graph"; "net"; "gen"; "n"; "p"; "u"; "seed"; "d";
+    "rows"; "cols"; "k"; "edges"; "arcs"; "b"; "eps"; "solver"; "s"; "t";
+    "layers"; "width"; "maxcap"; "m"; "timeout_ms"; "inject"; "nocache";
+    "return_x"; "solve"; "sparsify"; "maxflow"; "mst"; "stats"; "cg";
+    "chebyshev"; "connected_gnp"; "weighted_gnp"; "expander"; "grid";
+    "barbell"; "layered"; "random_network" ]
+
+let json_gen =
+  let open QCheck.Gen in
+  let word = oneof [ oneofl vocabulary; string_size ~gen:printable (0 -- 6) ] in
+  let leaf =
+    frequency
+      [
+        (1, return Json.Null);
+        (1, map (fun b -> Json.Bool b) bool);
+        (4, map (fun i -> Json.Int i) (-4 -- 12));
+        (1, map (fun i -> Json.Int i) int);
+        (2, map (fun f -> Json.Float f) float);
+        (3, map (fun s -> Json.String s) word);
+      ]
+  in
+  sized_size (0 -- 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               ( 1,
+                 map (fun l -> Json.List l)
+                   (list_size (0 -- 4) (self (depth - 1))) );
+               ( 3,
+                 map
+                   (fun l -> Json.Assoc l)
+                   (list_size (0 -- 6) (pair word (self (depth - 1)))) );
+             ])
+
+(* Raw text too: a serialized tree cut short or with one byte replaced,
+   and strings holding malformed \u escapes, reach the parser's error
+   paths. *)
+let text_gen =
+  let open QCheck.Gen in
+  json_gen >>= fun j ->
+  let s = Json.to_string ~minify:true j in
+  let len = String.length s in
+  frequency
+    [
+      (2, return s);
+      (1, map (fun k -> String.sub s 0 (k mod (len + 1))) nat);
+      ( 1,
+        map2
+          (fun k c ->
+            if len = 0 then String.make 1 c
+            else String.mapi (fun i x -> if i = k mod len then c else x) s)
+          nat char );
+      (1, map (fun e -> {|{"kind":"solve","b":"|} ^ e ^ {|"}|})
+           (oneofl [ {|\u12G4|}; {|\u|}; {|\uD800\u0000|}; {|\x|} ]));
+    ]
+
+let parses_cleanly text =
+  match Serve.Job.parse_string text with Ok _ | Error _ -> true
+
+(* Well-formed requests for every generator, each parameter a small
+   integer (zero and negative included), with the vertex count the
+   generator would produce if it accepted them. *)
+let gens =
+  [
+    ("graph", "connected_gnp", [ "n"; "p"; "seed" ], fun v -> v.(0));
+    ("graph", "weighted_gnp", [ "n"; "p"; "u"; "seed" ], fun v -> v.(0));
+    ("graph", "expander", [ "n"; "d" ], fun v -> v.(0));
+    ("graph", "grid", [ "rows"; "cols" ], fun v -> v.(0) * v.(1));
+    ("graph", "barbell", [ "k" ], fun v -> 2 * v.(0));
+    ("net", "layered", [ "layers"; "width"; "maxcap"; "seed" ],
+     fun v -> (v.(0) * v.(1)) + 2);
+    ("net", "random_network", [ "n"; "m"; "maxcap"; "seed" ], fun v -> v.(0));
+  ]
+
+let request_gen =
+  let open QCheck.Gen in
+  oneofl gens >>= fun (operand, gen, params, nodes) ->
+  array_repeat (List.length params) (-3 -- 9) >>= fun v ->
+  (if operand = "net" then return "maxflow"
+   else oneofl [ "solve"; "sparsify"; "mst" ])
+  >>= fun kind ->
+  let spec =
+    Json.Assoc
+      (("gen", Json.String gen)
+      :: List.mapi (fun i k -> (k, Json.Int v.(i))) params)
+  in
+  let text =
+    Json.to_string ~minify:true
+      (Json.Assoc [ ("kind", Json.String kind); (operand, spec) ])
+  in
+  return (text, nodes v)
+
+let fuzz_tests =
+  [
+    QCheck.Test.make ~name:"decoder never raises on random JSON" ~count:600
+      (QCheck.make ~print:Fun.id text_gen)
+      parses_cleanly;
+    QCheck.Test.make
+      ~name:"generator specs: decoder and Exec.run never raise" ~count:250
+      (QCheck.make ~print:(fun (t, n) -> Printf.sprintf "%s (n = %d)" t n)
+         request_gen)
+      (fun (text, n) ->
+        match Serve.Job.parse_string text with
+        | Error _ -> true
+        | Ok job ->
+          n > 64
+          ||
+          let cache = Serve.Cache.create ~cap:2 in
+          match Serve.Exec.run ~policy:Serve.Exec.Verify ~cache job with
+          | Ok _ | Error _ -> true);
+  ]
+
 (* --------------------------------------------------------------- codec *)
 
 let test_job_parse_roundtrip () =
@@ -400,15 +772,16 @@ let test_job_parse_roundtrip () =
     "timeout parsed" true
     (j.Serve.Job.timeout_ms = Some 250.);
   (match j.Serve.Job.payload with
-  | Serve.Job.Solve { solver = Serve.Job.Cg_baseline; g; _ } ->
-    Alcotest.(check int) "generated nodes" 24 (Graph.n g)
-  | _ -> Alcotest.fail "expected a cg solve");
+  | Serve.Job.Solve
+      { solver = Serve.Job.Cg_baseline; g = Serve.Job.Spec _ as g; _ } ->
+    Alcotest.(check int) "generated nodes" 24 (Graph.n (Serve.Job.build g))
+  | _ -> Alcotest.fail "expected a cg solve on a generator spec");
   let explicit =
     ok
       {|{"kind":"mst","graph":{"n":3,"edges":[[0,1,1.5],[1,2,2.0],[0,2,4.0]]}}|}
   in
   (match explicit.Serve.Job.payload with
-  | Serve.Job.Mst { g } ->
+  | Serve.Job.Mst { g = Serve.Job.Given g } ->
     Alcotest.(check int) "explicit nodes" 3 (Graph.n g);
     Alcotest.(check int) "explicit edges" 3 (Graph.m g)
   | _ -> Alcotest.fail "expected an mst job");
@@ -429,6 +802,10 @@ let () =
             test_bad_graph_refused;
           Alcotest.test_case "oversized frame refused, connection kept" `Quick
             test_oversized_frame_refused_connection_kept;
+          Alcotest.test_case "64-KB request drained, connection kept" `Quick
+            test_large_request_drained;
+          Alcotest.test_case "deep nesting refused" `Quick
+            test_deep_nesting_refused;
           Alcotest.test_case "corrupt stream closed" `Quick
             test_corrupt_stream_closed;
           Alcotest.test_case "tcp: address answers a solve" `Quick
@@ -443,6 +820,26 @@ let () =
           Alcotest.test_case "concurrent clients" `Quick
             test_concurrent_clients;
         ] );
+      ( "cache",
+        [
+          Alcotest.test_case "bad generator specs refused" `Quick
+            test_bad_specs_refused;
+          Alcotest.test_case "spec key canonical" `Quick
+            test_spec_key_canonical;
+          Alcotest.test_case "spec and explicit graph agree" `Quick
+            test_spec_and_explicit_agree;
+          Alcotest.test_case "verify certifies a hit" `Quick
+            test_verify_inject_on_hit;
+          Alcotest.test_case "bad rhs leaves no entry" `Quick
+            test_bad_rhs_leaves_no_entry;
+          Alcotest.test_case "hit allocation bounded" `Quick
+            test_hit_allocation;
+        ] );
+      ( "fuzz",
+        List.map
+          (QCheck_alcotest.to_alcotest ~long:false
+             ~rand:(Random.State.make [| 22 |]))
+          fuzz_tests );
       ( "policy",
         [
           Alcotest.test_case "off lets corruption escape" `Quick

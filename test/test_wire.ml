@@ -231,6 +231,123 @@ let test_link_recv_deadline () =
   Link.close a;
   Link.close b
 
+(* A payload of [len] bytes, each [c]. *)
+let filled_frame ~seq ~len c =
+  { Frame.kind = 0x30; src = 0; dst = 0; seq; epoch = 0;
+    payload = Bytes.make len c }
+
+(* Direct major-heap allocations so far: a block too large for the minor
+   heap goes straight to the major one, and promotion is not allocation. *)
+let direct_major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+(* The in-place receive reuses its buffer: over 1,000 4-KB frames the
+   major heap sees new words only on the call that grows the buffer's
+   storage, and every payload arrives verified in that storage. Native
+   only, like the other word-counting tests. *)
+let test_link_recv_into_reuses () =
+  if Sys.backend_type = Sys.Native then begin
+    let a, b = Link.pair ~peer:"in-place" () in
+    let buf = Link.buffer ~max_bytes:(64 * 1024) in
+    let len = 4096 in
+    let storage = ref Bytes.empty in
+    let growths = ref 0 and stray = ref 0. in
+    for i = 1 to 1000 do
+      let c = Char.chr (i land 0xff) in
+      Link.send a (filled_frame ~seq:i ~len c);
+      let w0 = direct_major_words () in
+      let received = Link.recv_into b buf in
+      let words = direct_major_words () -. w0 in
+      match received with
+      | Link.Payload (hdr, data) ->
+        if data != !storage then begin
+          incr growths;
+          storage := data
+        end
+        else stray := !stray +. Float.max 0. words;
+        if hdr.Frame.seq <> i || hdr.Frame.len <> len
+           || Bytes.get data 0 <> c || Bytes.get data (len - 1) <> c
+        then Alcotest.failf "frame %d arrived wrong" i
+      | Link.Oversized _ -> Alcotest.failf "frame %d refused" i
+    done;
+    Alcotest.(check int) "the storage grew once, for the first frame" 1
+      !growths;
+    Alcotest.(check (float 0.)) "no major words without a growth" 0. !stray;
+    Alcotest.(check int) "frames counted" 1000 (Link.frames_recv b);
+    Link.close a;
+    Link.close b
+  end
+
+(* The buffer keeps at most 64 KiB: a larger payload within [max_bytes]
+   arrives in storage of its own, and the next small payload lands in the
+   storage kept from before, so a connection does not hold on to its
+   largest request. *)
+let test_link_recv_into_keeps_64k () =
+  let a, b = Link.pair ~peer:"kept" () in
+  let buf = Link.buffer ~max_bytes:(1024 * 1024) in
+  let receive ~seq ~len c =
+    (* sent from another domain: a payload this size may not fit the
+       socket's buffer *)
+    let sender =
+      Domain.spawn (fun () -> Link.send a (filled_frame ~seq ~len c))
+    in
+    let received = Link.recv_into b buf in
+    Domain.join sender;
+    match received with
+    | Link.Payload (hdr, data) ->
+      Alcotest.(check int) "in step" seq hdr.Frame.seq;
+      Alcotest.(check string) "payload" (String.make len c)
+        (Bytes.sub_string data 0 len);
+      data
+    | Link.Oversized _ -> Alcotest.failf "frame %d refused" seq
+  in
+  let small = receive ~seq:1 ~len:4096 's' in
+  let large = receive ~seq:2 ~len:(200 * 1024) 'l' in
+  Alcotest.(check bool) "the large payload has storage of its own" true
+    (large != small);
+  Alcotest.(check bool) "and the small storage was kept" true
+    (receive ~seq:3 ~len:4096 't' == small);
+  let full = receive ~seq:4 ~len:(64 * 1024) 'k' in
+  Alcotest.(check bool) "64 KiB is still kept" true
+    (receive ~seq:5 ~len:100 'u' == full);
+  Link.close a;
+  Link.close b
+
+(* A payload over [max_bytes] is drained through the buffer, which does
+   not grow for it, and reported; the next frame on the same link is
+   received whole. A payload that fails its checksum in the buffer is
+   Malformed, as with [recv]. *)
+let test_link_recv_into_oversized () =
+  let a, b = Link.pair ~peer:"oversized" () in
+  let buf = Link.buffer ~max_bytes:256 in
+  Link.send a (filled_frame ~seq:1 ~len:(64 * 1024) 'x');
+  Link.send a (filled_frame ~seq:2 ~len:200 'y');
+  (match Link.recv_into b buf with
+  | Link.Oversized hdr ->
+    Alcotest.(check int) "announced length" (64 * 1024) hdr.Frame.len
+  | Link.Payload _ -> Alcotest.fail "a 64-KB payload fit a 256-byte bound");
+  (match Link.recv_into b buf with
+  | Link.Payload (hdr, data) ->
+    Alcotest.(check int) "next frame in step" 2 hdr.Frame.seq;
+    Alcotest.(check bool) "storage within max_bytes" true
+      (Bytes.length data <= 256);
+    Alcotest.(check string) "next payload" (String.make 200 'y')
+      (Bytes.sub_string data 0 hdr.Frame.len)
+  | Link.Oversized _ -> Alcotest.fail "a 200-byte payload refused");
+  let raw = Frame.encode (filled_frame ~seq:3 ~len:100 'z') in
+  Bytes.set raw (Bytes.length raw - 1) 'Z';
+  let written =
+    Unix.write (Link.fd a) raw 0 (Bytes.length raw) (* cc_lint: allow L9 *)
+  in
+  Alcotest.(check int) "corrupt frame written" (Bytes.length raw) written;
+  Alcotest.(check bool) "checksum verified in place" true
+    (match Link.recv_into b buf with
+    | _ -> false
+    | exception Frame.Malformed _ -> true);
+  Link.close a;
+  Link.close b
+
 (* ------------------------------------------------- shard partitioning *)
 
 let owners_consistent ~shards ~n =
@@ -536,6 +653,12 @@ let suite =
     Alcotest.test_case "link over tcp" `Quick test_link_tcp;
     Alcotest.test_case "link address grammar" `Quick test_link_address_grammar;
     Alcotest.test_case "link recv deadline" `Quick test_link_recv_deadline;
+    Alcotest.test_case "link recv_into reuses its buffer" `Quick
+      test_link_recv_into_reuses;
+    Alcotest.test_case "link recv_into keeps at most 64 KiB" `Quick
+      test_link_recv_into_keeps_64k;
+    Alcotest.test_case "link recv_into drains oversized" `Quick
+      test_link_recv_into_oversized;
     Alcotest.test_case "shard owners/bounds" `Quick test_owners;
     Alcotest.test_case "bounds edge cases" `Quick test_bounds_edge_cases;
     Alcotest.test_case "partition drain" `Quick test_partition_drain;
