@@ -23,9 +23,6 @@ val scan_source : file:string -> string -> finding list
     Findings suppressed by a [(* cc_lint: allow Lk *)] marker on their line
     are dropped. Sorted by {!compare_findings}. *)
 
-val scan_file : string -> finding list
-(** [scan_source] over the contents of a file on disk. *)
-
 val missing_mlis : string list -> finding list
 (** L6 over a path set: every [lib/**.ml] without a sibling [.mli] in the
     same list yields a finding at line 1. *)

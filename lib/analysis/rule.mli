@@ -33,21 +33,15 @@ val of_string : string -> id option
 val synopsis : id -> string
 (** One-line description, used by [cc_lint --rules] and in messages. *)
 
-val allow_marker : string
-(** The literal suppression marker, ["cc_lint: allow"]. *)
-
 val suppressed : id -> string -> bool
 (** [suppressed id raw_line] is [true] iff the raw (uncommented-out) line
     carries a suppression marker naming [id]. The id tokens after the
     marker are matched case-insensitively ([l9] suppresses [L9]). *)
 
-val hot_marker : string
-(** The literal hot-path marker, ["cc_lint: hot"]. A comment
+val hot_names : string -> string list
+(** [hot_names raw_line] is the list of function names the line's hot
+    marker declares, or [[]] when it carries none. A comment
     [(* cc_lint: hot deliver *)] anywhere in a file declares the named
     functions hot: the semantic rule [L12] then flags per-call allocation
     ([Hashtbl.create], [Array.make], [Bytes.create]) inside them, found in
     the parse tree — hot functions bound by nested [let]s included. *)
-
-val hot_names : string -> string list
-(** [hot_names raw_line] is the list of function names the line's hot
-    marker declares, or [[]] when it carries none. *)

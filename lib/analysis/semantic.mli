@@ -46,8 +46,3 @@ val analyze : (string * string) list -> result
 val analyze_paths : string list -> result
 (** [analyze] over every [.ml]/[.mli] under the given roots
     (see {!Walk.collect}). *)
-
-val traversal_stops : string -> bool
-(** Whether L10 reachability refuses to descend into functions of this
-    file: the transport/wire-privileged layers plus [lib/fault] and
-    [lib/metrics], whose primitive use is governed by their own rules. *)

@@ -5,6 +5,3 @@ val collect : string list -> string list
     file is kept if it is a source file), sorted and deduplicated.
     [_build], [_opam], and dot-directories are skipped. Raises
     [Invalid_argument] on a nonexistent root. *)
-
-val source_file : string -> bool
-(** Whether a filename has a linted extension. *)

@@ -28,8 +28,6 @@ let create ?kernel graph =
   in
   { graph; neighbors; arena; rounds = 0; words_sent = 0 }
 
-let graph t = t.graph
-
 let n t = Graph.n t.graph
 
 let rounds t = t.rounds
@@ -119,11 +117,6 @@ let diameter g =
 
 (* --------------------------------------------------- §1.1 reference curves *)
 
-let fglp_laplacian_rounds ~n ~d ~eps =
-  let nf = float_of_int (max n 2) in
-  int_of_float
-    (Float.ceil ((sqrt nf +. float_of_int d) *. log (2. /. Float.max eps 1e-30)))
-
 let fglp_maxflow_rounds ~n ~m ~d ~u =
   let nf = float_of_int (max n 2) and mf = float_of_int (max m 2) in
   let df = float_of_int (max d 1) in
@@ -132,13 +125,6 @@ let fglp_maxflow_rounds ~n ~m ~d ~u =
     (Float.ceil
        (((mf ** (3. /. 7.)) *. (float_of_int (max u 1) ** (1. /. 7.)) *. per_iter)
        +. sqrt mf))
-
-let fglp_mcf_rounds ~n ~m ~d ~w =
-  let nf = float_of_int (max n 2) and mf = float_of_int (max m 2) in
-  let df = float_of_int (max d 1) in
-  let lw = Float.max 1. (Float.log2 (float_of_int (max w 2))) in
-  int_of_float
-    (Float.ceil ((mf ** (3. /. 7.)) *. ((sqrt nf *. (df ** 0.25)) +. df) *. lw))
 
 let fv22_bcc_mcf_rounds ~n =
   int_of_float (Float.ceil (sqrt (float_of_int (max n 2))))

@@ -21,9 +21,6 @@ val create : ?kernel:Sim.kernel -> Graph.t -> t
     (default {!Sim.default_kernel}) picks the arena or legacy delivery
     engine, exactly as in {!Sim.create}. *)
 
-val graph : t -> Graph.t
-(** The topology the session was created on. *)
-
 val n : t -> int
 (** Number of nodes (the graph's vertex count). *)
 
@@ -76,14 +73,8 @@ val diameter : Graph.t -> int
     are "clearly always faster" than their CONGEST counterparts, as §1.1
     argues. Constants are dropped, like every reference curve (DESIGN.md). *)
 
-val fglp_laplacian_rounds : n:int -> d:int -> eps:float -> int
-(** FGLP+21: [n^{o(1)}(√n + D)·log(1/ε)]. *)
-
 val fglp_maxflow_rounds : n:int -> m:int -> d:int -> u:int -> int
 (** FGLP+21: [Õ(m^{3/7}U^{1/7}(n^{o(1)}(√n+D) + √n·D^{1/4}) + √m)]. *)
-
-val fglp_mcf_rounds : n:int -> m:int -> d:int -> w:int -> int
-(** FGLP+21: [Õ(m^{3/7+o(1)}(√n·D^{1/4} + D)·polylog W)]. *)
 
 val fv22_bcc_mcf_rounds : n:int -> int
 (** FV22 Broadcast Congested Clique min-cost flow: [Õ(√n)] (randomized). *)

@@ -6,7 +6,6 @@ type engine =
 
 type t = {
   n : int;
-  kernel : kernel;
   engine : engine;
   mutable rounds : int;
   mutable words_sent : int;
@@ -34,11 +33,9 @@ let create ?kernel n =
     | Legacy -> Local None
     | Shard -> Sharded (Socket.create n)
   in
-  { n; kernel; engine; rounds = 0; words_sent = 0 }
+  { n; engine; rounds = 0; words_sent = 0 }
 
 let n t = t.n
-
-let kernel_of t = t.kernel
 
 let rounds t =
   match t.engine with Sharded s -> Socket.rounds s | Local _ -> t.rounds

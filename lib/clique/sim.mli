@@ -54,9 +54,6 @@ val set_default_kernel : kernel option -> unit
     test-suite hook for running whole pipelines that build their own
     cliques on a chosen kernel, overriding [CC_SHARDS]. *)
 
-val kernel_of : t -> kernel
-(** The kernel this instance was created on. *)
-
 val n : t -> int
 
 val rounds : t -> int

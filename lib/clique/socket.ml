@@ -785,8 +785,6 @@ let epoch t = Shard.Partition.epoch t.part
 
 let live_workers t = Shard.Partition.live t.part
 
-let policy t = t.policy
-
 let logf t fmt =
   Printf.ksprintf
     (fun line ->
@@ -1022,7 +1020,9 @@ let reconfig t =
    [Dead_workers] naming the still-missing slots on any failure — the
    caller cleans up or retries. The per-connection recv is bounded too: a
    client that connects but never sends its hello cannot wedge the
-   rendezvous (it burns at most the remaining deadline, then fails it). *)
+   rendezvous (it burns at most the remaining deadline, then fails it).
+   The mesh address is decoded with the frame, so a hello whose payload
+   does not decode is a failed hello like any other. *)
 let await_hellos t ~deadline want =
   let missing = ref want in
   let fail () = raise (Dead_workers !missing) in
@@ -1048,17 +1048,19 @@ let await_hellos t ~deadline want =
         Link.of_fd ~peer:"worker"
           (Link.accept ~tcp_nodelay:(Link.is_tcp t.rendezvous) t.lfd)
       in
-      match Link.recv ~deadline l with
+      match
+        let h = Link.recv ~deadline l in
+        (h, Frame.Reader.string (Frame.Reader.of_bytes h.Frame.payload))
+      with
       | exception (Link.Closed _ | Frame.Malformed _ | Link.Timeout _ as e) ->
         (* a worker from another build fails here as an unsupported
            format version; the log names it *)
         logf t "rendezvous: hello failed: %s" (Printexc.to_string e);
         Link.close l;
         fail ()
-      | h ->
+      | h, mesh_addr ->
         let accept_slot s =
-          t.addrs.(s) <-
-            Frame.Reader.string (Frame.Reader.of_bytes h.Frame.payload);
+          t.addrs.(s) <- mesh_addr;
           t.links.(s) <- Some l;
           missing := List.filter (fun u -> u <> s) !missing
         in

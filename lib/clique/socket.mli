@@ -67,27 +67,6 @@ exception
 val env_addr : string
 (** ["CC_SHARD_ADDR"]. *)
 
-val env_remote : string
-(** ["CC_SHARD_REMOTE"] — how many shard slots await external workers. *)
-
-val env_remote_worker : string
-(** ["CC_SHARD_REMOTE_WORKER"] — set to the coordinator's address, turns
-    any binary linking this library into a remote worker at startup. *)
-
-val env_heartbeat : string
-(** ["CC_SHARD_HEARTBEAT"] — liveness-probe interval in seconds; [0]
-    (the default) disables probing between operations. *)
-
-val env_log : string
-(** ["CC_SHARD_LOG"] — append supervisor events to this file. *)
-
-val env_respawns : string
-(** ["CC_SHARD_RESPAWNS"] — respawn attempt bound (default 3). *)
-
-val env_backoff : string
-(** ["CC_SHARD_BACKOFF"] — base respawn backoff in seconds (default
-    0.2; attempt [i] waits [backoff · 2^(i-1)]). *)
-
 val create :
   ?shards:int ->
   ?addr:string ->
@@ -160,9 +139,6 @@ val epoch : t -> int
 
 val live_workers : t -> int
 (** How many shard slots are currently alive (< {!shards} after drains). *)
-
-val policy : t -> Runtime.Shard.policy
-(** The supervision policy this session runs under. *)
 
 val heartbeat : t -> unit
 (** Probe every live worker now and run recovery for any that fails to

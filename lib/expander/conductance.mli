@@ -5,12 +5,6 @@
     actually runs on (weights are handled by binary weight classes in
     Theorem 3.3). *)
 
-val volume : Graph.t -> bool array -> float
-(** [volume g inside] is [Σ_{v ∈ S} deg_w(v)]. *)
-
-val cut_weight : Graph.t -> bool array -> float
-(** Total weight of edges with exactly one endpoint in the set. *)
-
 val of_cut : Graph.t -> bool array -> float
 (** [of_cut g s = w(E(S, S̄)) / min(vol S, vol S̄)]; [infinity] when either
     side is empty or has zero volume. *)

@@ -9,14 +9,10 @@ type verdict = Pass | Fail of { invariant : string; counterexample : string }
 let fail invariant fmt =
   Printf.ksprintf (fun counterexample -> Fail { invariant; counterexample }) fmt
 
-let passed = function Pass -> true | Fail _ -> false
-
-let pp ppf = function
-  | Pass -> Format.pp_print_string ppf "pass"
+let to_string = function
+  | Pass -> "pass"
   | Fail { invariant; counterexample } ->
-    Format.fprintf ppf "FAIL[%s]: %s" invariant counterexample
-
-let to_string v = Format.asprintf "%a" pp v
+    Printf.sprintf "FAIL[%s]: %s" invariant counterexample
 
 (* Combinator: first failure wins. *)
 let all checks = List.fold_left

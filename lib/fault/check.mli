@@ -13,13 +13,9 @@ type verdict =
       counterexample : string;  (** the witness, human-readable *)
     }
 
-val passed : verdict -> bool
-
-val pp : Format.formatter -> verdict -> unit
-(** Pretty-print a verdict (used in logs and error messages). *)
-
 val to_string : verdict -> string
-(** [Format.asprintf "%a" pp]. *)
+(** ["pass"], or ["FAIL[invariant]: counterexample"] (used in logs and
+    error messages). *)
 
 val bfs_tree : Graph.t -> root:int -> int array -> verdict
 (** Levels from a BFS with [-1] = unreached: root at level 0, edge levels

@@ -45,10 +45,6 @@ module Make (T : Runtime.TRANSPORT) = struct
       events = [];
     }
 
-  let base t = t.base
-
-  let schedule t = t.schedule
-
   let n t = T.n t.base
 
   let rounds t = T.rounds t.base

@@ -30,11 +30,6 @@ module Make (T : Runtime.TRANSPORT) : sig
       fault bumps the [fault.injected.<kind>] counter in [metrics]
       (default {!Metrics.disabled}) and is appended to {!events}. *)
 
-  val base : t -> T.t
-  (** The wrapped kernel (shared, not copied). *)
-
-  val schedule : t -> Schedule.t
-
   val injected : t -> (string * int) list
   (** Per-kind injected-fault counts, sorted by kind name. *)
 

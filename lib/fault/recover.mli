@@ -20,9 +20,6 @@ exception
     cause : string;  (** last checker counterexample or raised exception *)
   }
 
-val recovery_phase : string
-(** ["recovery"] — the ledger phase retries are charged under. *)
-
 type 'a outcome = {
   value : 'a;  (** the certified result *)
   attempts : int;  (** executions performed, ≥ 1 *)
@@ -55,7 +52,7 @@ module Make (R : Runtime.S) : sig
     (unit -> 'a) ->
     'a outcome
   (** [run ~name rt ~check f] is {!val:run} with every re-execution
-      wrapped in [R.with_phase rt recovery_phase]: the first attempt runs
-      in the caller's current phase, retries' rounds land under
-      {!recovery_phase}. *)
+      wrapped in [R.with_phase rt "recovery"]: the first attempt runs in
+      the caller's current phase, retries' rounds land under the
+      ["recovery"] ledger phase. *)
 end

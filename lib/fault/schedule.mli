@@ -58,9 +58,6 @@ val bits : t -> int list -> int
 (** A non-negative pseudo-random integer from the same keyed mixer, for
     corruption masks and truncation lengths. *)
 
-val env_var : string
-(** ["CC_FAULTS"]. *)
-
 val of_string : string -> (t, string) result
 (** Parse a schedule spec:
     [seed=N;kind:rate\[@phase=p\]\[@rounds=a-b\];...] — e.g.

@@ -464,10 +464,3 @@ let solve_max_flow_min_cost ?solver g ~s ~t =
   match search 0 upper None with
   | None -> None
   | Some r -> Some (r, !probe_count)
-
-let rounds_reference ~n ~m ~w =
-  let solve_proxy = Linalg.Chebyshev.iteration_bound ~kappa:64. ~eps:1e-8 in
-  (iterations_reference ~m ~w * solve_proxy)
-  + (Runtime.Cost.log2_ceil (8 * m) * Euler.Orientation.rounds_reference ~n)
-  + (int_of_float (Float.ceil ((float_of_int (max m 2) ** (3. /. 7.)) +. 1.))
-    * Runtime.Cost.apsp_rounds n)

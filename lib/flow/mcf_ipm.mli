@@ -85,5 +85,3 @@ val iterations_reference : m:int -> w:int -> int
 (** The [m^{3/7}·log W]-shaped progress curve for E6 (CMSV's constants are
     dropped so the reference is comparable to measured counts at bench
     sizes). *)
-
-val rounds_reference : n:int -> m:int -> w:int -> int

@@ -15,14 +15,3 @@ let gather_rounds g =
 let max_flow g ~s ~t =
   let f, value = Dinic.max_flow g ~s ~t in
   { f; value; rounds = gather_rounds g }
-
-let min_cost_flow g ~sigma =
-  match Mcf_ssp.solve g ~sigma with
-  | None -> None
-  | Some r -> Some (r.Mcf_ssp.f, r.Mcf_ssp.cost, gather_rounds g)
-
-let rounds_reference ~n ~m ~u =
-  let bits_per_edge =
-    (2 * Runtime.Cost.log2_ceil (max n 2)) + Runtime.Cost.log2_ceil (u + 1)
-  in
-  Runtime.Cost.gather_rounds ~n ~m ~bits_per_edge

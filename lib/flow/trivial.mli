@@ -10,9 +10,3 @@ type report = {
 }
 
 val max_flow : Digraph.t -> s:int -> t:int -> report
-
-val min_cost_flow : Digraph.t -> sigma:int array -> (Flow.t * float * int) option
-(** Internal successive-shortest-paths after the same gather; [None] when the
-    demand is infeasible. Returns (flow, cost, rounds). *)
-
-val rounds_reference : n:int -> m:int -> u:int -> int

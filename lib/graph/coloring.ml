@@ -1,15 +1,12 @@
 let lowest_differing_bit a b =
   let x = a lxor b in
-  if x = 0 then invalid_arg "Coloring.cv_step: adjacent colors equal";
+  if x = 0 then invalid_arg "Coloring.cv_combine: adjacent colors equal";
   let rec loop i x = if x land 1 = 1 then i else loop (i + 1) (x lsr 1) in
   loop 0 x
 
 let cv_combine c cs =
   let k = lowest_differing_bit c cs in
   (2 * k) + ((c lsr k) land 1)
-
-let cv_step colors ~succ =
-  Array.mapi (fun i c -> cv_combine c colors.(succ.(i))) colors
 
 let max_color colors = Array.fold_left max 0 colors
 

@@ -25,12 +25,6 @@ val cv_combine : int -> int -> int
     differing bit paired with own bit value there. Requires [c <> cs];
     the results of adjacent positions stay distinct. *)
 
-val cv_step : int array -> succ:int array -> int array
-(** One Cole–Vishkin reduction step applied at every position at once:
-    [cv_step colors ~succ] maps position [i] to
-    [cv_combine colors.(i) colors.(succ.(i))]. Requires adjacent colors
-    distinct; preserves that invariant. *)
-
 val max_color : int array -> int
 (** Largest color in use — the chain's termination predicate
     (reduce while [max_color ≥ 6]). *)

@@ -60,11 +60,3 @@ let underlying g =
   Graph.create g.n
     (Array.to_list g.arcs
     |> List.map (fun a -> { Graph.u = a.src; v = a.dst; w = 1. }))
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>digraph n=%d m=%d@," g.n (m g);
-  Array.iter
-    (fun a ->
-      Format.fprintf fmt "%d -> %d (cap=%d cost=%d)@," a.src a.dst a.cap a.cost)
-    g.arcs;
-  Format.fprintf fmt "@]"

@@ -41,5 +41,3 @@ val reverse : t -> t
 
 val underlying : t -> Graph.t
 (** Forgets orientation, capacity and cost; weight 1 per arc (multigraph). *)
-
-val pp : Format.formatter -> t -> unit

@@ -173,8 +173,3 @@ let canonical_edges g =
   |> List.sort compare
 
 let equal_structure a b = a.n = b.n && canonical_edges a = canonical_edges b
-
-let pp fmt g =
-  Format.fprintf fmt "@[<v>graph n=%d m=%d@," g.n (m g);
-  Array.iter (fun e -> Format.fprintf fmt "%d -- %d (w=%g)@," e.u e.v e.w) g.edges;
-  Format.fprintf fmt "@]"

@@ -84,5 +84,3 @@ val simple_of_edges : int -> edge array -> t
 
 val equal_structure : t -> t -> bool
 (** Same vertex count and same multiset of (endpoints, weight) edges. *)
-
-val pp : Format.formatter -> t -> unit

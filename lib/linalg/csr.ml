@@ -8,8 +8,6 @@ type t = {
 
 let rows a = a.n_rows
 
-let cols a = a.n_cols
-
 let nnz a = Array.length a.values
 
 let of_triplets ~rows:n_rows ~cols:n_cols triplets =
@@ -85,11 +83,6 @@ let mul_vec_transpose a x =
   iter a (fun i j v -> y.(j) <- y.(j) +. (v *. x.(i)));
   y
 
-let diag a =
-  let d = Vec.create (min a.n_rows a.n_cols) in
-  iter a (fun i j v -> if i = j then d.(i) <- v);
-  d
-
 let triplets_of a =
   let acc = ref [] in
   iter a (fun i j v -> acc := (i, j, v) :: !acc);
@@ -128,8 +121,3 @@ let is_symmetric ?(eps = 1e-9) a =
   let ok = ref true in
   iter a (fun i j v -> if Float.abs (v -. get a j i) > eps then ok := false);
   !ok
-
-let pp fmt a =
-  Format.fprintf fmt "@[<v>csr %dx%d nnz=%d@," a.n_rows a.n_cols (nnz a);
-  iter a (fun i j v -> Format.fprintf fmt "(%d,%d)=%g@," i j v);
-  Format.fprintf fmt "@]"

@@ -14,8 +14,6 @@ val of_triplets : rows:int -> cols:int -> (int * int * float) list -> t
 
 val rows : t -> int
 
-val cols : t -> int
-
 val nnz : t -> int
 
 val get : t -> int -> int -> float
@@ -27,13 +25,6 @@ val mul_vec_into : t -> Vec.t -> Vec.t -> unit
     ({!Cg.solve_into}, {!Chebyshev.solve_into}) consume. *)
 
 val mul_vec_transpose : t -> Vec.t -> Vec.t
-
-val iter_row : t -> int -> (int -> float -> unit) -> unit
-(** [iter_row a i f] applies [f col value] to every stored entry of row [i]. *)
-
-val iter : t -> (int -> int -> float -> unit) -> unit
-
-val diag : t -> Vec.t
 
 val transpose : t -> t
 
@@ -47,5 +38,3 @@ val of_dense : ?eps:float -> Dense.t -> t
 (** Entries with absolute value ≤ [eps] (default 0) are dropped. *)
 
 val is_symmetric : ?eps:float -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -6,8 +6,6 @@ let init n f = Array.init n (fun i -> Array.init n (fun j -> f i j))
 
 let dim a = Array.length a
 
-let copy a = Array.map Array.copy a
-
 let identity n = init n (fun i j -> if i = j then 1. else 0.)
 
 let transpose a =
@@ -58,12 +56,6 @@ let mul_vec a x =
 let add a b =
   let n = dim a in
   init n (fun i j -> a.(i).(j) +. b.(i).(j))
-
-let sub a b =
-  let n = dim a in
-  init n (fun i j -> a.(i).(j) -. b.(i).(j))
-
-let scale s a = Array.map (fun row -> Array.map (fun x -> s *. x) row) a
 
 let is_symmetric ?(eps = 1e-9) a =
   let n = dim a in
@@ -208,8 +200,3 @@ let eig_bounds_spd a =
   let mu, _ = power_iteration (fun v -> cholesky_solve l v) n in
   let lo = if mu > 0. then 1. /. mu else 0. in
   (lo, !hi)
-
-let pp fmt a =
-  Format.fprintf fmt "@[<v>";
-  Array.iter (fun row -> Format.fprintf fmt "%a@," Vec.pp row) a;
-  Format.fprintf fmt "@]"

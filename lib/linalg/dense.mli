@@ -16,8 +16,6 @@ val init : int -> (int -> int -> float) -> t
 
 val dim : t -> int
 
-val copy : t -> t
-
 val identity : int -> t
 
 val transpose : t -> t
@@ -32,10 +30,6 @@ val mul_vec_into : t -> Vec.t -> Vec.t -> unit
     {!Csr.mul_vec_into}. *)
 
 val add : t -> t -> t
-
-val sub : t -> t -> t
-
-val scale : float -> t -> t
 
 val is_symmetric : ?eps:float -> t -> bool
 
@@ -75,5 +69,3 @@ val eig_bounds_spd : t -> float * float
 (** [eig_bounds_spd a] returns [(lo, hi)]: a lower bound on the smallest and
     an upper bound on the largest eigenvalue of SPD [a]
     (Gershgorin for [hi]; inverse power iteration for [lo]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -101,9 +101,6 @@ let dist2 x y =
 
 let sum x = Array.fold_left ( +. ) 0. x
 
-let mean x =
-  if Array.length x = 0 then 0. else sum x /. float_of_int (Array.length x)
-
 let center_into x dst =
   check_dims "center_into" x dst;
   let n = Array.length x in
@@ -142,12 +139,3 @@ let equal ?(eps = 1e-9) x y =
     if Float.abs (x.(i) -. y.(i)) > eps then ok := false
   done;
   !ok
-
-let pp fmt x =
-  Format.fprintf fmt "[|";
-  Array.iteri
-    (fun i xi ->
-      if i > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%g" xi)
-    x;
-  Format.fprintf fmt "|]"

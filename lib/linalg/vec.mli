@@ -72,8 +72,6 @@ val dist2 : t -> t -> float
 
 val sum : t -> float
 
-val mean : t -> float
-
 val center : t -> t
 (** [center x] subtracts the mean from every entry; the result is orthogonal
     to the all-ones vector, i.e. lies in the range of a connected Laplacian. *)
@@ -88,5 +86,3 @@ val map2 : (float -> float -> float) -> t -> t -> t
 
 val equal : ?eps:float -> t -> t -> bool
 (** Entrywise comparison up to absolute tolerance [eps] (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,18 +7,6 @@ type result = {
 
 let is_power_of_two k = k > 0 && k land (k - 1) = 0
 
-let snap_to_grid ~delta f =
-  let ok = ref true in
-  let snapped =
-    Array.map
-      (fun x ->
-        let k = Float.round (x /. delta) in
-        if Float.abs (x -. (k *. delta)) > delta /. 4. then ok := false;
-        k *. delta)
-      f
-  in
-  if !ok then Some snapped else None
-
 (* Work in exact integer grid units; level ℓ adjusts by 2^ℓ units. *)
 let round ?cost g ~s ~t ~delta f =
   let m = Digraph.m g in
@@ -35,6 +23,8 @@ let round ?cost g ~s ~t ~delta f =
       if Float.abs (x -. (k *. delta)) > 1e-6 *. delta then
         invalid_arg "Flow_rounding.round: flow not on the delta grid";
       if k < -0.5 then invalid_arg "Flow_rounding.round: negative flow";
+      if k > float_of_int (Digraph.arc g e).Digraph.cap *. inv then
+        invalid_arg "Flow_rounding.round: flow exceeds capacity";
       units.(e) <- int_of_float k)
     f;
   (* Virtual (t,s) arc closing the circulation (Algorithm 1, lines 1–2). *)

@@ -37,7 +37,3 @@ val round :
     Guarantees (the Theorem 4.1 contract, asserted in tests): the result is
     integral, feasible, conserving, with value ≥ the input value; when
     [cost] is given, total cost ≤ the input cost. *)
-
-val snap_to_grid : delta:float -> float array -> float array option
-(** Nearest grid multiple of every entry; [None] if some entry moves by more
-    than [delta/4] (the caller's flow was not grid-aligned to begin with). *)

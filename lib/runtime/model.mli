@@ -17,9 +17,6 @@
 
 type t = Unicast | Broadcast
 
-val env_var : string
-(** ["CC_MODEL"]. *)
-
 val default : unit -> t
 (** The model [?model] arguments default to: {!set_default}'s override if
     any, else [Broadcast] when [CC_MODEL] is [broadcast] or [bcast]

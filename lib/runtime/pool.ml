@@ -84,6 +84,10 @@ let exit_hook_registered = Atomic.make false
 
 let sequential = { size = 1; shared = None; domains = [||] }
 
+(* Stop and join every spawned pool and forget them; the next [get] spawns
+   afresh. Registered with [at_exit]. A runtime still holding a shut-down
+   pool degrades safely: [run] sees the stop flag and executes the
+   identical fixed chunk schedule sequentially. *)
 let shutdown_all () =
   Hashtbl.iter
     (fun _ p ->
@@ -97,12 +101,6 @@ let shutdown_all () =
         Array.iter Domain.join p.domains)
     pools;
   Hashtbl.reset pools
-
-(* In a forked child the parent's domains do not exist (fork copies only
-   the calling thread), so the inherited pool records are dead weight that
-   must never be joined or signaled. Dropping them lets the child spawn
-   fresh pools lazily. *)
-let reset_after_fork () = Hashtbl.reset pools (* cc_lint: allow L11 — child is single-threaded at this point *)
 
 let spawn k =
   let shared =

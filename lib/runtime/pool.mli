@@ -43,19 +43,6 @@ val chunk_bounds : size:int -> n:int -> int -> int * int
     worker [w] processes out of [0..n-1] — the fixed balanced partition
     [lo = w*n/size], [hi = (w+1)*n/size]. *)
 
-val shutdown_all : unit -> unit
-(** Stop and join every spawned pool and forget them; the next {!get}
-    spawns afresh. Runs automatically at process exit. A runtime still
-    holding a shut-down pool degrades safely: {!run} detects the stop
-    flag and executes the identical fixed chunk schedule sequentially. *)
-
-val reset_after_fork : unit -> unit
-(** Drop every inherited pool record without joining — the parent's
-    domains do not exist in a forked child. Call first thing after
-    [Unix.fork] in any process that intends to keep running OCaml code
-    (note that OCaml 5 forbids [fork] once any domain was ever spawned;
-    the shard runtime therefore spawns workers by re-exec instead). *)
-
 val run : t -> n:int -> (int -> int -> unit) -> unit
 (** [run t ~n f] calls [f lo hi] once per chunk of the fixed partition of
     [0..n-1], chunks executing concurrently on the pool's domains (the

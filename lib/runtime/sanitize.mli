@@ -29,9 +29,6 @@ exception Violation of { phase : string; kind : string; detail : string }
     ["phase-attribution"], ["ledger-drift"]. A printer is registered, so
     uncaught violations print readably. *)
 
-val env_var : string
-(** ["CC_SANITIZE"]. *)
-
 val enabled_default : unit -> bool
 (** What [create ?sanitize] defaults to: {!set_default}'s override if any,
     else the environment. *)

@@ -115,8 +115,6 @@ module Partition = struct
 
   let shards t = Array.length t.ranges
 
-  let n t = t.n
-
   let epoch t = t.epoch
 
   let alive t s = t.alive.(s)

@@ -13,9 +13,6 @@
     bit-identical to single-process rounds: same inbox contents and order,
     same error at the same message. *)
 
-val env_var : string
-(** ["CC_SHARDS"]. *)
-
 val default_shards : unit -> int
 (** The shard count a transport uses when none is forced: the value set by
     {!set_default} if any, else [CC_SHARDS] when set to a positive
@@ -31,15 +28,6 @@ val set_default : int option -> unit
     operation, [Drain] hands the dead shard's node range to survivors and
     continues degraded. *)
 type policy = Fail | Respawn | Drain
-
-val policy_env : string
-(** ["CC_SHARD_POLICY"]. *)
-
-val timeout_env : string
-(** ["CC_SHARD_TIMEOUT"]. *)
-
-val policy_of_string : string -> policy option
-(** Case-insensitive ["fail"]/["respawn"]/["drain"]. *)
 
 val policy_to_string : policy -> string
 
@@ -88,10 +76,6 @@ module Partition : sig
 
   val create : shards:int -> n:int -> t
   (** All shards alive, ranges = {!bounds}, epoch 1. *)
-
-  val shards : t -> int
-
-  val n : t -> int
 
   val epoch : t -> int
 

@@ -277,6 +277,12 @@ let handle_frame t client = function
     handle_request t client ~id:hdr.Wire.Frame.seq payload
       ~len:hdr.Wire.Frame.len
 
+(* A request frame must arrive whole within this many seconds of the
+   listener seeing its first byte. One listener domain serves every
+   connection, so a client that stalls mid-frame is dropped, not waited
+   for. *)
+let frame_timeout_s = 1.0
+
 let drop_client clients client =
   client.alive <- false;
   Link.close client.link;
@@ -312,9 +318,11 @@ let listener_loop t () =
           match Hashtbl.find_opt clients fd with
           | None -> ()
           | Some client -> (
-            match Link.recv_into client.link client.rx with
+            let deadline = Unix.gettimeofday () +. frame_timeout_s in
+            match Link.recv_into ~deadline client.link client.rx with
             | received -> handle_frame t client received
-            | exception Link.Closed _ -> drop_client clients client
+            | exception (Link.Closed _ | Link.Timeout _) ->
+              drop_client clients client
             | exception Wire.Frame.Malformed { what } ->
               (* After a corrupt header the stream is desynchronized:
                  apologize and hang up. *)

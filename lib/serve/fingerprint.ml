@@ -36,6 +36,4 @@ let vec fp (v : Linalg.Vec.t) =
 
 let float fp x = Wire.Fnv.add_int fp (Int64.to_int (Int64.bits_of_float x))
 
-let string = Wire.Fnv.add_string
-
 let to_hex fp = Printf.sprintf "%016Lx" fp

@@ -17,8 +17,5 @@ val vec : int64 -> Linalg.Vec.t -> int64
 val float : int64 -> float -> int64
 (** Fold one float (by IEEE bit pattern). *)
 
-val string : int64 -> string -> int64
-(** Fold a string ({!Wire.Fnv.add_string}). *)
-
 val to_hex : int64 -> string
 (** 16 lowercase hex digits — the cache-key / wire spelling. *)

@@ -25,8 +25,5 @@ val add_string : int64 -> string -> int64
 val add_ints : int64 -> int list -> int64
 (** [List.fold_left add_int]. *)
 
-val add_bytes : int64 -> Bytes.t -> pos:int -> len:int -> int64
-(** Fold a raw byte range — no terminator; used for frame checksums. *)
-
 val hash_bytes : Bytes.t -> pos:int -> len:int -> int64
-(** [add_bytes offset]. *)
+(** FNV-1a of a raw byte range, no terminator: the frame checksum. *)

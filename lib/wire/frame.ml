@@ -151,7 +151,7 @@ module Reader = struct
 
   let string r =
     let len = int r in
-    if len < 0 || r.pos + len > Bytes.length r.buf then
+    if len < 0 || len > Bytes.length r.buf - r.pos then
       malformed "payload truncated at byte %d reading a %d-byte string" r.pos len;
     let s = Bytes.sub_string r.buf r.pos len in
     r.pos <- r.pos + len;

@@ -25,16 +25,8 @@
 
 exception Malformed of { what : string }
 
-val version : int
-(** Current wire-format version, stamped into and checked on every header. *)
-
 val header_bytes : int
 (** 36. *)
-
-val max_payload : int
-(** Upper bound on payload length (1 GiB); both encode and decode
-    enforce it, so a corrupt length field cannot trigger a giant
-    allocation. *)
 
 type header = {
   kind : int;
@@ -59,7 +51,9 @@ val encode : t -> Bytes.t
 (** Header + payload as one byte string, checksum computed here. *)
 
 val decode_header : Bytes.t -> header
-(** Parse and validate exactly {!header_bytes} bytes of header. *)
+(** Parse and validate exactly {!header_bytes} bytes of header. A payload
+    length above 1 GiB is {!Malformed}, so a corrupt length field cannot
+    trigger a giant allocation. *)
 
 val verify : header -> Bytes.t -> t
 (** Check the payload against the header's length/checksum and assemble

@@ -32,8 +32,6 @@ let of_fd ?(peer = "?") fd =
 
 let fd t = t.fd
 
-let peer t = t.peer
-
 let bytes_sent t = t.bytes_sent
 
 let bytes_recv t = t.bytes_recv
@@ -150,8 +148,8 @@ type received = Payload of Frame.header * Bytes.t | Oversized of Frame.header
    and the payload fits [kept_bytes]; a longer one gets a fresh block.
    One longer than [max_bytes] is read through [b.kept] in chunks and
    dropped, so the stream stays in step and no storage grows for it. *)
-let recv_into t b =
-  let hdr = read_header t b.header in
+let recv_into ?deadline t b =
+  let hdr = read_header ?deadline t b.header in
   let len = hdr.Frame.len in
   let have = Bytes.length b.kept in
   let received =
@@ -162,7 +160,7 @@ let recv_into t b =
       let storage =
         if len <= Bytes.length b.kept then b.kept else Bytes.create len
       in
-      read_exact t storage 0 len;
+      read_exact ?deadline t storage 0 len;
       Frame.check hdr storage;
       Payload (hdr, storage)
     end
@@ -170,7 +168,7 @@ let recv_into t b =
       let left = ref len in
       while !left > 0 do
         let k = min have !left in
-        read_exact t b.kept 0 k;
+        read_exact ?deadline t b.kept 0 k;
         left := !left - k
       done;
       Oversized hdr

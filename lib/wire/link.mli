@@ -21,8 +21,6 @@ val of_fd : ?peer:string -> Unix.file_descr -> t
 
 val fd : t -> Unix.file_descr
 
-val peer : t -> string
-
 val send : ?deadline:float -> t -> Frame.t -> unit
 (** Encode and write the whole frame. With [deadline] (absolute
     [Unix.gettimeofday] instant) every wait for writability is bounded
@@ -64,10 +62,10 @@ type received =
           through the buffer and dropped unverified, so the stream is
           still in step *)
 
-val recv_into : t -> buffer -> received
-(** {!recv} into [buffer]: the same reads, checks and exceptions, but the
-    payload is left in the buffer's storage rather than returned in a
-    fresh frame. The read blocks; there is no deadline. *)
+val recv_into : ?deadline:float -> t -> buffer -> received
+(** {!recv} into [buffer]: the same reads, deadline, checks and
+    exceptions, but the payload is left in the buffer's storage rather
+    than returned in a fresh frame. *)
 
 val close : t -> unit
 (** Idempotent. *)

@@ -356,37 +356,6 @@ let test_antiparallel_arcs () =
   Alcotest.(check int) "exact" (Dinic.max_flow_value g ~s:0 ~t:2)
     r.Maxflow_ipm.value
 
-let test_sssp_dijkstra_vs_bellman () =
-  let g = Graph_gen.random_network ~seed:44L 15 40 5 in
-  let d1, _ = Sssp.dijkstra g ~sources:[ 0 ] () in
-  match Sssp.bellman_ford g ~sources:[ 0 ] () with
-  | None -> Alcotest.fail "no negative cycles here"
-  | Some (d2, _) ->
-    Array.iteri
-      (fun v x ->
-        if Float.abs (x -. d2.(v)) > 1e-9 && x <> d2.(v) then
-          Alcotest.failf "distance mismatch at %d: %f vs %f" v x d2.(v))
-      d1
-
-let test_sssp_path_reconstruction () =
-  let g =
-    Digraph.create 4 [ arc 0 1 1 1; arc 1 2 1 1; arc 2 3 1 1; arc 0 3 1 10 ]
-  in
-  let dist, parent = Sssp.dijkstra g ~sources:[ 0 ] () in
-  Alcotest.(check (float 1e-9)) "short way" 3. dist.(3);
-  Alcotest.(check (list int)) "path arcs" [ 0; 1; 2 ]
-    (Sssp.path_to ~parent g 3)
-
-let test_sssp_multi_source () =
-  let g = Digraph.create 4 [ arc 0 2 1 5; arc 1 2 1 1; arc 2 3 1 1 ] in
-  let dist, _ = Sssp.dijkstra g ~sources:[ 0; 1 ] () in
-  Alcotest.(check (float 1e-9)) "nearest source wins" 2. dist.(3)
-
-let test_sssp_usable_mask () =
-  let g = Digraph.create 3 [ arc 0 1 1 1; arc 1 2 1 1; arc 0 2 1 1 ] in
-  let dist, _ = Sssp.dijkstra g ~usable:(fun id -> id <> 2) ~sources:[ 0 ] () in
-  Alcotest.(check (float 1e-9)) "detour forced" 2. dist.(2)
-
 let test_decompose_pure_cycle () =
   let g =
     Digraph.create 3 [ arc 0 1 1 0; arc 1 2 1 0; arc 2 0 1 0 ]
@@ -455,12 +424,6 @@ let suite =
       Alcotest.test_case "single arc" `Quick test_single_arc_network;
       Alcotest.test_case "disconnected s-t" `Quick test_disconnected_st;
       Alcotest.test_case "antiparallel arcs" `Quick test_antiparallel_arcs;
-      Alcotest.test_case "dijkstra = bellman-ford" `Quick
-        test_sssp_dijkstra_vs_bellman;
-      Alcotest.test_case "sssp path reconstruction" `Quick
-        test_sssp_path_reconstruction;
-      Alcotest.test_case "sssp multi-source" `Quick test_sssp_multi_source;
-      Alcotest.test_case "sssp usable mask" `Quick test_sssp_usable_mask;
       Alcotest.test_case "decompose pure cycle" `Quick test_decompose_pure_cycle;
       Alcotest.test_case "electrical rounds reported" `Quick
         test_electrical_solver_rounds_reported;

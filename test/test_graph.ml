@@ -240,12 +240,6 @@ let test_log_star () =
   Alcotest.(check int) "log* 65536" 4 (Coloring.log_star 65536);
   Alcotest.(check bool) "log* huge small" true (Coloring.log_star max_int <= 5)
 
-let test_greedy_matching () =
-  let g = Graph_gen.connected_gnp ~seed:12L 40 0.1 in
-  let m = Matching.maximal g in
-  Alcotest.(check bool) "is matching" true (Matching.is_matching g m);
-  Alcotest.(check bool) "is maximal" true (Matching.is_maximal g m)
-
 (* --------------------------------------------------------------- QCheck *)
 
 let qcheck_tests =
@@ -266,13 +260,6 @@ let qcheck_tests =
           if Graph.degree g v land 1 = 1 then ok := false
         done;
         !ok);
-    Test.make ~name:"greedy matching maximal" ~count:40 small_nat
-      (fun seed ->
-        let g =
-          Graph_gen.connected_gnp ~seed:(Int64.of_int (seed + 31)) 20 0.2
-        in
-        let m = Matching.maximal g in
-        Matching.is_matching g m && Matching.is_maximal g m);
     Test.make ~name:"cv coloring proper on random rings" ~count:40
       (int_range 3 500)
       (fun k ->
@@ -310,7 +297,6 @@ let suite =
     Alcotest.test_case "cv matching maximal" `Quick
       test_cv_matching_maximal_on_ring;
     Alcotest.test_case "log star" `Quick test_log_star;
-    Alcotest.test_case "greedy matching" `Quick test_greedy_matching;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_tests
 

@@ -10,8 +10,8 @@ let () =
       ("determinism", Test_determinism.suite);
       (* The analysis suite runs as its own executable (test_analysis.exe):
          linking compiler-libs.common here would shadow the unwrapped
-         Coloring/Matching modules of lib/graph with the compiler's own
-         register-allocator units of the same names. *)
+         Coloring module of lib/graph with the compiler's own
+         register-allocator unit of the same name. *)
       ("metrics", Test_metrics.suite);
       ("expander", Test_expander.suite);
       ("sparsify", Test_sparsify.suite);
@@ -20,5 +20,6 @@ let () =
       ("flow", Test_flow.suite);
       ("mcf", Test_mcf.suite);
       ("integration", Test_integration.suite);
+      ("core", Test_core.suite);
       ("scale", Test_scale.suite);
     ]

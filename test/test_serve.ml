@@ -234,6 +234,46 @@ let test_corrupt_stream_closed () =
         | exception Link.Closed _ -> true);
       Link.close link)
 
+(* One listener domain reads every client's frames, so a client that sends
+   part of a frame must not stall the others: its frame gets a fixed
+   bound (1 s), after which the daemon hangs up on it. Client A sends a
+   header announcing 100 payload bytes and nothing after it; client B's
+   stats must be answered within that bound plus 1 s. *)
+let test_partial_frame_dropped () =
+  with_daemon (fun addr ->
+      let a = Link.dial ~peer:"test" (Link.address addr) in
+      Fun.protect
+        ~finally:(fun () -> Link.close a)
+        (fun () ->
+          let frame =
+            Wire.Frame.encode
+              { Wire.Frame.kind = Serve.Job.frame_job; src = 0; dst = 0;
+                seq = 0; epoch = 0; payload = Bytes.make 100 ' ' }
+          in
+          let written =
+            Unix.write (Link.fd a) frame 0 Wire.Frame.header_bytes (* cc_lint: allow L9 *)
+          in
+          Alcotest.(check int) "header written" Wire.Frame.header_bytes
+            written;
+          (* let the listener start on A's frame before B arrives *)
+          Unix.sleepf 0.1;
+          let t0 = Unix.gettimeofday () in
+          let b = Serve.Client.connect addr in
+          let stats =
+            Serve.Client.request_string ~deadline:(t0 +. 2.0) b
+              {|{"id":1,"kind":"stats"}|}
+          in
+          let took = Unix.gettimeofday () -. t0 in
+          Serve.Client.close b;
+          check_ok "stats beside a stalled client" stats;
+          Alcotest.(check bool)
+            (Printf.sprintf "answered in %.2f s, bound 2 s" took)
+            true (took < 2.0);
+          Alcotest.(check bool) "stalled client hung up on" true
+            (match Link.recv ~deadline:(Unix.gettimeofday () +. 2.0) a with
+            | _ -> false
+            | exception Link.Closed _ -> true)))
+
 (* The daemon takes Wire.Link's address grammar, tcp:HOST:PORT included
    (the form cc_worker documents), and reports the port it bound. *)
 let test_tcp_addr () =
@@ -808,6 +848,8 @@ let () =
             test_deep_nesting_refused;
           Alcotest.test_case "corrupt stream closed" `Quick
             test_corrupt_stream_closed;
+          Alcotest.test_case "partial frame cannot stall the listener" `Quick
+            test_partial_frame_dropped;
           Alcotest.test_case "tcp: address answers a solve" `Quick
             test_tcp_addr;
           Alcotest.test_case "job codec" `Quick test_job_parse_roundtrip;

@@ -26,6 +26,24 @@ let () =
          exit 2));
   ignore (Unix.alarm 240)
 
+(* The diversions below dial a rendezvous the test process is about to
+   bind, so they retry until it listens. Dialing sends nothing. *)
+let rec dial_rendezvous addr =
+  match Wire.Link.dial ~peer:"coordinator" (Wire.Link.address addr) with
+  | l -> l
+  | exception Unix.Unix_error _ ->
+    Unix.sleepf 0.02;
+    dial_rendezvous addr
+
+(* Stay until the coordinator hangs up, then exit. *)
+let drain_until_closed l =
+  (try
+     while true do
+       ignore (Wire.Link.recv l)
+     done
+   with Wire.Link.Closed _ | Wire.Frame.Malformed _ -> ());
+  exit 0
+
 (* Diversion: spawned as a mute client, this process connects to the
    given rendezvous and never sends a byte — the bootstrap-hang
    regression (a pre-supervision coordinator blocked forever on it). *)
@@ -33,15 +51,7 @@ let () =
   match Sys.getenv_opt "CC_TEST_MUTE_CLIENT" with
   | None -> ()
   | Some addr ->
-    let rec connect () =
-      (* Dialing sends nothing: the client stays mute after it. *)
-      match Wire.Link.dial ~peer:"mute" (Wire.Link.address addr) with
-      | l -> l
-      | exception Unix.Unix_error _ ->
-        Unix.sleepf 0.02;
-        connect ()
-    in
-    let _link = connect () in
+    let _link = dial_rendezvous addr in
     Unix.sleep 600;
     exit 0
 
@@ -54,15 +64,7 @@ let () =
   match Sys.getenv_opt "CC_TEST_FOREIGN_MESH" with
   | None -> ()
   | Some file ->
-    let addr = Wire.Link.address (Sys.getenv "CC_TEST_RENDEZVOUS") in
-    let rec connect () =
-      match Wire.Link.dial ~peer:"coordinator" addr with
-      | l -> l
-      | exception Unix.Unix_error _ ->
-        Unix.sleepf 0.02;
-        connect ()
-    in
-    let l = connect () in
+    let l = dial_rendezvous (Sys.getenv "CC_TEST_RENDEZVOUS") in
     let hello = Wire.Frame.Writer.create ~hint:64 () in
     Wire.Frame.Writer.string hello ("unix:" ^ file);
     Wire.Link.send l
@@ -74,12 +76,23 @@ let () =
       { Wire.Frame.kind = 11; src = assign.Wire.Frame.dst; dst = -1;
         seq = config.Wire.Frame.seq; epoch = config.Wire.Frame.epoch;
         payload = Bytes.empty };
-    (try
-       while true do
-         ignore (Wire.Link.recv l)
-       done
-     with Wire.Link.Closed _ | Wire.Frame.Malformed _ -> ());
-    exit 0
+    drain_until_closed l
+
+(* Diversion: spawned as a remote worker whose hello announces a mesh
+   address of [max_int - 3] bytes and carries none of them, this process
+   dials the rendezvous in CC_TEST_BAD_HELLO and stays until the
+   coordinator hangs up. *)
+let () =
+  match Sys.getenv_opt "CC_TEST_BAD_HELLO" with
+  | None -> ()
+  | Some addr ->
+    let l = dial_rendezvous addr in
+    let hello = Wire.Frame.Writer.create ~hint:8 () in
+    Wire.Frame.Writer.int hello (max_int - 3);
+    Wire.Link.send l
+      { Wire.Frame.kind = 9; src = -1; dst = -1; seq = 0; epoch = 0;
+        payload = Wire.Frame.Writer.contents hello };
+    drain_until_closed l
 
 (* An ephemeral TCP port for tests that must know the address before the
    coordinator binds it (bind-then-close; the reuse race is benign at
@@ -422,6 +435,36 @@ let test_mute_client_bootstrap_timeout () =
         Alcotest.(check bool) "bounded well under the watchdog" true
           (Unix.gettimeofday () -. t0 < 30.0))
 
+(* Whether this process still has a running child; zombies found on the
+   way are reaped. *)
+let rec live_child () =
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | 0, _ -> true
+  | _ -> live_child ()
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> false
+
+(* A hello whose payload does not decode is a failed hello: bootstrap ends
+   in the structured round-0 Shard_down and reaps the worker it spawned.
+   The mesh address here announces [max_int - 3] bytes, a length near the
+   top of the int range, where a naive bounds check wraps around. *)
+let test_bad_hello_reaped () =
+  let port = ephemeral_port () in
+  let addr = Printf.sprintf "127.0.0.1:%d" port in
+  let fake = spawn_with_env [ "CC_TEST_BAD_HELLO=" ^ addr ] in
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> reap fake)
+      (fun () ->
+        match Sock.create ~shards:2 ~remote:1 ~addr ~timeout:3.0 4 with
+        | t ->
+          Sock.close t;
+          None
+        | exception Shard.Shard_down { during; _ } -> Some during)
+  in
+  Alcotest.(check (option string)) "failed in the hello rendezvous"
+    (Some "hello") outcome;
+  Alcotest.(check bool) "no child left running" false (live_child ())
+
 (* ------------------------------------------------------- remote workers *)
 
 (* A remote worker is any process dialing the TCP rendezvous: here the
@@ -706,6 +749,8 @@ let () =
             (test_stopped_worker Shard.Respawn);
           Alcotest.test_case "mute client cannot hang bootstrap" `Quick
             test_mute_client_bootstrap_timeout;
+          Alcotest.test_case "undecodable hello reaps its workers" `Quick
+            test_bad_hello_reaped;
           Alcotest.test_case "remote worker joins the rendezvous" `Quick
             test_remote_worker_joins;
           Alcotest.test_case "tcp: reported mesh path never removed" `Quick

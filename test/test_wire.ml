@@ -85,6 +85,15 @@ let test_reader_bounds () =
   Alcotest.(check bool) "at end" true (Frame.Reader.at_end r);
   expect_malformed "reading past the end" (fun () -> Frame.Reader.int r)
 
+(* A string length near [max_int], where a bounds check written
+   [pos + len > size] wraps around. *)
+let test_reader_huge_string_length () =
+  let w = Frame.Writer.create () in
+  Frame.Writer.int w (max_int - 3);
+  let r = Frame.Reader.of_bytes (Frame.Writer.contents w) in
+  expect_malformed "a max_int - 3 byte string in an 8-byte payload" (fun () ->
+      Frame.Reader.string r)
+
 let test_fnv_pinned () =
   (* The FNV-1a 64 basis and prime, and the classic single-byte vector:
      hash("a") = offset xor 0x61 times prime. *)
@@ -129,6 +138,97 @@ let qcheck_frame_tests =
             items
         in
         back = items && Frame.Reader.at_end r);
+  ]
+
+(* ------------------------------------------------------ decoder fuzzing *)
+
+(* The decoders' contract on untrusted bytes: return a value or raise
+   [Malformed], never another exception. *)
+let total f =
+  match f () with _ -> true | exception Frame.Malformed _ -> true
+
+let encoded_gen =
+  QCheck.Gen.(
+    map4
+      (fun kind src seq payload ->
+        Frame.encode
+          { Frame.kind; src; dst = (src + 5) mod 62; seq; epoch = seq mod 97;
+            payload = Bytes.of_string payload })
+      (int_range 0 255) (int_range (-1) 61) small_nat
+      (string_size (int_range 0 64)))
+
+(* Random bytes, or an encoded frame cut short or with one byte replaced. *)
+let damaged_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        bytes_size (int_range 0 80);
+        ( encoded_gen >>= fun b ->
+          int_range 0 (Bytes.length b - 1) >|= Bytes.sub b 0 );
+        ( encoded_gen >>= fun b ->
+          pair (int_range 0 (Bytes.length b - 1)) (int_range 0 255)
+          >|= fun (i, c) ->
+          let b = Bytes.copy b in
+          Bytes.set b i (Char.chr c);
+          b );
+      ])
+
+let written write =
+  let w = Frame.Writer.create () in
+  write w;
+  Frame.Writer.contents w
+
+let int_word i = written (fun w -> Frame.Writer.int w i)
+
+(* Payload words: small ints, lengths at both ends of the int range,
+   strings, and raw bytes that misalign whatever follows. *)
+let payload_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 6)
+      (oneof
+         [
+           map int_word small_signed_int;
+           map (fun k -> int_word (max_int - k)) small_nat;
+           map (fun k -> int_word (min_int + k)) small_nat;
+           map
+             (fun s -> written (fun w -> Frame.Writer.string w s))
+             (string_size (int_range 0 12));
+           map Bytes.of_string (string_size (int_range 1 7));
+         ])
+    >|= Bytes.concat Bytes.empty)
+
+let print_bytes b = Printf.sprintf "%S" (Bytes.to_string b)
+
+let fuzz_frame_tests =
+  let open QCheck in
+  [
+    Test.make ~name:"frame decoders total on damaged bytes" ~count:1000
+      (make ~print:print_bytes damaged_gen)
+      (fun b ->
+        let cut = min (Bytes.length b) Frame.header_bytes in
+        let rest = Bytes.sub b cut (Bytes.length b - cut) in
+        total (fun () -> Frame.decode b)
+        && total (fun () -> Frame.decode_header b)
+        && total (fun () ->
+               let hdr = Frame.decode_header (Bytes.sub b 0 cut) in
+               Frame.check hdr rest;
+               Frame.verify hdr rest));
+    Test.make ~name:"payload reader total on random reads" ~count:1000
+      (make
+         ~print:(fun (b, ops) ->
+           Printf.sprintf "%s read as [%s]" (print_bytes b)
+             (String.concat "; "
+                (List.map (fun s -> if s then "string" else "int") ops)))
+         Gen.(pair payload_gen (list_size (int_range 1 8) bool)))
+      (fun (b, ops) ->
+        let r = Frame.Reader.of_bytes b in
+        total (fun () ->
+            List.iter
+              (fun s ->
+                if s then ignore (Frame.Reader.string r)
+                else ignore (Frame.Reader.int r))
+              ops;
+            Frame.Reader.at_end r));
   ]
 
 (* --------------------------------------------------------------- links *)
@@ -670,5 +770,11 @@ let suite =
     Alcotest.test_case "first overflow" `Quick test_first_overflow;
     Alcotest.test_case "pure pipeline matches mailbox" `Quick
       test_pipeline_matches_mailbox;
+    Alcotest.test_case "reader: huge string length is malformed" `Quick
+      test_reader_huge_string_length;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_frame_tests
+  @ List.map
+      (QCheck_alcotest.to_alcotest ~long:false
+         ~rand:(Random.State.make [| 23 |]))
+      fuzz_frame_tests
