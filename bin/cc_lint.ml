@@ -3,15 +3,16 @@
    Usage: cc_lint [--rules] [--graph] [--json] [PATH ...]
                                                       (default paths: lib bin)
 
-   Every run applies the whole catalog: the lexical rules (L1-L7, L9, L13,
-   Analysis.Lint) and the semantic pass (Analysis.Semantic), which parses
-   every implementation with the compiler frontend, builds the
-   module-qualified call graph, and runs the interprocedural rules L10-L12.
+   Every run applies the whole catalog in one pass (Analysis.Semantic):
+   each file is read and parsed once with the compiler frontend; the tree
+   goes through the per-file rules (L1-L5, L7, L9, L13, Analysis.Lint),
+   the implementations make the module-qualified call graph for the
+   interprocedural rules L10-L12, and L6 checks the file list.
    --graph dumps the call graph as GraphViz DOT to stdout and exits.
    --json renders findings through the dependency-free Metrics.Json
    instead of line-per-finding text.
 
-   Exit codes: 0 clean, 1 findings (or semantic parse errors), 2 usage. *)
+   Exit codes: 0 clean, 1 findings (or parse errors), 2 usage. *)
 
 let usage () =
   prerr_endline
@@ -40,17 +41,12 @@ let () =
     exit 0
   end;
   let opts = parse_args args in
-  match
-    let lexical = Analysis.Lint.lint_paths opts.roots in
-    let sem = Analysis.Semantic.analyze_paths opts.roots in
+  match Analysis.Semantic.analyze_paths opts.roots with
+  | { findings; errors; graph } ->
     if opts.graph then begin
-      print_string (Analysis.Callgraph.to_dot sem.graph);
+      print_string (Analysis.Callgraph.to_dot graph);
       exit 0
     end;
-    ( List.sort Analysis.Lint.compare_findings (lexical @ sem.findings),
-      sem.errors )
-  with
-  | findings, errors ->
     List.iter (fun e -> prerr_endline ("cc_lint: parse error: " ^ e)) errors;
     if opts.json then
       Analysis.Report.print_json stdout ~errors findings

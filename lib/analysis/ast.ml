@@ -35,7 +35,12 @@ let parse_impl ~file src =
 
 let parse_interface ~file src = with_lexbuf ~file src Parse.interface
 
-let flatten = Longident.flatten
+(* [Longident.flatten] fails on a functor application, which a type path
+   may hold ([Set.Make(Int).t]). *)
+let rec flatten = function
+  | Longident.Lident s -> [ s ]
+  | Ldot (l, s) -> flatten l @ [ s ]
+  | Lapply (f, x) -> flatten f @ flatten x
 
 let raw_lines src = Array.of_list (String.split_on_char '\n' src)
 

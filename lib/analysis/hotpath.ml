@@ -19,15 +19,13 @@ let alloc_prim lid =
     alloc_prims
 
 let findings (impl : Ast.impl) =
-  let raw = Ast.raw_lines impl.src in
   let hot = Hashtbl.create 4 in
   Array.iter
     (fun line ->
       List.iter (fun nm -> Hashtbl.replace hot nm ()) (Rule.hot_names line))
-    raw;
+    (Ast.raw_lines impl.src);
   if Hashtbl.length hot = 0 then []
   else begin
-    let seen = Hashtbl.create 8 in
     let found = ref [] in
     Ast.iter_bindings
       (fun ~name ~line:_ expr ->
@@ -39,33 +37,22 @@ let findings (impl : Ast.impl) =
                 match alloc_prim (Ast.flatten txt) with
                 | None -> ()
                 | Some prim ->
-                  let line = Ast.line_of_loc e.pexp_loc in
-                  (* Hot bindings can nest inside hot bindings; one
-                     finding per allocation site. *)
-                  if not (Hashtbl.mem seen (line, prim)) then begin
-                    Hashtbl.replace seen (line, prim) ();
-                    found :=
-                      {
-                        Lint.file = impl.file;
-                        line;
-                        rule = Rule.L12;
-                        message =
-                          Printf.sprintf
-                            "'%s' in hot function '%s': the round hot path \
-                             reuses preallocated buffers (see Runtime.Arena)"
-                            prim name;
-                      }
-                      :: !found
-                  end)
+                  (* A hot binding nested in another is walked twice; the
+                     driver keeps one finding per line. *)
+                  found :=
+                    {
+                      Lint.file = impl.file;
+                      line = Ast.line_of_loc e.pexp_loc;
+                      rule = Rule.L12;
+                      message =
+                        Printf.sprintf
+                          "'%s' in hot function '%s': the round hot path \
+                           reuses preallocated buffers (see Runtime.Arena)"
+                          prim name;
+                    }
+                    :: !found)
               | _ -> ())
             expr)
       impl.structure;
-    List.filter
-      (fun (f : Lint.finding) ->
-        let raw_line =
-          if f.line - 1 < Array.length raw then raw.(f.line - 1) else ""
-        in
-        not (Rule.suppressed Rule.L12 raw_line))
-      !found
-    |> List.sort Lint.compare_findings
+    !found
   end

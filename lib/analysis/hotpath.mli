@@ -4,8 +4,9 @@
     markers, and functions are located in the parse tree, so a hot
     function bound by a nested [let] (e.g. a closure built inside a
     factory) is covered too. Allocation primitives: [Hashtbl.create],
-    [Array.make], [Bytes.create]. Findings suppressed by an allow marker
-    naming [L12] on the offending line are dropped. *)
+    [Array.make], [Bytes.create]. *)
 
 val findings : Ast.impl -> Lint.finding list
-(** All unsuppressed L12 findings of one implementation, sorted. *)
+(** Every L12 finding of one implementation, unsorted; a site inside two
+    nested hot bindings appears twice. {!Semantic} applies the allow
+    markers and keeps one finding per line. *)

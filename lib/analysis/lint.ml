@@ -55,183 +55,192 @@ let supervisor_privileged path =
 let is_lib_module path =
   match segments path with "lib" :: _ :: _ -> true | _ -> false
 
-(* ------------------------------------------------------- token matching *)
-
-let boundary_before line i = i = 0 || not (Scan.is_ident_char line.[i - 1])
-
-let boundary_after line j =
-  j >= String.length line || not (Scan.is_ident_char line.[j])
-
-(* All start positions of [tok] in [line] at identifier boundaries. A token
-   ending in a non-identifier character (the trailing dot of [Random.]) needs
-   no right boundary: whatever follows the dot cannot extend the token. *)
-let token_positions line tok =
-  let tl = String.length tok and ll = String.length line in
-  let needs_right = tl > 0 && Scan.is_ident_char tok.[tl - 1] in
-  let rec loop i acc =
-    if i + tl > ll then List.rev acc
-    else if
-      String.sub line i tl = tok
-      && boundary_before line i
-      && ((not needs_right) || boundary_after line (i + tl))
-    then loop (i + 1) (i :: acc)
-    else loop (i + 1) acc
-  in
-  loop 0 []
-
-let mentions line tok = token_positions line tok <> []
-
-(* [with] +spaces+ [_] +spaces+ [->] — the lexical shape of a catch-all
-   handler. A [match] earlier on the line means the [_] is an ordinary
-   wildcard pattern, not an exception catch-all. *)
-let catch_all line =
-  match token_positions line "with" with
-  | [] -> false
-  | positions ->
-    let matches = token_positions line "match" in
-    List.exists
-      (fun i ->
-        (not (List.exists (fun m -> m < i) matches))
-        &&
-        let len = String.length line in
-        let j = ref (i + 4) in
-        while !j < len && line.[!j] = ' ' do
-          incr j
-        done;
-        if !j < len && line.[!j] = '_' && boundary_after line (!j + 1) then begin
-          incr j;
-          while !j < len && line.[!j] = ' ' do
-            incr j
-          done;
-          !j + 1 < len && line.[!j] = '-' && line.[!j + 1] = '>'
-        end
-        else false)
-      positions
-
 (* ----------------------------------------------------------- the rules *)
-
-let transport_ops = [ "exchange"; "route"; "broadcast" ]
-
-let transport_tokens =
-  List.concat_map
-    (fun m -> List.map (fun op -> m ^ "." ^ op) transport_ops)
-    [ "Sim"; "Congest" ]
-
-let entropy_tokens = [ "Random." ]
-
-(* Recovery belongs to the driver above the algorithms: a charged layer
-   that catches Fault_detected or re-runs itself through Recover.run is
-   making resilience decisions the ledger can no longer attribute. *)
-let recovery_tokens = [ "Fault_detected"; "Recover.run" ]
-
-let wallclock_tokens = [ "Unix."; "Sys.time" ]
 
 (* Raw socket syscalls (L9). [Unix.select] is deliberately absent: waiting
    on descriptors does not move bytes, and drivers may multiplex. *)
-let socket_tokens =
+let socket_calls =
   [
-    "Unix.socket";
-    "Unix.socketpair";
-    "Unix.connect";
-    "Unix.accept";
-    "Unix.bind";
-    "Unix.listen";
-    "Unix.read";
-    "Unix.write";
-    "Unix.single_write";
+    "socket"; "socketpair"; "connect"; "accept"; "bind"; "listen"; "read";
+    "write"; "single_write";
   ]
 
-let line_findings ~file ~charged ~privileged ~wire_ok ~supervisor_ok lineno
-    code_line =
+(* One walk over a parse tree. Every long identifier it carries goes to
+   [ident] with the segments that name modules: all of them in a module
+   or module-type path ([open Unix], [module R = Random]), all but the
+   last in a value, constructor, field, type or class path. Every [try]
+   case, and every [match] case under [exception], that catches all goes
+   to [handler]. *)
+let iterator ~ident ~handler =
+  let open Parsetree in
+  let d = Ast_iterator.default_iterator in
+  let visit ~modules (l : Longident.t Asttypes.loc) =
+    let path = Ast.flatten l.txt in
+    let quals =
+      if modules then path
+      else List.filteri (fun i _ -> i < List.length path - 1) path
+    in
+    ident ~line:(Ast.line_of_loc l.loc) ~quals path
+  in
+  let member = visit ~modules:false and modpath = visit ~modules:true in
+  (* A case that catches every exception: [_] with no guard. *)
+  let check_case (c : case) =
+    match (c.pc_lhs.ppat_desc, c.pc_guard) with
+    | Ppat_any, None -> handler (Ast.line_of_loc c.pc_lhs.ppat_loc)
+    | _ -> ()
+  in
+  {
+    d with
+    expr =
+      (fun it e ->
+        (match e.pexp_desc with
+        | Pexp_ident l
+        | Pexp_construct (l, _)
+        | Pexp_field (_, l)
+        | Pexp_setfield (_, l, _)
+        | Pexp_new l ->
+          member l
+        | Pexp_record (fields, _) -> List.iter (fun (l, _) -> member l) fields
+        | Pexp_try (_, cases) -> List.iter check_case cases
+        | Pexp_match (_, cases) ->
+          List.iter
+            (fun c ->
+              match c.pc_lhs.ppat_desc with
+              | Ppat_exception p -> check_case { c with pc_lhs = p }
+              | _ -> ())
+            cases
+        | _ -> ());
+        d.expr it e);
+    pat =
+      (fun it p ->
+        (match p.ppat_desc with
+        | Ppat_construct (l, _) | Ppat_type l -> member l
+        | Ppat_record (fields, _) -> List.iter (fun (l, _) -> member l) fields
+        | Ppat_open (l, _) -> modpath l
+        | _ -> ());
+        d.pat it p);
+    typ =
+      (fun it t ->
+        (match t.ptyp_desc with
+        | Ptyp_constr (l, _) | Ptyp_class (l, _) -> member l
+        | Ptyp_package (l, constraints) ->
+          modpath l;
+          List.iter (fun (l, _) -> member l) constraints
+        | _ -> ());
+        d.typ it t);
+    module_expr =
+      (fun it m ->
+        (match m.pmod_desc with Pmod_ident l -> modpath l | _ -> ());
+        d.module_expr it m);
+    module_type =
+      (fun it m ->
+        (match m.pmty_desc with
+        | Pmty_ident l | Pmty_alias l -> modpath l
+        | _ -> ());
+        d.module_type it m);
+    open_description =
+      (fun it o ->
+        modpath o.popen_expr;
+        d.open_description it o);
+    module_substitution =
+      (fun it m ->
+        modpath m.pms_manifest;
+        d.module_substitution it m);
+    with_constraint =
+      (fun it c ->
+        (match c with
+        | Pwith_type (l, _) | Pwith_typesubst (l, _) -> member l
+        | Pwith_modtype (l, _) | Pwith_modtypesubst (l, _) -> modpath l
+        | Pwith_module (a, b) | Pwith_modsubst (a, b) ->
+          modpath a;
+          modpath b);
+        d.with_constraint it c);
+    extension_constructor =
+      (fun it c ->
+        (match c.pext_kind with Pext_rebind l -> member l | Pext_decl _ -> ());
+        d.extension_constructor it c);
+    type_extension =
+      (fun it t ->
+        member t.ptyext_path;
+        d.type_extension it t);
+    class_expr =
+      (fun it c ->
+        (match c.pcl_desc with Pcl_constr (l, _) -> member l | _ -> ());
+        d.class_expr it c);
+    class_type =
+      (fun it c ->
+        (match c.pcty_desc with Pcty_constr (l, _) -> member l | _ -> ());
+        d.class_type it c);
+  }
+
+let findings ~file tree =
+  let charged = is_charged file
+  and privileged = transport_privileged file
+  and wire_ok = wire_privileged file
+  and supervisor_ok =
+    (not (is_lib_module file)) || supervisor_privileged file
+  in
   let found = ref [] in
-  let add rule message = found := (rule, message) :: !found in
-  if charged then begin
-    List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L1
-            (Printf.sprintf
-               "'%s' in charged layer: the seeded Graph.Prng is the only \
-                sanctioned entropy"
-               tok))
-      entropy_tokens;
-    List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L2
-            (Printf.sprintf
-               "'%s' in charged layer: rounds, not wall-clock, are the cost \
-                measure"
-               tok))
-      wallclock_tokens;
-    List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L7
-            (Printf.sprintf
-               "'%s' in charged layer: recovery decisions belong to the \
-                driver (Fault.Recover), not the algorithms"
-               tok))
-      recovery_tokens
-  end;
-  if not privileged then
-    List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L3
-            (Printf.sprintf
-               "direct transport call '%s' bypasses the Runtime ledger" tok))
-      transport_tokens;
-  if not wire_ok then
-    List.iter
-      (fun tok ->
-        if mentions code_line tok then
-          add Rule.L9
-            (Printf.sprintf
-               "raw socket call '%s' outside the wire layer: use Wire.Link so \
-                framing and byte accounting apply"
-               tok))
-      socket_tokens;
-  if not supervisor_ok then
-    if mentions code_line "Shard_down" then
-      add Rule.L13
+  let add line rule fmt =
+    Printf.ksprintf
+      (fun message -> found := { file; line; rule; message } :: !found)
+      fmt
+  in
+  (* The rules one long identifier breaks: [path] is the identifier
+     flattened, [quals] the segments of it that name modules. *)
+  let ident ~line ~quals path =
+    let name = String.concat "." path in
+    let tail =
+      match List.rev path with last :: m :: _ -> Some (m, last) | _ -> None
+    in
+    if charged then begin
+      if List.mem "Random" quals then
+        add line Rule.L1
+          "'%s' in charged layer: the seeded Graph.Prng is the only \
+           sanctioned entropy"
+          name;
+      if List.mem "Unix" quals || tail = Some ("Sys", "time") then
+        add line Rule.L2
+          "'%s' in charged layer: rounds, not wall-clock, are the cost \
+           measure"
+          name;
+      (* Recovery belongs to the driver above the algorithms: a charged
+         layer that catches Fault_detected or re-runs itself through
+         Recover.run is making resilience decisions the ledger can no
+         longer attribute. *)
+      if List.mem "Fault_detected" path || tail = Some ("Recover", "run") then
+        add line Rule.L7
+          "'%s' in charged layer: recovery decisions belong to the driver \
+           (Fault.Recover), not the algorithms"
+          name
+    end;
+    (match tail with
+    | Some (("Sim" | "Congest"), ("exchange" | "route" | "broadcast"))
+      when not privileged ->
+      add line Rule.L3 "direct transport call '%s' bypasses the Runtime ledger"
+        name
+    | Some ("Obj", "magic") -> add line Rule.L4 "Obj.magic is forbidden"
+    | Some ("Unix", call) when (not wire_ok) && List.mem call socket_calls ->
+      add line Rule.L9
+        "raw socket call '%s' outside the wire layer: use Wire.Link so \
+         framing and byte accounting apply"
+        name
+    | _ -> ());
+    if (not supervisor_ok) && List.mem "Shard_down" path then
+      add line Rule.L13
         "Shard_down outside the supervisor layer: let it propagate — only \
-         lib/clique/socket.ml and lib/fault/ may handle a dead worker";
-  if mentions code_line "Obj.magic" then
-    add Rule.L4 "Obj.magic is forbidden";
-  if catch_all code_line then
-    add Rule.L5
+         lib/clique/socket.ml and lib/fault/ may handle a dead worker"
+  in
+  let handler line =
+    add line Rule.L5
       "catch-all handler 'with _ ->' can swallow model violations; match \
-       specific exceptions";
-  List.rev_map
-    (fun (rule, message) -> { file; line = lineno; rule; message })
-    !found
-
-let scan_source ~file src =
-  let charged = is_charged file in
-  let privileged = transport_privileged file in
-  let wire_ok = wire_privileged file in
-  let supervisor_ok = (not (is_lib_module file)) || supervisor_privileged file in
-  (* [strip] preserves newlines, so raw and code line arrays are parallel. *)
-  let raw = Array.of_list (Scan.lines src) in
-  let code = Array.of_list (Scan.lines (Scan.strip src)) in
-  let findings = ref [] in
-  Array.iteri
-    (fun idx code_line ->
-      line_findings ~file ~charged ~privileged ~wire_ok ~supervisor_ok
-        (idx + 1) code_line
-      |> List.iter (fun f ->
-             if not (Rule.suppressed f.rule raw.(idx)) then
-               findings := f :: !findings))
-    code;
-  List.sort compare_findings !findings
-
-let scan_file file =
-  let ic = open_in_bin file in
-  let len = in_channel_length ic in
-  let src = really_input_string ic len in
-  close_in ic;
-  scan_source ~file src
+       specific exceptions"
+  in
+  let it = iterator ~ident ~handler in
+  (match tree with
+  | `Impl structure -> it.structure it structure
+  | `Intf signature -> it.signature it signature);
+  !found
 
 (* ------------------------------------------------------------------ L6 *)
 
@@ -254,9 +263,3 @@ let missing_mlis paths =
           }
       else None)
     paths
-  |> List.sort compare_findings
-
-let lint_paths roots =
-  let files = Walk.collect roots in
-  let per_file = List.concat_map scan_file files in
-  List.sort compare_findings (per_file @ missing_mlis files)

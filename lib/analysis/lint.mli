@@ -1,15 +1,18 @@
-(** The model-compliance linter.
+(** The model-compliance linter's per-file rules.
 
-    Walks OCaml sources and enforces the hygiene rules of {!Rule}: charged
-    layers ([lib/sparsify], [lib/laplacian], [lib/flow], [lib/euler],
-    [lib/rounding], [lib/expander]) must be deterministic and free of
-    wall-clock state (L1, L2); transports may only be driven through the
-    [Runtime] ledger outside [lib/runtime] and [lib/clique] (L3); [Obj.magic]
-    (L4) and catch-all handlers (L5) are forbidden everywhere; every [lib]
-    module ships an [.mli] (L6); raw socket syscalls are confined to
-    [lib/wire] and the socket transport (L9). Scanning is purely lexical
-    (see {!Scan}), so sources can be checked in memory without a
-    compiler. *)
+    Enforces the hygiene rules of {!Rule} on one parse tree at a time:
+    charged layers ([lib/sparsify], [lib/laplacian], [lib/flow],
+    [lib/euler], [lib/rounding], [lib/expander]) must be deterministic and
+    free of wall-clock state (L1, L2) and leave recovery to the driver
+    (L7); transports may only be driven through the [Runtime] ledger
+    outside [lib/runtime] and [lib/clique] (L3); [Obj.magic] (L4) and
+    catch-all handlers (L5) are forbidden everywhere; raw socket syscalls
+    are confined to [lib/wire] and the socket transport (L9); [Shard_down]
+    is named only by the supervisor layer (L13). Every lib module ships an
+    [.mli] (L6, over the file list). The tree comes from the compiler's
+    own parser ({!Ast}), so comments, strings and character literals are
+    never mistaken for code. {!Semantic.analyze} runs these rules beside
+    the call-graph rules and applies the allow markers. *)
 
 type finding = { file : string; line : int; rule : Rule.id; message : string }
 (** One lint hit, pointing at the offending source line. *)
@@ -17,19 +20,32 @@ type finding = { file : string; line : int; rule : Rule.id; message : string }
 val compare_findings : finding -> finding -> int
 (** Orders by file, then line, then rule id. *)
 
-val scan_source : file:string -> string -> finding list
-(** Lint an in-memory source. [file] determines which rules apply (charged
-    layer? transport-privileged?); it does not need to exist on disk.
-    Findings suppressed by a [(* cc_lint: allow Lk *)] marker on their line
-    are dropped. Sorted by {!compare_findings}. *)
+val findings :
+  file:string ->
+  [ `Impl of Parsetree.structure | `Intf of Parsetree.signature ] ->
+  finding list
+(** L1-L5, L7, L9 and L13 over one parsed file, in one walk; allow markers
+    are not applied here. Every long identifier the tree carries is
+    checked (values, constructors, record fields, types, module and
+    module-type paths, [open]s, exception rebinds, type extensions), and
+    every [try] handler case or [match ... with exception] case whose
+    pattern is [_] with no guard is an L5 hit. [file] decides which rules
+    apply (charged layer? transport-privileged?); it need not exist on
+    disk. *)
+
+val socket_calls : string list
+(** The [Unix] calls that move bytes over a socket ([socket], [connect],
+    [read], [write], ...): L9's list, and part of L10's sinks. *)
 
 val missing_mlis : string list -> finding list
 (** L6 over a path set: every [lib/**.ml] without a sibling [.mli] in the
     same list yields a finding at line 1. *)
 
-val lint_paths : string list -> finding list
-(** Lint every [.ml]/[.mli] under the given roots (see {!Walk.collect}),
-    including the L6 interface check over the collected set. *)
+val under : string -> string -> bool
+(** [under layer path]: whether [path] lies in [lib/<layer>/]. *)
+
+val is_lib_module : string -> bool
+(** Whether a path lies under [lib/]. *)
 
 val is_charged : string -> bool
 (** Whether a path lies in a charged (round-priced) layer. *)

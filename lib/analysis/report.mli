@@ -20,7 +20,7 @@ val schema : string
 (** Schema tag embedded in the JSON rendering, ["cc-lint/1"]. *)
 
 val to_json : ?errors:string list -> Lint.finding list -> Metrics.Json.t
-(** Findings (plus parse [errors] from the semantic pass) as a JSON tree
+(** Findings (plus the files that failed to parse, [errors]) as a JSON tree
     that round-trips through [Metrics.Json.of_string]: an object with
     [schema], [rules], [count], [findings] (file/line/rule/message
     records) and [errors]. *)

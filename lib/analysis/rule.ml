@@ -31,7 +31,7 @@ let of_string = function
   | "L13" -> Some L13
   | _ -> None
 
-(* The semantic (AST/call-graph) rules. *)
+(* The rules that look past one identifier: call graph and hot markers. *)
 let semantic = [ L10; L11; L12 ]
 
 let synopsis = function
@@ -79,70 +79,41 @@ let allow_marker = "cc_lint: allow"
 
 let hot_marker = "cc_lint: hot"
 
-(* The function names a [(* cc_lint: hot deliver exchange *)]-style marker
-   on this raw line declares hot, in order; [] when the line carries no
-   marker. The marker is per-file: [Lint.scan_source] unions every line's
-   names before walking the code. *)
-let hot_names raw_line =
+(* The space- or comma-separated words after [marker] on [raw_line], up
+   to the first '*' (where the comment closes); [] when the line carries
+   no marker. *)
+let marker_words marker raw_line =
   let len = String.length raw_line in
-  let mlen = String.length hot_marker in
+  let mlen = String.length marker in
+  let stop c = c = ' ' || c = ',' || c = '*' in
   let rec find i =
     if i + mlen > len then []
-    else if String.sub raw_line i mlen = hot_marker then names (i + mlen) []
+    else if String.sub raw_line i mlen = marker then words (i + mlen) []
     else find (i + 1)
-  and names i acc =
-    if i >= len then List.rev acc
-    else if raw_line.[i] = ' ' || raw_line.[i] = ',' then names (i + 1) acc
-    else if raw_line.[i] = '*' then List.rev acc
+  and words i acc =
+    if i >= len || raw_line.[i] = '*' then List.rev acc
+    else if stop raw_line.[i] then words (i + 1) acc
     else begin
       let j = ref i in
-      while
-        !j < len
-        && raw_line.[!j] <> ' '
-        && raw_line.[!j] <> ','
-        && raw_line.[!j] <> '*'
-      do
+      while !j < len && not (stop raw_line.[!j]) do
         incr j
       done;
-      names !j (String.sub raw_line i (!j - i) :: acc)
+      words !j (String.sub raw_line i (!j - i) :: acc)
     end
   in
   find 0
+
+(* The function names a [(* cc_lint: hot deliver exchange *)]-style marker
+   on this raw line declares hot, in order. The marker is per-file:
+   [Hotpath.findings] unions every line's names before walking the
+   code. *)
+let hot_names raw_line = marker_words hot_marker raw_line
 
 (* A raw source line suppresses [id] iff it carries a
    [(* cc_lint: allow L2 L5 *)]-style marker naming that id. Id tokens
    match case-insensitively, so [(* cc_lint: allow l9 *)] works too. *)
 let suppressed id raw_line =
   let name = String.lowercase_ascii (to_string id) in
-  let len = String.length raw_line in
-  let mlen = String.length allow_marker in
-  let rec find i =
-    if i + mlen > len then false
-    else if String.sub raw_line i mlen = allow_marker then ids (i + mlen)
-    else find (i + 1)
-  and ids i =
-    (* Scan the id list following the marker: uppercase-L tokens until the
-       comment closes or the line ends. *)
-    let rec loop i =
-      if i >= len then false
-      else if raw_line.[i] = ' ' || raw_line.[i] = ',' then loop (i + 1)
-      else if i + 1 < len && raw_line.[i] = '*' && raw_line.[i + 1] = ')' then
-        false
-      else begin
-        let j = ref i in
-        while
-          !j < len
-          && raw_line.[!j] <> ' '
-          && raw_line.[!j] <> ','
-          && raw_line.[!j] <> '*'
-        do
-          incr j
-        done;
-        if String.lowercase_ascii (String.sub raw_line i (!j - i)) = name then
-          true
-        else loop !j
-      end
-    in
-    loop i
-  in
-  find 0
+  List.exists
+    (fun w -> String.lowercase_ascii w = name)
+    (marker_words allow_marker raw_line)

@@ -1,29 +1,11 @@
-(* Rules L10-L12 over the call graph (DESIGN.md §12). *)
+(* Rules L10-L12 over the call graph, and the driver that runs the whole
+   catalog over one parse of each file (DESIGN.md §7.1, §12). *)
 
 type result = {
   findings : Lint.finding list;
   errors : string list;
   graph : Callgraph.t;
 }
-
-(* --------------------------------------------------- layer classification *)
-
-let under dir path =
-  let segs =
-    String.split_on_char '/' path |> List.filter (fun s -> s <> "" && s <> ".")
-  in
-  let rec pairs = function
-    | a :: (b :: _ as rest) -> (a, b) :: pairs rest
-    | _ -> []
-  in
-  List.mem ("lib", dir) (pairs segs)
-
-let in_lib path =
-  match
-    String.split_on_char '/' path |> List.filter (fun s -> s <> "" && s <> ".")
-  with
-  | "lib" :: _ -> true
-  | _ -> false
 
 (* L10 traversal boundary: the metered/driver/observability layers use
    Domain, Unix and wall-clock by design and under their own rules (L9,
@@ -32,8 +14,8 @@ let in_lib path =
 let traversal_stops file =
   Lint.transport_privileged file
   || Lint.wire_privileged file
-  || under "fault" file
-  || under "metrics" file
+  || Lint.under "fault" file
+  || Lint.under "metrics" file
 
 (* ------------------------------------------------------------- suppression *)
 
@@ -51,12 +33,6 @@ let keep_unsuppressed lines_by_file findings =
 
 (* ------------------------------------------------------------------- L10 *)
 
-let socket_syscalls =
-  [
-    "socket"; "socketpair"; "connect"; "accept"; "bind"; "listen"; "read";
-    "write"; "single_write";
-  ]
-
 (* Impure primitives, matched against alias-expanded unresolved references.
    The module segment is matched at the tail of the path so [Stdlib.Random]
    and [Random] both count; [Prng] (the seeded generator) resolves to a
@@ -68,7 +44,7 @@ let is_impure_sink lid =
     | "Random" | "Domain" -> true
     | "Unix" ->
       name = "time" || name = "gettimeofday"
-      || List.mem name socket_syscalls
+      || List.mem name Lint.socket_calls
     | "Sys" -> name = "time"
     | _ -> false)
   | _ -> false
@@ -152,12 +128,7 @@ let domain_adjacent graph file =
     (fun n ->
       List.exists
         (fun (lid, _) ->
-          (match lid with
-          | _ :: _ -> (
-            match List.rev lid with
-            | _ :: m :: _ -> m = "Domain"
-            | _ -> false)
-          | [] -> false)
+          (match List.rev lid with _ :: "Domain" :: _ -> true | _ -> false)
           || suffix2 "Pool" "run" lid
           || suffix2 "Pool" "get" lid)
         (Callgraph.refs graph n))
@@ -274,7 +245,10 @@ let l11_findings graph =
     all;
   List.concat_map
     (fun (n : Callgraph.node) ->
-      if not (in_lib n.file) || not (in_region n) || lock_disciplined graph n
+      if
+        (not (Lint.is_lib_module n.file))
+        || (not (in_region n))
+        || lock_disciplined graph n
       then []
       else
         List.filter_map
@@ -303,27 +277,33 @@ let l11_findings graph =
 
 (* --------------------------------------------------------------- driver *)
 
-let analyze sources =
-  let errors = ref [] in
-  let impls = ref [] in
+(* Each source is parsed once; its tree feeds the per-file rules and, for
+   an implementation, the call graph. [l6] is L6 over the file list. *)
+let run ~l6 sources =
+  let errors = ref [] and impls = ref [] and per_file = ref [] in
   let lines_by_file = Hashtbl.create 64 in
   List.iter
     (fun (file, src) ->
       Hashtbl.replace lines_by_file file (Ast.raw_lines src);
-      if Filename.check_suffix file ".mli" then begin
-        match Ast.parse_interface ~file src with
-        | Ok _ -> ()
-        | Error e -> errors := e :: !errors
-      end
-      else
-        match Ast.parse_impl ~file src with
-        | Ok impl -> impls := impl :: !impls
-        | Error e -> errors := e :: !errors)
+      let tree =
+        if Filename.check_suffix file ".mli" then
+          Result.map (fun s -> `Intf s) (Ast.parse_interface ~file src)
+        else
+          Result.map
+            (fun (impl : Ast.impl) ->
+              impls := impl :: !impls;
+              `Impl impl.structure)
+            (Ast.parse_impl ~file src)
+      in
+      match tree with
+      | Ok tree ->
+        per_file := List.rev_append (Lint.findings ~file tree) !per_file
+      | Error e -> errors := e :: !errors)
     sources;
   let impls = List.rev !impls in
   let graph = Callgraph.build impls in
   let findings =
-    l10_findings graph @ l11_findings graph
+    l6 @ !per_file @ l10_findings graph @ l11_findings graph
     @ List.concat_map Hotpath.findings impls
   in
   {
@@ -334,12 +314,11 @@ let analyze sources =
     graph;
   }
 
+let analyze sources = run ~l6:[] sources
+
 let analyze_paths roots =
-  let read file =
-    let ic = open_in_bin file in
-    let len = in_channel_length ic in
-    let src = really_input_string ic len in
-    close_in ic;
-    (file, src)
-  in
-  analyze (List.map read (Walk.collect roots))
+  let files = Walk.collect roots in
+  run ~l6:(Lint.missing_mlis files)
+    (List.map
+       (fun file -> (file, In_channel.with_open_bin file In_channel.input_all))
+       files)

@@ -1,9 +1,10 @@
-(** The semantic (AST + call-graph) lint pass: rules L10-L12.
+(** The linter's driver, and its cross-file rules L10-L12.
 
-    Where the lexical pass of {!Lint} sees one line at a time, this pass
-    parses every implementation with the compiler's own frontend
-    ({!Ast}), builds a module-qualified call graph ({!Callgraph}), and
-    runs interprocedural reachability ({!Dataflow}):
+    Every source is read and parsed once, with the compiler's own frontend
+    ({!Ast}). Each tree goes through the per-file rules of {!Lint} (L1-L5,
+    L7, L9, L13); the implementations also make a module-qualified call
+    graph ({!Callgraph}) with interprocedural reachability ({!Dataflow}),
+    for the rules that need more than one line at a time:
 
     - {b L10 — transitive model purity.} An impure primitive ([Random.*],
       [Unix.time]/[Unix.gettimeofday], [Sys.time], [Domain.*], raw socket
@@ -26,23 +27,26 @@
 
     - {b L12 — AST-accurate hot-path allocation} (see {!Hotpath}).
 
-    Findings honor the same per-line [(* cc_lint: allow Lk *)] markers as
-    the lexical pass. *)
+    Every finding, L6 included, then passes one filter: a
+    [(* cc_lint: allow Lk *)] marker naming its rule on its line drops
+    it. *)
 
 type result = {
-  findings : Lint.finding list;  (** sorted, suppressions applied *)
+  findings : Lint.finding list;
+      (** sorted, suppressions applied, at most one per (file, line, rule) *)
   errors : string list;
-      (** files that failed to parse, as [file:line message] strings; they
-          are excluded from the graph rather than aborting the run *)
+      (** files that failed to parse, as [file:line message] strings; such
+          a file yields no finding, but does not abort the run *)
   graph : Callgraph.t;  (** for [--graph] dumps and tests *)
 }
 
 val analyze : (string * string) list -> result
-(** [analyze sources] over [(file, contents)] pairs. [.ml] files are
-    parsed and analyzed; [.mli] files are syntax-checked only (a parse
-    failure is reported in [errors]). Paths decide layer scoping exactly
-    as in the lexical pass and need not exist on disk. *)
+(** [analyze sources] over [(file, contents)] pairs: every rule but L6.
+    [.ml] and [.mli] files both get the per-file rules; only [.ml] files
+    join the call graph. Paths decide layer scoping and need not exist on
+    disk. *)
 
 val analyze_paths : string list -> result
-(** [analyze] over every [.ml]/[.mli] under the given roots
-    (see {!Walk.collect}). *)
+(** Every rule over every [.ml]/[.mli] under the given roots
+    (see {!Walk.collect}), each file read once; L6 runs over that file
+    list. *)

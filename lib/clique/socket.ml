@@ -38,7 +38,7 @@
    death — EOF, a read/write timeout, or a PeerDown report from a
    survivor's mesh — is handled per CC_SHARD_POLICY. [Fail] raises
    [Runtime.Shard.Shard_down] as before. [Respawn] kills and replaces the
-   dead worker (exponential backoff, bounded attempts), bumps the epoch,
+   dead worker (exponential backoff, at most 3 attempts), bumps the epoch,
    rebuilds the entire mesh with fresh sockets via a Config round — which
    also discards any half-written frames of the aborted round — and
    replays the interrupted operation from its retained input (the
@@ -90,38 +90,39 @@ let k_heartbeat = 13
 
 let k_heartbeat_ack = 14
 
+(* Every count a payload announces is read through [Frame.Reader.count]
+   or [ints], so a corrupt or hostile one is [Malformed] before anything
+   is allocated for it. *)
+
 let put_msg w (m : Shard.msg) =
   Frame.Writer.int w m.gidx;
   Frame.Writer.int w m.src;
   Frame.Writer.int w m.dst;
-  Frame.Writer.int w (Array.length m.pay);
-  Array.iter (Frame.Writer.int w) m.pay
-
-let get_pay r len =
-  let pay = Array.make len 0 in
-  for i = 0 to len - 1 do
-    pay.(i) <- Frame.Reader.int r
-  done;
-  pay
+  Frame.Writer.ints w m.pay
 
 let get_msg r : Shard.msg =
   let gidx = Frame.Reader.int r in
   let src = Frame.Reader.int r in
   let dst = Frame.Reader.int r in
-  let len = Frame.Reader.int r in
-  { gidx; src; dst; pay = get_pay r len }
+  { gidx; src; dst; pay = Frame.Reader.ints r }
 
 let put_batch w msgs =
   Frame.Writer.int w (List.length msgs);
   List.iter (put_msg w) msgs
 
+(* [List.init] applies its function left to right. A message takes at
+   least its four ints. *)
 let get_batch r =
-  let count = Frame.Reader.int r in
-  let acc = ref [] in
-  for _ = 1 to count do
-    acc := get_msg r :: !acc
-  done;
-  List.rev !acc
+  List.init (Frame.Reader.count r ~bytes:32) (fun _ -> get_msg r)
+
+(* Broadcast values, in the request and in the reply: a count, then one
+   int array each. *)
+let put_values w values =
+  Frame.Writer.int w (Array.length values);
+  Array.iter (Frame.Writer.ints w) values
+
+let get_values r =
+  Array.init (Frame.Reader.count r ~bytes:8) (fun _ -> Frame.Reader.ints r)
 
 (* Accept one connection, waiting at most until [deadline]. *)
 let accept_deadline ~deadline ~tcp ~peer fd =
@@ -361,8 +362,7 @@ let overflow_payload (o : Shard.overflow) =
    itself stays alive and waits for the recovery Config. *)
 let report_down st ~seq suspects =
   let w = Frame.Writer.create ~hint:32 () in
-  Frame.Writer.int w (List.length suspects);
-  List.iter (Frame.Writer.int w) suspects;
+  Frame.Writer.ints w (Array.of_list suspects);
   reply st ~kind:k_peer_down ~seq (Frame.Writer.contents w)
 
 let handle_exchange st (f : Frame.t) =
@@ -439,12 +439,8 @@ let handle_bcast st (f : Frame.t) =
     let phase = Frame.Reader.string r in
     let width = Frame.Reader.int r in
     let lo = Frame.Reader.int r in
-    let count = Frame.Reader.int r in
+    let values = get_values r in
     Mailbox.set_context phase;
-    let values = Array.make count [||] in
-    for i = 0 to count - 1 do
-      values.(i) <- get_pay r (Frame.Reader.int r)
-    done;
     let error = ref None in
     (try
        Array.iteri
@@ -463,12 +459,7 @@ let handle_bcast st (f : Frame.t) =
     | Some o -> reply st ~kind:k_error ~seq:f.seq (overflow_payload o)
     | None ->
       let w = Frame.Writer.create ~hint:256 () in
-      Frame.Writer.int w count;
-      Array.iter
-        (fun pay ->
-          Frame.Writer.int w (Array.length pay);
-          Array.iter (Frame.Writer.int w) pay)
-        values;
+      put_values w values;
       reply st ~kind:k_bcast_ok ~seq:f.seq (Frame.Writer.contents w));
     true
   end
@@ -735,8 +726,6 @@ type t = {
   lfd : Unix.file_descr;  (** stays open: respawns and remote joins dial it *)
   policy : Shard.policy;
   timeout : float;
-  hb_interval : float;
-  max_respawns : int;
   backoff : float;
   remote : int;  (** slots [k - remote, k) are externally launched *)
   log : out_channel option;
@@ -759,7 +748,6 @@ type t = {
   mutable hb_sent : int;
   mutable hb_acked : int;
   mutable hb_missed : int;
-  mutable last_hb : float;
   mutable state : state;
 }
 
@@ -908,13 +896,7 @@ let env_remote = "CC_SHARD_REMOTE"
 
 let env_remote_worker = "CC_SHARD_REMOTE_WORKER"
 
-let env_heartbeat = "CC_SHARD_HEARTBEAT"
-
 let env_log = "CC_SHARD_LOG"
-
-let env_respawns = "CC_SHARD_RESPAWNS"
-
-let env_backoff = "CC_SHARD_BACKOFF"
 
 (* The environment of a spawned worker: the parent's, with the worker spec
    pinned and the effective domain count made explicit ([Pool.set_default]
@@ -1100,6 +1082,9 @@ let await_hellos t ~deadline want =
 
 (* ------------------------------------------------------------- recovery *)
 
+(* Respawn attempts per death before the session goes down. *)
+let max_respawns = 3
+
 (* Policy-driven recovery from the death of [dead] workers. On return the
    session is reconfigured at a fresh epoch and the interrupted operation
    can be replayed; on failure the session is down (raises Shard_down). *)
@@ -1144,7 +1129,7 @@ and respawn_loop t ~during dead attempt =
   match dead with
   | [] -> ()
   | first :: _ ->
-    if attempt > t.max_respawns then begin
+    if attempt > max_respawns then begin
       logf t "respawn attempts exhausted for shards [%s]"
         (String.concat "," (List.map string_of_int dead));
       session_down t ~shard:first ~during
@@ -1217,24 +1202,7 @@ let heartbeat t =
       (String.concat "," (List.map string_of_int d));
     recover t ~during:"heartbeat" d
 
-let maybe_heartbeat t =
-  if t.hb_interval > 0.0 then begin
-    let now = Unix.gettimeofday () in
-    if now -. t.last_hb >= t.hb_interval then begin
-      t.last_hb <- now;
-      heartbeat t
-    end
-  end
-
 (* ------------------------------------------------------------- creation *)
-
-let getenv_float var =
-  match Sys.getenv_opt var with
-  | Some s -> (
-    match float_of_string_opt (String.trim s) with
-    | Some x when x >= 0.0 -> Some x
-    | _ -> None)
-  | None -> None
 
 let getenv_int var =
   match Sys.getenv_opt var with
@@ -1244,8 +1212,8 @@ let getenv_int var =
     | _ -> None)
   | None -> None
 
-let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
-    ?max_respawns ?backoff ?log n =
+let create ?shards:requested ?addr ?remote ?policy ?timeout ?(backoff = 0.2)
+    n =
   if n <= 0 then invalid_arg "Socket.create: need n > 0";
   let k =
     let r =
@@ -1266,28 +1234,7 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
     in
     min r k
   in
-  let hb_interval =
-    match heartbeat with
-    | Some x -> Float.max 0.0 x
-    | None -> (
-      match getenv_float env_heartbeat with Some x -> x | None -> 0.0)
-  in
-  let max_respawns =
-    match max_respawns with
-    | Some r -> max 0 r
-    | None -> ( match getenv_int env_respawns with Some r -> r | None -> 3)
-  in
-  let backoff =
-    match backoff with
-    | Some b -> Float.max 0.0 b
-    | None -> (
-      match getenv_float env_backoff with Some b -> b | None -> 0.2)
-  in
-  let log =
-    match log with
-    | Some p -> Some p
-    | None -> Sys.getenv_opt env_log
-  in
+  let backoff = Float.max 0.0 backoff in
   if not (Atomic.exchange sigpipe_ignored true) then
     if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let addr = match addr with Some a -> Some a | None -> Sys.getenv_opt env_addr in
@@ -1307,7 +1254,7 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
              (Printf.sprintf "cc-wire-%d-%d" (Unix.getpid ()) !session_counter)))
   in
   let log_oc =
-    match log with
+    match Sys.getenv_opt env_log with
     | None -> None
     | Some path -> (
       match open_out_gen [ Open_append; Open_creat ] 0o644 path with
@@ -1322,8 +1269,6 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
       lfd;
       policy;
       timeout;
-      hb_interval;
-      max_respawns;
       backoff;
       remote;
       log = log_oc;
@@ -1346,7 +1291,6 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?heartbeat
       hb_sent = 0;
       hb_acked = 0;
       hb_missed = 0;
-      last_hb = Unix.gettimeofday ();
       state = Live;
     }
   in
@@ -1392,51 +1336,47 @@ let read_overflow r : Shard.overflow =
   let width = Frame.Reader.int r in
   { gidx; src; dst; words; width }
 
+(* An Inboxes payload, as [encode_reply] lays it out. A slice takes at
+   least its count, an entry its source and length. *)
+let read_inboxes r =
+  let bs = Frame.Reader.int r in
+  let br = Frame.Reader.int r in
+  let fs = Frame.Reader.int r in
+  let fr = Frame.Reader.int r in
+  let entry _ =
+    let src = Frame.Reader.int r in
+    (src, Frame.Reader.ints r)
+  in
+  let slices =
+    Array.init (Frame.Reader.count r ~bytes:8) (fun _ ->
+        List.init (Frame.Reader.count r ~bytes:16) entry)
+  in
+  Ok_inboxes (slices, (bs, br, fs, fr))
+
 (* One reply from slot [s]: an outcome, or the slots it implicates as
-   dead (itself on EOF/timeout/corruption, the peers it names on a
-   PeerDown report). *)
+   dead (itself on EOF/timeout, or on a reply that does not decode; the
+   existing slots it names on a PeerDown report, or itself if it names
+   none). *)
 let collect_reply t ~deadline s =
-  match recv_current t ~deadline s with
+  match
+    let f = recv_current t ~deadline s in
+    let r = Frame.Reader.of_bytes f.Frame.payload in
+    if f.Frame.kind = k_peer_down then begin
+      let named =
+        List.filter
+          (fun u -> u >= 0 && u < t.k)
+          (Array.to_list (Frame.Reader.ints r))
+      in
+      `Dead (if named = [] then [ s ] else named)
+    end
+    else if f.Frame.kind = k_error then `Out (Err (read_overflow r))
+    else if f.Frame.kind = k_inboxes then `Out (read_inboxes r)
+    else if f.Frame.kind = k_bcast_ok then `Out (Ok_bcast (get_values r))
+    else `Dead [ s ]
+  with
+  | reply -> reply
   | exception (Link.Closed _ | Link.Timeout _ | Frame.Malformed _) ->
     `Dead [ s ]
-  | f when f.Frame.kind = k_peer_down ->
-    let r = Frame.Reader.of_bytes f.Frame.payload in
-    let count = Frame.Reader.int r in
-    let acc = ref [] in
-    for _ = 1 to count do
-      acc := Frame.Reader.int r :: !acc
-    done;
-    `Dead (if !acc = [] then [ s ] else !acc)
-  | f when f.Frame.kind = k_error ->
-    `Out (Err (read_overflow (Frame.Reader.of_bytes f.Frame.payload)))
-  | f when f.Frame.kind = k_inboxes ->
-    let r = Frame.Reader.of_bytes f.Frame.payload in
-    let bs = Frame.Reader.int r in
-    let br = Frame.Reader.int r in
-    let fs = Frame.Reader.int r in
-    let fr = Frame.Reader.int r in
-    let m = Frame.Reader.int r in
-    let slices = Array.make m [] in
-    for d = 0 to m - 1 do
-      let count = Frame.Reader.int r in
-      let acc = ref [] in
-      for _ = 1 to count do
-        let src = Frame.Reader.int r in
-        let len = Frame.Reader.int r in
-        acc := (src, get_pay r len) :: !acc
-      done;
-      slices.(d) <- List.rev !acc
-    done;
-    `Out (Ok_inboxes (slices, (bs, br, fs, fr)))
-  | f when f.Frame.kind = k_bcast_ok ->
-    let r = Frame.Reader.of_bytes f.Frame.payload in
-    let count = Frame.Reader.int r in
-    let values = Array.make count [||] in
-    for i = 0 to count - 1 do
-      values.(i) <- get_pay r (Frame.Reader.int r)
-    done;
-    `Out (Ok_bcast values)
-  | _ -> `Dead [ s ]
 
 let send_to t s frame =
   match t.links.(s) with
@@ -1481,7 +1421,6 @@ let collect_all t ~each =
   if !dead <> [] then raise (Dead_workers !dead)
 
 let exchange ?(width = default_width) t outboxes =
-  maybe_heartbeat t;
   let attempt () =
     t.seq <- t.seq + 1;
     let e = epoch t in
@@ -1530,7 +1469,6 @@ let exchange ?(width = default_width) t outboxes =
   supervised t ~during:"exchange" attempt
 
 let broadcast ?(width = default_width) t values =
-  maybe_heartbeat t;
   Mailbox.check_values ~n:t.n values;
   let attempt () =
     t.seq <- t.seq + 1;
@@ -1543,11 +1481,7 @@ let broadcast ?(width = default_width) t values =
         Frame.Writer.string w (Mailbox.current_context ());
         Frame.Writer.int w width;
         Frame.Writer.int w lo;
-        Frame.Writer.int w (hi - lo);
-        for v = lo to hi - 1 do
-          Frame.Writer.int w (Array.length values.(v));
-          Array.iter (Frame.Writer.int w) values.(v)
-        done;
+        put_values w (Array.sub values lo (hi - lo));
         send_to t s
           { Frame.kind = k_bcast; src = -1; dst = s; seq = t.seq; epoch = e;
             payload = Frame.Writer.contents w })

@@ -34,8 +34,8 @@
 
     - [Fail] (default): raise [Runtime.Shard.Shard_down] naming the shard
       and round, exactly the pre-supervision behaviour.
-    - [Respawn]: replace the dead worker (up to [CC_SHARD_RESPAWNS] times,
-      exponential backoff from [CC_SHARD_BACKOFF] seconds), bump the
+    - [Respawn]: replace the dead worker (up to 3 attempts per death,
+      exponential backoff from [?backoff] seconds, default 0.2), bump the
       epoch, rebuild the mesh, and replay the interrupted operation from
       its retained input — output bit-identical to an undisturbed run.
     - [Drain]: mark the shard dead, merge its node range into a surviving
@@ -73,10 +73,7 @@ val create :
   ?remote:int ->
   ?policy:Runtime.Shard.policy ->
   ?timeout:float ->
-  ?heartbeat:float ->
-  ?max_respawns:int ->
   ?backoff:float ->
-  ?log:string ->
   int ->
   t
 (** [create n] spawns the worker family by re-executing the current
@@ -95,9 +92,10 @@ val create :
     [CC_SHARD_REMOTE], else 0) reserves the last [remote] shard slots for
     external workers joining through the rendezvous — requires [addr],
     and bootstrap waits for them like any other worker, bounded by
-    [timeout]. [policy], [timeout], [heartbeat], [max_respawns],
-    [backoff] and [log] default to their environment knobs as documented
-    above. Every bootstrap failure is a structured
+    [timeout]. [policy] and [timeout] default to their environment knobs
+    as documented above; [backoff] is the first respawn pause, in
+    seconds. [CC_SHARD_LOG=path] appends the supervisor's events to
+    [path]. Every bootstrap failure is a structured
     [Runtime.Shard.Shard_down] with [round = 0]. *)
 
 val close : t -> unit
@@ -142,10 +140,9 @@ val live_workers : t -> int
 
 val heartbeat : t -> unit
 (** Probe every live worker now and run recovery for any that fails to
-    ack within the session timeout. Called automatically between
-    operations when [CC_SHARD_HEARTBEAT] (or [?heartbeat]) is positive;
-    exposed for tests and long idle periods. Heartbeat-triggered
-    recovery charges no round (there was no operation to replay). *)
+    ack within the session timeout; for tests, the E12 series and long
+    idle periods. Heartbeat-triggered recovery charges no round (there
+    was no operation to replay). *)
 
 val default_width : int
 (** 2, as on every clique kernel. *)

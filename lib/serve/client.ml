@@ -1,7 +1,5 @@
 (* Minimal synchronous client for cc_serve: one request, one reply. *)
 
-(* cc_lint: allow L9 *)
-
 module Json = Metrics.Json
 module Link = Wire.Link
 

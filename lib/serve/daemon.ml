@@ -10,8 +10,6 @@
    certification policy covers corrupt answers instead (PR 9's shard
    supervision covers lost processes). *)
 
-(* cc_lint: allow L9 *)
-
 module Json = Metrics.Json
 module Link = Wire.Link
 

@@ -134,6 +134,10 @@ module Writer = struct
     int w (String.length s);
     Buffer.add_string w s
 
+  let ints w a =
+    int w (Array.length a);
+    Array.iter (int w) a
+
   let contents = Buffer.to_bytes
 end
 
@@ -149,13 +153,22 @@ module Reader = struct
     r.pos <- r.pos + 8;
     v
 
+  let count r ~bytes =
+    let c = int r in
+    if c < 0 || c > (Bytes.length r.buf - r.pos) / bytes then
+      malformed "payload announces %d items of %d+ bytes with %d bytes left"
+        c bytes
+        (Bytes.length r.buf - r.pos);
+    c
+
   let string r =
-    let len = int r in
-    if len < 0 || len > Bytes.length r.buf - r.pos then
-      malformed "payload truncated at byte %d reading a %d-byte string" r.pos len;
+    let len = count r ~bytes:1 in
     let s = Bytes.sub_string r.buf r.pos len in
     r.pos <- r.pos + len;
     s
+
+  (* [Array.init] applies its function to indices in order. *)
+  let ints r = Array.init (count r ~bytes:8) (fun _ -> int r)
 
   let at_end r = r.pos = Bytes.length r.buf
 end

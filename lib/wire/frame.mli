@@ -67,9 +67,11 @@ val check : header -> Bytes.t -> unit
 val decode : Bytes.t -> t
 (** [verify] over a contiguous [encode] result — the round-trip inverse. *)
 
-(** Payload serialization: ints as 8 little-endian bytes, strings
-    length-prefixed. The reader bounds-checks every access and raises
-    {!Malformed} on truncation. *)
+(** Payload serialization: ints as 8 little-endian bytes, strings and
+    int arrays length-prefixed. The reader bounds-checks every access and
+    raises {!Malformed} on truncation, and on any count (a length prefix
+    included) that is negative or more than the bytes left could hold, so
+    a payload cannot make its reader allocate more than it carries. *)
 module Writer : sig
   type t
 
@@ -78,6 +80,9 @@ module Writer : sig
   val int : t -> int -> unit
 
   val string : t -> string -> unit
+
+  val ints : t -> int array -> unit
+  (** The length, then each element. *)
 
   val contents : t -> Bytes.t
 end
@@ -89,7 +94,15 @@ module Reader : sig
 
   val int : t -> int
 
+  val count : t -> bytes:int -> int
+  (** [count r ~bytes] reads a count of items that take at least [bytes]
+      bytes each: {!Malformed} unless
+      [0 <= count <= bytes left / bytes]. *)
+
   val string : t -> string
+
+  val ints : t -> int array
+  (** Reads what {!Writer.ints} wrote. *)
 
   val at_end : t -> bool
 end

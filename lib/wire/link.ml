@@ -179,8 +179,13 @@ let recv_into ?deadline t b =
 
 (* ------------------------------------------------------------ endpoints *)
 
+(* Every descriptor opened here is close-on-exec: shard workers are
+   re-exec'd, and a child that inherited its parent's links would keep
+   them open (so their peers never see EOF) for as long as it runs.
+   Workers dial by address and need no inherited descriptor. *)
+
 let pair ?(peer = "pair") () =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let a, b = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (of_fd ~peer a, of_fd ~peer b)
 
 type address = Unix_socket of string | Tcp of string * int
@@ -234,7 +239,9 @@ let resolve = function
 
 (* A fresh socket of [sa]'s family, closed again if [setup] raises. *)
 let socket_for sa setup =
-  let fd = Unix.socket (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0 in
+  let fd =
+    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr sa) Unix.SOCK_STREAM 0
+  in
   (try setup fd
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -268,6 +275,6 @@ let listen a =
   | _ -> (fd, a)
 
 let accept ?(tcp_nodelay = false) lsock =
-  let fd, _ = Unix.accept lsock in
+  let fd, _ = Unix.accept ~cloexec:true lsock in
   if tcp_nodelay then Unix.setsockopt fd Unix.TCP_NODELAY true;
   fd

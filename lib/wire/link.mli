@@ -100,7 +100,11 @@ val pair : ?peer:string -> unit -> t * t
 
     Any other form raises [Invalid_argument] naming the address. Callers
     parse a string once with {!address}; {!dial}, {!listen} and {!unlink}
-    take the parsed form. *)
+    take the parsed form.
+
+    Every descriptor {!pair}, {!dial}, {!listen} and {!accept} open is
+    close-on-exec, so a process started later (a re-exec'd shard worker)
+    holds none of its parent's links. *)
 
 type address = Unix_socket of string | Tcp of string * int
 

@@ -9,6 +9,12 @@ set -eu
 
 repo_root=$(CDPATH='' cd -- "$(dirname -- "$0")/.." && pwd)
 lint=${1:-"$repo_root/_build/default/bin/cc_lint.exe"}
+# The linter runs from inside the staging directory below, so a relative
+# path is resolved against the caller's directory first.
+case $lint in
+  /*) ;;
+  *) lint="$PWD/$lint" ;;
+esac
 if [ ! -x "$lint" ]; then
   echo "lint_smoke: $lint not built (run: dune build bin/cc_lint.exe)" >&2
   exit 2
@@ -42,7 +48,7 @@ fail() {
 grep -q ' L10 ' "$out" || fail "missing L10 finding"
 grep -q ' L11 ' "$out" || fail "missing L11 finding"
 grep -q ' L12 ' "$out" || fail "missing L12 finding"
-grep -q ' L2 ' "$out" || fail "missing lexical L2 finding (lexical rules not run?)"
+grep -q ' L2 ' "$out" || fail "missing L2 finding (per-file rules not run?)"
 grep -q ' L13 ' "$out" || fail "missing L13 finding (supervision bypass)"
 grep -q 'Planted_l10.choose -> Entropy_pool.draw -> Random.int' "$out" ||
   fail "L10 chain does not name every hop"

@@ -1,11 +1,13 @@
-(* Tests for the cc_lint model-compliance analyzer: every rule L1-L6 is
-   planted in an in-memory source string and must be detected with the
-   correct rule id and line number; suppression markers, comment/string
-   immunity, and path scoping are exercised alongside. *)
+(* Tests for the cc_lint model-compliance analyzer: every rule is planted
+   in an in-memory source string and must be detected with the correct
+   rule id and line number; suppression markers, comment/string immunity,
+   and path scoping are exercised alongside. Every source goes through
+   the one driver, Semantic.analyze; [scan] keeps the per-file rules'
+   findings and [sem_findings] those of L10-L12. *)
 
 module Lint = Analysis.Lint
 module Rule = Analysis.Rule
-module Scan = Analysis.Scan
+module Semantic = Analysis.Semantic
 
 let rule_t = Alcotest.testable
     (fun fmt id -> Format.pp_print_string fmt (Rule.to_string id))
@@ -16,7 +18,12 @@ let check_findings what expected findings =
     what expected
     (List.map (fun f -> (f.Lint.rule, f.Lint.line)) findings)
 
-let scan ~file lines = Lint.scan_source ~file (String.concat "\n" lines)
+let is_semantic (f : Lint.finding) = List.mem f.rule Rule.semantic
+
+let scan ~file lines =
+  List.filter
+    (fun f -> not (is_semantic f))
+    (Semantic.analyze [ (file, String.concat "\n" lines) ]).findings
 
 (* ------------------------------------------------------ planted L1..L5 *)
 
@@ -56,6 +63,27 @@ let test_l2_wallclock () =
          "let t1 = Sys.time ()";
        ])
 
+let test_l2_every_identifier_kind () =
+  (* Each line names Unix through another kind of long identifier: an
+     open, a module alias, a type, a constructor pattern, a local open and
+     an exception rebind. All are in the parse tree. *)
+  check_findings "every identifier kind is checked"
+    [ (Rule.L2, 1); (Rule.L2, 2); (Rule.L2, 3); (Rule.L2, 4); (Rule.L2, 5);
+      (Rule.L2, 6) ]
+    (scan ~file:"lib/flow/fake.ml"
+       [
+         "open Unix";
+         "module U = Unix";
+         "type fd = Unix.file_descr";
+         "let f = function Unix.Unix_error _ -> 1 | _ -> 0";
+         "let g () = Unix.(time ())";
+         "exception E = Unix.Unix_error";
+       ]);
+  check_findings "interfaces are checked too" [ (Rule.L2, 1) ]
+    (scan ~file:"lib/flow/fake.mli" [ "val fd : Unix.file_descr" ]);
+  check_findings "a functor application in a type path" [ (Rule.L2, 1) ]
+    (scan ~file:"lib/flow/fake.ml" [ "type s = Set.Make(Unix.Foo).t" ])
+
 let test_l3_transport_bypass () =
   let src =
     [
@@ -87,6 +115,38 @@ let test_l5_catch_all () =
          "let x = try dangerous () with _ -> 0";
          "let y = match v with _ -> 0";
          "let z = try f () with Not_found -> 1";
+       ])
+
+let test_l5_multiline_handler () =
+  (* A handler case on its own line: the parse tree sees the [try] the
+     [_] belongs to, wherever the [with] is. *)
+  check_findings "multi-line catch-all flagged at the wildcard"
+    [ (Rule.L5, 4) ]
+    (scan ~file:"bin/fake.ml"
+       [
+         "let x =";
+         "  try dangerous () with";
+         "  | Not_found -> 1";
+         "  | _ -> 0";
+       ])
+
+let test_l5_match_exception () =
+  check_findings "match ... with exception _ flagged"
+    [ (Rule.L5, 3) ]
+    (scan ~file:"bin/fake.ml"
+       [
+         "let y = match f () with";
+         "  | v -> v";
+         "  | exception _ -> 0";
+         "let z = match f () with _ -> 0 | exception Not_found -> 1";
+       ])
+
+let test_l5_guarded_wildcard () =
+  check_findings "a guarded wildcard is not a catch-all" []
+    (scan ~file:"bin/fake.ml"
+       [
+         "let x = try f () with _ when debug -> 0";
+         "let y = match f () with v -> v | exception _ when debug -> 0";
        ])
 
 let test_l7_recovery_in_charged_layer () =
@@ -174,6 +234,16 @@ let test_suppression () =
     (scan ~file:"lib/sparsify/fake.ml"
        [ "let x = try Random.int 10 with _ -> 0 (* cc_lint: allow L1 L5 *)" ])
 
+let test_marker_closed_by_stars () =
+  (* The words after a marker end at the first '*', so a comment closed
+     by two stars ends the list like one closed by one. *)
+  check_findings "a marker closed by **) still suppresses" []
+    (scan ~file:"lib/sparsify/fake.ml"
+       [ "let x = Random.int 10 (* cc_lint: allow L1 **)" ]);
+  Alcotest.(check (list string)) "hot names end at the first '*'"
+    [ "deliver"; "scatter" ]
+    (Rule.hot_names "(* cc_lint: hot deliver, scatter**)")
+
 let test_comment_and_string_immunity () =
   check_findings "tokens in comments and strings are data" []
     (scan ~file:"lib/sparsify/fake.ml"
@@ -196,15 +266,6 @@ let test_token_boundaries () =
          "let y = Pseudo_Sim.exchange 1";
          "let z = sys_time ()";
        ])
-
-let test_scan_strip_preserves_lines () =
-  let src = "let a = 1\n(* multi\nline\ncomment *)\nlet b = \"x\ny\"" in
-  let stripped = Scan.strip src in
-  Alcotest.(check int) "same length" (String.length src)
-    (String.length stripped);
-  Alcotest.(check int) "same line count"
-    (List.length (Scan.lines src))
-    (List.length (Scan.lines stripped))
 
 (* --------------------------------------------------------- planted L9 *)
 
@@ -299,14 +360,23 @@ let test_every_rule_detected_once () =
     [ (Rule.L1, 1); (Rule.L2, 2); (Rule.L3, 3); (Rule.L4, 4); (Rule.L5, 5) ]
     findings
 
+(* The per-file rules; the suite name stays "lexical" so test ids stay
+   stable. *)
 let lexical_suite =
   [
     Alcotest.test_case "L1: entropy in charged layer" `Quick test_l1_entropy;
     Alcotest.test_case "L1: scoping" `Quick test_l1_scoped_to_charged_layers;
     Alcotest.test_case "L2: wall-clock" `Quick test_l2_wallclock;
+    Alcotest.test_case "L2: every identifier kind" `Quick
+      test_l2_every_identifier_kind;
     Alcotest.test_case "L3: transport bypass" `Quick test_l3_transport_bypass;
     Alcotest.test_case "L4: Obj.magic" `Quick test_l4_obj_magic;
     Alcotest.test_case "L5: catch-all handler" `Quick test_l5_catch_all;
+    Alcotest.test_case "L5: multi-line handler" `Quick
+      test_l5_multiline_handler;
+    Alcotest.test_case "L5: match with exception _" `Quick
+      test_l5_match_exception;
+    Alcotest.test_case "L5: guarded wildcard" `Quick test_l5_guarded_wildcard;
     Alcotest.test_case "L6: missing mli" `Quick test_l6_missing_mli;
     Alcotest.test_case "L7: recovery in charged layer" `Quick
       test_l7_recovery_in_charged_layer;
@@ -319,20 +389,19 @@ let lexical_suite =
     Alcotest.test_case "L9: case-insensitive allow" `Quick
       test_l9_allow_suppression;
     Alcotest.test_case "suppression markers" `Quick test_suppression;
+    Alcotest.test_case "marker closed by **)" `Quick
+      test_marker_closed_by_stars;
     Alcotest.test_case "comment/string immunity" `Quick
       test_comment_and_string_immunity;
     Alcotest.test_case "token boundaries" `Quick test_token_boundaries;
-    Alcotest.test_case "strip preserves line structure" `Quick
-      test_scan_strip_preserves_lines;
     Alcotest.test_case "report format" `Quick test_report_format;
     Alcotest.test_case "rule catalog" `Quick test_rule_catalog;
     Alcotest.test_case "planted L1-L5 all detected" `Quick
       test_every_rule_detected_once;
   ]
 
-(* ===================================================== semantic pass == *)
+(* ============================================ call-graph and hot rules == *)
 
-module Semantic = Analysis.Semantic
 module Report = Analysis.Report
 module Json = Metrics.Json
 
@@ -345,13 +414,14 @@ let contains haystack needle =
   in
   go 0
 
-let sem_findings sources = (Semantic.analyze sources).Semantic.findings
+let sem_findings sources =
+  List.filter is_semantic (Semantic.analyze sources).Semantic.findings
 
 (* -------------------------------------------------- L10: transitive purity *)
 
 (* A charged sparsifier reaching [Random.int] through two helper hops in
-   lib/core — the exact shape the lexical pass is blind to, since no
-   charged-layer *line* mentions an entropy token. *)
+   lib/core — the exact shape the per-file rules are blind to, since no
+   charged-layer identifier names an entropy source. *)
 let entropy_src = "let draw n = Random.int n\n"
 let helper_src = "let scale x = x * 2\nlet pick n = Entropy.draw (scale n)\n"
 let algo_src = "let choose n = Helper.pick n\nlet pure n = n + 1\n"
@@ -364,16 +434,16 @@ let l10_corpus =
   ]
 
 let test_l10_multihop_chain () =
-  (* Pinned blind spot #1: the lexical pass sees nothing in any of the
+  (* Pinned blind spot #1: the per-file rules see nothing in any of the
      three files (lib/core is not a charged layer, and the charged file
-     never utters "Random"). *)
+     never names Random). *)
   List.iter
     (fun (file, src) ->
       check_findings ("lexical pass is blind: " ^ file) []
-        (Lint.scan_source ~file src))
+        (scan ~file [ src ]))
     l10_corpus;
-  (* ... and the semantic pass pins it with a hop-by-hop witness chain
-     that names every intermediate function. *)
+  (* ... and L10 pins it with a hop-by-hop witness chain that names every
+     intermediate function. *)
   let findings = sem_findings l10_corpus in
   check_findings "one L10 finding at the charged call site"
     [ (Rule.L10, 1) ] findings;

@@ -3,8 +3,6 @@
    Standalone executable: the suite spawns domains (workers + listener)
    per daemon and several daemons per run. *)
 
-(* cc_lint: allow L9 *)
-
 module Json = Metrics.Json
 module Link = Wire.Link
 

@@ -55,27 +55,61 @@ let () =
     Unix.sleep 600;
     exit 0
 
+(* Join the rendezvous in CC_TEST_RENDEZVOUS as a remote worker whose
+   hello reports mesh address [mesh]: read the slot assignment and the
+   Config, answer it with a Ready, and return the link and the slot.
+   Kinds 9 and 11 are the hello and ready frames of DESIGN §11.1. *)
+let join_remote ~mesh =
+  let l = dial_rendezvous (Sys.getenv "CC_TEST_RENDEZVOUS") in
+  let hello = Wire.Frame.Writer.create ~hint:64 () in
+  Wire.Frame.Writer.string hello mesh;
+  Wire.Link.send l
+    { Wire.Frame.kind = 9; src = -1; dst = -1; seq = 0; epoch = 0;
+      payload = Wire.Frame.Writer.contents hello };
+  let assign = Wire.Link.recv l in
+  let config = Wire.Link.recv l in
+  Wire.Link.send l
+    { Wire.Frame.kind = 11; src = assign.Wire.Frame.dst; dst = -1;
+      seq = config.Wire.Frame.seq; epoch = config.Wire.Frame.epoch;
+      payload = Bytes.empty };
+  (l, assign.Wire.Frame.dst)
+
 (* Diversion: spawned as a remote worker that reports a foreign mesh
-   address, this process dials the rendezvous in CC_TEST_RENDEZVOUS,
-   sends a hello naming [unix:<CC_TEST_FOREIGN_MESH>], answers the
-   Config with a Ready and stays until the coordinator hangs up. Kinds 9
-   and 11 are the hello and ready frames of DESIGN §11.1. *)
+   address, [unix:<CC_TEST_FOREIGN_MESH>], this process joins and stays
+   until the coordinator hangs up. *)
 let () =
   match Sys.getenv_opt "CC_TEST_FOREIGN_MESH" with
   | None -> ()
   | Some file ->
-    let l = dial_rendezvous (Sys.getenv "CC_TEST_RENDEZVOUS") in
-    let hello = Wire.Frame.Writer.create ~hint:64 () in
-    Wire.Frame.Writer.string hello ("unix:" ^ file);
+    let l, _ = join_remote ~mesh:("unix:" ^ file) in
+    drain_until_closed l
+
+(* Diversion: spawned as a remote worker that answers its first Exchange
+   with a reply that does not hold what it announces — an Inboxes frame
+   of -1 slices ([CC_TEST_BAD_REPLY=slices]) or a PeerDown frame naming
+   slot 99 ([peer]) — then stays until the coordinator hangs up. Kinds 3
+   and 7 are the inboxes and peer-down frames of DESIGN §11.1. *)
+let () =
+  match Sys.getenv_opt "CC_TEST_BAD_REPLY" with
+  | None -> ()
+  | Some what ->
+    let l, slot = join_remote ~mesh:"unix:/nonexistent" in
+    let exchange = Wire.Link.recv l in
+    let w = Wire.Frame.Writer.create () in
+    let kind =
+      if what = "slices" then begin
+        List.iter (Wire.Frame.Writer.int w) [ 0; 0; 0; 0; -1 ];
+        3
+      end
+      else begin
+        Wire.Frame.Writer.ints w [| 99 |];
+        7
+      end
+    in
     Wire.Link.send l
-      { Wire.Frame.kind = 9; src = -1; dst = -1; seq = 0; epoch = 0;
-        payload = Wire.Frame.Writer.contents hello };
-    let assign = Wire.Link.recv l in
-    let config = Wire.Link.recv l in
-    Wire.Link.send l
-      { Wire.Frame.kind = 11; src = assign.Wire.Frame.dst; dst = -1;
-        seq = config.Wire.Frame.seq; epoch = config.Wire.Frame.epoch;
-        payload = Bytes.empty };
+      { Wire.Frame.kind; src = slot; dst = -1; seq = exchange.Wire.Frame.seq;
+        epoch = exchange.Wire.Frame.epoch;
+        payload = Wire.Frame.Writer.contents w };
     drain_until_closed l
 
 (* Diversion: spawned as a remote worker whose hello announces a mesh
@@ -517,6 +551,35 @@ let test_reported_mesh_path_kept addr () =
       Alcotest.(check bool) "reported file left in place" true
         (Sys.file_exists file))
 
+(* A worker's reply is decoded like any untrusted payload: one announcing
+   -1 slices, or naming a slot that does not exist as dead, is a dead
+   worker (under policy fail, a Shard_down), never an exception out of
+   the decoder. *)
+let test_bad_reply_is_dead_worker what () =
+  let addr = Printf.sprintf "127.0.0.1:%d" (ephemeral_port ()) in
+  let fake =
+    spawn_with_env [ "CC_TEST_BAD_REPLY=" ^ what; "CC_TEST_RENDEZVOUS=" ^ addr ]
+  in
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> reap fake)
+      (fun () ->
+        let t =
+          Sock.create ~shards:1 ~remote:1 ~addr ~policy:Shard.Fail
+            ~timeout:10.0 2
+        in
+        Fun.protect
+          ~finally:(fun () -> Sock.close t)
+          (fun () ->
+            match Sock.exchange t (all_to_all 2) with
+            | _ -> "delivered"
+            | exception Shard.Shard_down { during; _ } ->
+              "Shard_down during " ^ during
+            | exception e -> Printexc.to_string e))
+  in
+  Alcotest.(check string) (what ^ ": the worker is dead")
+    "Shard_down during exchange" outcome
+
 (* ------------------------------------------------------ address legs *)
 
 (* The rendezvous address takes Wire.Link's grammar: bare HOST:PORT,
@@ -669,6 +732,53 @@ let test_no_socket_files_left () =
   Alcotest.(check (list string)) "none left by a SIGKILLed worker" []
     (our_socket_files ())
 
+(* The socket inodes ("socket:[N]") process [pid] holds above fd 2. *)
+let sockets_above_stdio pid =
+  let dir = Printf.sprintf "/proc/%s/fd" pid in
+  List.filter_map
+    (fun fd ->
+      match (int_of_string_opt fd, Unix.readlink (Filename.concat dir fd)) with
+      | Some k, target
+        when k > 2 && String.starts_with ~prefix:"socket:" target ->
+        Some target
+      | _ -> None
+      | exception Unix.Unix_error _ -> None)
+    (Array.to_list (Sys.readdir dir))
+
+(* Workers are re-exec'd, so a descriptor the coordinator opened without
+   close-on-exec lives on in each of them: the rendezvous listener in
+   every worker, and the coordinator's links to its siblings in a
+   respawned one, which then keeps those links open after their peers
+   die. *)
+let test_workers_hold_no_coordinator_socket () =
+  if not (Sys.file_exists "/proc/self/fd") then ()
+  else begin
+    let n = 9 in
+    let t =
+      Sock.create ~shards:3 ~policy:Shard.Respawn ~timeout:10.0 ~backoff:0.05
+        n
+    in
+    let check what =
+      let mine = sockets_above_stdio "self" in
+      List.iter
+        (fun pid ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: worker %d holds no coordinator socket" what
+               pid)
+            []
+            (List.filter
+               (fun s -> List.mem s mine)
+               (sockets_above_stdio (string_of_int pid))))
+        (Sock.pids t)
+    in
+    check "after create";
+    kill_shard t 1;
+    ignore (Sock.exchange t (all_to_all n));
+    Alcotest.(check int) "one respawn" 1 (stat "shard.respawn" t);
+    check "after a respawn";
+    Sock.close t
+  end
+
 (* Closing a session whose worker is stopped: the worker never acts on
    Shutdown, so [close] must give up on it at the session timeout, kill
    and reap it, and still remove every socket file. A watchdog of its own
@@ -764,6 +874,11 @@ let () =
                ^ Filename.concat
                    (Filename.get_temp_dir_name ())
                    (Printf.sprintf "cc-wire-%d-rendezvous" (Unix.getpid ()))));
+          Alcotest.test_case "reply of -1 slices is a dead worker" `Quick
+            (test_bad_reply_is_dead_worker "slices");
+          Alcotest.test_case "peer-down naming no slot is a dead worker"
+            `Quick
+            (test_bad_reply_is_dead_worker "peer");
         ] );
       ( "transports",
         [
@@ -791,5 +906,7 @@ let () =
             test_no_socket_files_left;
           Alcotest.test_case "close bounded on a stopped worker" `Quick
             test_close_stopped_worker;
+          Alcotest.test_case "workers hold no coordinator socket" `Quick
+            test_workers_hold_no_coordinator_socket;
         ] );
     ]

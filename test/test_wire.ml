@@ -180,6 +180,29 @@ let written write =
 
 let int_word i = written (fun w -> Frame.Writer.int w i)
 
+(* A count is Malformed unless the bytes left can hold that many items:
+   negative, near max_int, or one more than fits. Each payload here is a
+   count followed by two 8-byte words. *)
+let test_reader_counts () =
+  let reader count =
+    Frame.Reader.of_bytes
+      (written (fun w -> List.iter (Frame.Writer.int w) [ count; 7; 9 ]))
+  in
+  List.iter
+    (fun c ->
+      expect_malformed
+        (Printf.sprintf "count %d of 8-byte items" c)
+        (fun () -> Frame.Reader.count (reader c) ~bytes:8);
+      expect_malformed
+        (Printf.sprintf "int array of %d" c)
+        (fun () -> Frame.Reader.ints (reader c)))
+    [ -1; max_int; 3 ];
+  Alcotest.(check int) "a count that fits" 16
+    (Frame.Reader.count (reader 16) ~bytes:1);
+  let r = reader 2 in
+  Alcotest.(check (array int)) "ints back" [| 7; 9 |] (Frame.Reader.ints r);
+  Alcotest.(check bool) "at end" true (Frame.Reader.at_end r)
+
 (* Payload words: small ints, lengths at both ends of the int range,
    strings, and raw bytes that misalign whatever follows. *)
 let payload_gen =
@@ -193,9 +216,21 @@ let payload_gen =
            map
              (fun s -> written (fun w -> Frame.Writer.string w s))
              (string_size (int_range 0 12));
+           map
+             (fun a -> written (fun w -> Frame.Writer.ints w a))
+             (array_size (int_range 0 4) small_signed_int);
            map Bytes.of_string (string_size (int_range 1 7));
          ])
     >|= Bytes.concat Bytes.empty)
+
+(* Every payload reader, by name. *)
+let payload_reads =
+  [
+    ("int", fun r -> ignore (Frame.Reader.int r));
+    ("string", fun r -> ignore (Frame.Reader.string r));
+    ("ints", fun r -> ignore (Frame.Reader.ints r));
+    ("count", fun r -> ignore (Frame.Reader.count r ~bytes:8));
+  ]
 
 let print_bytes b = Printf.sprintf "%S" (Bytes.to_string b)
 
@@ -217,17 +252,14 @@ let fuzz_frame_tests =
       (make
          ~print:(fun (b, ops) ->
            Printf.sprintf "%s read as [%s]" (print_bytes b)
-             (String.concat "; "
-                (List.map (fun s -> if s then "string" else "int") ops)))
-         Gen.(pair payload_gen (list_size (int_range 1 8) bool)))
+             (String.concat "; " (List.map fst ops)))
+         Gen.(
+           pair payload_gen
+             (list_size (int_range 1 8) (oneofl payload_reads))))
       (fun (b, ops) ->
         let r = Frame.Reader.of_bytes b in
         total (fun () ->
-            List.iter
-              (fun s ->
-                if s then ignore (Frame.Reader.string r)
-                else ignore (Frame.Reader.int r))
-              ops;
+            List.iter (fun (_, read) -> read r) ops;
             Frame.Reader.at_end r));
   ]
 
@@ -772,6 +804,8 @@ let suite =
       test_pipeline_matches_mailbox;
     Alcotest.test_case "reader: huge string length is malformed" `Quick
       test_reader_huge_string_length;
+    Alcotest.test_case "reader: counts past the payload are malformed"
+      `Quick test_reader_counts;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_frame_tests
   @ List.map
