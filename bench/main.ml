@@ -1371,13 +1371,11 @@ let e13_throughput () =
       (fun (n, requests) ->
         let config =
           {
-            Serve.Daemon.addr =
+            Serve.Daemon.default_config with
+            addr =
               Printf.sprintf "unix:/tmp/cc-bench-e13-%d-%d.sock"
                 (Unix.getpid ()) n;
-            jobs = 2;
             cache_cap = 16;
-            policy = Serve.Exec.Off;
-            max_bytes = 8 * 1024 * 1024;
           }
         in
         let t = Serve.Daemon.start config in

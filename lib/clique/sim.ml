@@ -1,4 +1,4 @@
-type kernel = Arena | Legacy | Shard
+type kernel = Runtime.Config.kernel = Arena | Legacy | Shard
 
 type engine =
   | Local of Runtime.Arena.t option  (** [Some] = arena, [None] = legacy *)
@@ -13,14 +13,11 @@ type t = {
 
 exception Bandwidth_exceeded = Runtime.Mailbox.Bandwidth_exceeded
 
-let forced_kernel : kernel option ref = ref None
-
-let set_default_kernel k = forced_kernel := k
-
 let default_kernel () =
-  match !forced_kernel with
+  let c = Runtime.Config.get () in
+  match c.kernel with
   | Some k -> k
-  | None -> if Runtime.Shard.default_shards () > 1 then Shard else Arena
+  | None -> if c.shards > 1 then Shard else Arena
 
 let create ?kernel n =
   if n <= 0 then invalid_arg "Sim.create: need n > 0";

@@ -15,7 +15,7 @@
 type t
 (** A clique session: delivery state, round counter, word counter. *)
 
-type kernel = Arena | Legacy | Shard
+type kernel = Runtime.Config.kernel = Arena | Legacy | Shard
 (** Which delivery engine [exchange] runs on. [Arena] (the default) is the
     reusable-buffer counting-sort kernel of {!Runtime.Arena}; [Legacy] is
     the list-and-[Hashtbl] {!Runtime.Mailbox.deliver} path; [Shard] is the
@@ -42,17 +42,12 @@ val create : ?kernel:kernel -> int -> t
     reuses them every round. *)
 
 val default_kernel : unit -> kernel
-(** The kernel [create] picks when [?kernel] is omitted: the value forced
-    by {!set_default_kernel} if any, else [Shard] when
-    [Runtime.Shard.default_shards () > 1] (i.e. [CC_SHARDS] asks for a
-    multi-process run), else [Arena]. [Legacy] is chosen only explicitly
-    ([create ~kernel:Legacy] or {!set_default_kernel}), as the
-    differential suite's oracle and E9's comparison leg. *)
-
-val set_default_kernel : kernel option -> unit
-(** Force (or, with [None], unforce) the {!default_kernel} result — the
-    test-suite hook for running whole pipelines that build their own
-    cliques on a chosen kernel, overriding [CC_SHARDS]. *)
+(** The kernel [create] picks when [?kernel] is omitted:
+    [Runtime.Config.get ()]'s [kernel] if set, else [Shard] when its
+    [shards > 1] (i.e. [CC_SHARDS] asks for a multi-process run), else
+    [Arena]. [Legacy] is chosen only explicitly ([create ~kernel:Legacy]
+    or a [Runtime.Config.with_] record naming it), as the differential
+    suite's oracle and E9's comparison leg. *)
 
 val n : t -> int
 

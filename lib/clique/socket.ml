@@ -4,8 +4,8 @@
    process that ever spawned a domain, and the coordinator's domain pools
    must stay usable — diverted into [worker_main] by this module's
    initializer when [CC_SHARD_WORKER] is present, or externally-launched
-   remote processes ([bin/cc_worker], or any linking binary started with
-   [CC_SHARD_REMOTE_WORKER]) dialing the coordinator's rendezvous.
+   remote processes ([bin/cc_worker]) dialing the coordinator's
+   rendezvous.
    Partitioning, ordering, and error selection live in [Runtime.Shard];
    framing, links and the address grammar live in [Wire]; this module is
    the protocol:
@@ -574,13 +574,13 @@ let worker_serve st =
 (* ----------------------------------------------------- worker bootstrap *)
 
 (* A spawned worker process is a re-exec of the current binary, started by
-   the coordinator with CC_SHARD_WORKER="<shard>/<shards>/<n>/<epoch>/<addr>"
-   in its environment; this module's initializer (bottom of file) diverts
-   into [worker_main] before the program's own entry point ever runs. A
-   remote worker is any process that calls [remote_worker addr] (the
-   [cc_worker] launcher, or the CC_SHARD_REMOTE_WORKER diversion): it
-   dials the coordinator, sends a hello with src = -1, and is assigned a
-   reserved slot. *)
+   the coordinator with
+   CC_SHARD_WORKER="<shard>/<shards>/<n>/<epoch>/<domains>/<addr>" in its
+   environment; this module's initializer (bottom of file) diverts into
+   [worker_main] before the program's own entry point ever runs. A remote
+   worker is any process that calls [remote_worker addr] (the [cc_worker]
+   launcher): it dials the coordinator, sends a hello with src = -1, and is
+   assigned a reserved slot. *)
 
 (* How a worker joins: spawned, with its CC_SHARD_WORKER spec, or remote,
    with the coordinator's address. *)
@@ -588,14 +588,16 @@ type boot = Spawned of string | Remote of string
 
 let parse_spec spec =
   match String.split_on_char '/' spec with
-  | s :: k :: n :: e :: rest when rest <> [] -> (
+  | s :: k :: n :: e :: d :: rest when rest <> [] -> (
     match
       ( int_of_string_opt s,
         int_of_string_opt k,
         int_of_string_opt n,
-        int_of_string_opt e )
+        int_of_string_opt e,
+        int_of_string_opt d )
     with
-    | Some s, Some k, Some n, Some e -> (s, k, n, e, String.concat "/" rest)
+    | Some s, Some k, Some n, Some e, Some d ->
+      ((s, k, n, e), d, String.concat "/" rest)
     | _ -> failwith "CC_SHARD_WORKER: malformed spec")
   | _ -> failwith "CC_SHARD_WORKER: malformed spec"
 
@@ -629,18 +631,19 @@ let mesh_listener ~coord ~coord_addr ~tag =
    coordinator binds the rendezvous, so it retries refused dials until its
    own timeout, and it learns its slot from the Assign reply. Its timeout
    is [CC_SHARD_TIMEOUT] only until the first Config brings the
-   session's. A worker that leaves normally removes its own mesh socket
-   file; the coordinator removes a spawned slot's too, since it may have
-   SIGKILLed the worker. *)
+   session's. A spawned worker runs the coordinator's domain count, which
+   its spec carries; a remote one runs its own [CC_DOMAINS]. A worker that
+   leaves normally removes its own mesh socket file; the coordinator
+   removes a spawned slot's too, since it may have SIGKILLed the worker. *)
 let worker_boot boot =
   if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let timeout = Shard.default_timeout () in
-  let slot, addr =
+  let timeout = (Runtime.Config.get ()).timeout in
+  let slot, domains, addr =
     match boot with
     | Spawned spec ->
-      let s, k, n, epoch, addr = parse_spec spec in
-      (Some (s, k, n, epoch), addr)
-    | Remote addr -> (None, addr)
+      let slot, domains, addr = parse_spec spec in
+      (Some slot, domains, addr)
+    | Remote addr -> (None, Runtime.Pool.default_domains (), addr)
   in
   let coord_addr = Link.address addr in
   let coord =
@@ -701,7 +704,7 @@ let worker_boot boot =
       tcp = Link.is_tcp coord_addr;
       wtimeout = timeout;
       arena = Runtime.Arena.create ~n ();
-      pool = Runtime.Pool.get (Runtime.Pool.default_domains ());
+      pool = Runtime.Pool.get domains;
     }
 
 (* Never returns: a worker leaves with [Unix._exit] so the parent's at_exit
@@ -888,37 +891,22 @@ let ensure_live t during =
     raise (Shard.Shard_down { shard; round = t.rounds; during })
   | Closed -> raise (Shard.Shard_down { shard = -1; round = t.rounds; during })
 
-let env_addr = "CC_SHARD_ADDR"
-
-let env_worker = "CC_SHARD_WORKER"
-
-let env_remote = "CC_SHARD_REMOTE"
-
-let env_remote_worker = "CC_SHARD_REMOTE_WORKER"
-
-let env_log = "CC_SHARD_LOG"
-
 (* The environment of a spawned worker: the parent's, with the worker spec
-   pinned and the effective domain count made explicit ([Pool.set_default]
-   forcings do not survive the exec). *)
+   pinned. The spec carries the effective domain count, since a
+   [Runtime.Config.with_] record does not survive the exec. *)
 let child_env spec =
-  let skip e =
-    String.starts_with ~prefix:(env_worker ^ "=") e
-    || String.starts_with ~prefix:(env_remote_worker ^ "=") e
-    || String.starts_with ~prefix:(Runtime.Pool.env_var ^ "=") e
-  in
+  let var = "CC_SHARD_WORKER" in
   Array.of_list
-    (List.filter (fun e -> not (skip e)) (Array.to_list (Unix.environment ()))
-    @ [
-        Printf.sprintf "%s=%s" env_worker spec;
-        Printf.sprintf "%s=%d" Runtime.Pool.env_var
-          (Runtime.Pool.default_domains ());
-      ])
+    (List.filter
+       (fun e -> not (String.starts_with ~prefix:(var ^ "=") e))
+       (Array.to_list (Unix.environment ()))
+    @ [ Printf.sprintf "%s=%s" var spec ])
 
 let spawn_worker t ~epoch s =
   Unix.create_process_env Sys.executable_name [| Sys.executable_name |]
     (child_env
-       (Printf.sprintf "%d/%d/%d/%d/%s" s t.k t.n epoch
+       (Printf.sprintf "%d/%d/%d/%d/%d/%s" s t.k t.n epoch
+          (Runtime.Pool.default_domains ())
           (Link.to_string t.rendezvous)))
     Unix.stdin Unix.stdout Unix.stderr
 
@@ -1204,40 +1192,25 @@ let heartbeat t =
 
 (* ------------------------------------------------------------- creation *)
 
-let getenv_int var =
-  match Sys.getenv_opt var with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some x when x >= 0 -> Some x
-    | _ -> None)
-  | None -> None
-
 let create ?shards:requested ?addr ?remote ?policy ?timeout ?(backoff = 0.2)
     n =
   if n <= 0 then invalid_arg "Socket.create: need n > 0";
+  let c = Runtime.Config.get () in
   let k =
-    let r =
-      match requested with Some k -> max 1 k | None -> Shard.default_shards ()
-    in
-    min r n
+    min (match requested with Some k -> max 1 k | None -> c.shards) n
   in
   if k > 62 then invalid_arg "Socket.create: at most 62 shards";
-  let policy = match policy with Some p -> p | None -> Shard.default_policy () in
+  let policy = Option.value policy ~default:c.policy in
   let timeout =
-    match timeout with Some x when x > 0.0 -> x | _ -> Shard.default_timeout ()
+    match timeout with Some x when x > 0.0 -> x | _ -> c.timeout
   in
   let remote =
-    let r =
-      match remote with
-      | Some r -> max 0 r
-      | None -> ( match getenv_int env_remote with Some r -> r | None -> 0)
-    in
-    min r k
+    min (match remote with Some r -> max 0 r | None -> c.remote) k
   in
   let backoff = Float.max 0.0 backoff in
   if not (Atomic.exchange sigpipe_ignored true) then
     if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let addr = match addr with Some a -> Some a | None -> Sys.getenv_opt env_addr in
+  let addr = match addr with Some a -> Some a | None -> c.addr in
   if remote > 0 && addr = None then
     invalid_arg
       "Socket.create: remote workers need a rendezvous address \
@@ -1251,10 +1224,11 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?(backoff = 0.2)
         Link.Unix_socket
           (Filename.concat
              (Filename.get_temp_dir_name ())
-             (Printf.sprintf "cc-wire-%d-%d" (Unix.getpid ()) !session_counter)))
+             (Printf.sprintf "cc-wire-%07d-%06d" (Unix.getpid ())
+                !session_counter)))
   in
   let log_oc =
-    match Sys.getenv_opt env_log with
+    match c.log with
     | None -> None
     | Some path -> (
       match open_out_gen [ Open_append; Open_creat ] 0o644 path with
@@ -1555,13 +1529,8 @@ let stats t =
 
 (* Runs at module initialization — i.e. in every executable linking this
    library, before its own entry point. A process spawned by [create]
-   carries the worker spec in its environment and never comes back; a
-   process launched with CC_SHARD_REMOTE_WORKER=<addr> becomes a remote
-   worker dialing that coordinator. *)
+   carries the worker spec in its environment and never comes back. *)
 let () =
-  match Sys.getenv_opt env_worker with
+  match Sys.getenv_opt "CC_SHARD_WORKER" with
   | Some spec -> worker_main (Spawned spec)
-  | None -> (
-    match Sys.getenv_opt env_remote_worker with
-    | Some addr -> remote_worker addr
-    | None -> ())
+  | None -> ()

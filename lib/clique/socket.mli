@@ -15,7 +15,8 @@
     its kind. With an explicit rendezvous, [CC_SHARD_REMOTE=k] reserves
     the last [k] shard slots for externally-launched workers
     ([bin/cc_worker], which may run on any host that can reach a TCP
-    coordinator).
+    coordinator). Every [CC_*] default here comes from
+    [Runtime.Config.get ()].
 
     Rounds are bit-identical to the in-process kernels: same inbox
     contents and order, same errors ({!Bandwidth_exceeded} with the same
@@ -63,9 +64,6 @@ exception
     phase : string;
   }
 (** [Runtime.Mailbox.Bandwidth_exceeded], rebound. *)
-
-val env_addr : string
-(** ["CC_SHARD_ADDR"]. *)
 
 val create :
   ?shards:int ->
@@ -181,5 +179,4 @@ val remote_worker : string -> unit
     [Unix._exit]. Never returns. [CC_SHARD_TIMEOUT] of this process
     bounds only the dial retry and the slot assignment; the first Config
     brings the session's timeout. [bin/cc_worker] is a thin
-    wrapper; setting [CC_SHARD_REMOTE_WORKER=<addr>] diverts any binary
-    linking this library here at startup. *)
+    wrapper, the one remote launcher. *)

@@ -33,7 +33,7 @@ let solve_laplacian ?eps g b =
   let r = Laplacian.Solver.solve ?eps g b in
   (r.Laplacian.Solver.x, r)
 
-let spectral_sparsifier ?phi g = Sparsify.Spectral.sparsify ?phi g
+let spectral_sparsifier g = Sparsify.Spectral.sparsify g
 
 let eulerian_orientation g = Euler.Orientation.orient g
 

@@ -57,7 +57,7 @@ val solve_laplacian :
 (** [solve_laplacian g b] — Theorem 1.1 with default parameters; returns the
     solution and the full report (rounds, iterations, κ, phases). *)
 
-val spectral_sparsifier : ?phi:float -> Graph.t -> Sparsify.Spectral.result
+val spectral_sparsifier : Graph.t -> Sparsify.Spectral.result
 (** Theorem 3.3 with default parameters. *)
 
 val eulerian_orientation : Graph.t -> Euler.Orientation.result

@@ -86,7 +86,8 @@ let bfs_tree g ~root dist =
 
 (* ----------------------------------------------------------------- SSSP *)
 
-let sssp ?(eps = 1e-6) g ~src dist =
+let sssp g ~src dist =
+  let eps = 1e-6 in
   let n = Graph.n g in
   all
     [
@@ -144,7 +145,8 @@ let sssp ?(eps = 1e-6) g ~src dist =
 
 (* ------------------------------------------------------------- max flow *)
 
-let max_flow ?(tol = 1e-6) g ~s ~t ~value f =
+let max_flow g ~s ~t ~value f =
+  let tol = 1e-6 in
   all
     [
       (fun () ->
@@ -172,7 +174,8 @@ let max_flow ?(tol = 1e-6) g ~s ~t ~value f =
 
 (* -------------------------------------------------------- min-cost flow *)
 
-let mcf ?(tol = 1e-6) g ~sigma ~cost_bound f =
+let mcf g ~sigma ~cost_bound f =
+  let tol = 1e-6 in
   all
     [
       (fun () ->
@@ -231,7 +234,8 @@ let eulerian g orientation =
 
 (* ---------------------------------------------------------------- MST *)
 
-let mst ?(tol = 1e-9) g ~weight edges =
+let mst g ~weight edges =
+  let tol = 1e-9 in
   let n = Graph.n g in
   let m = Graph.m g in
   let parent = Array.init n (fun i -> i) in

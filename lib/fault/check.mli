@@ -22,30 +22,28 @@ val bfs_tree : Graph.t -> root:int -> int array -> verdict
     differ by ≤ 1, every reached non-root has a parent one level closer,
     and a connected graph is fully covered. *)
 
-val sssp : ?eps:float -> Graph.t -> src:int -> float array -> verdict
+val sssp : Graph.t -> src:int -> float array -> verdict
 (** Shortest-path distances: zero at the source, triangle inequality along
     every edge, and every finite distance witnessed by a tight incident
-    edge ([eps] defaults to 1e-6). *)
+    edge (all to within 1e-6). *)
 
-val max_flow :
-  ?tol:float -> Digraph.t -> s:int -> t:int -> value:float -> Flow.t -> verdict
+val max_flow : Digraph.t -> s:int -> t:int -> value:float -> Flow.t -> verdict
 (** Capacity + nonnegativity, conservation away from [s]/[t], and the
-    claimed value (Flow §2.4 definitions). *)
+    claimed value (Flow §2.4 definitions), each to within 1e-6. *)
 
-val mcf :
-  ?tol:float -> Digraph.t -> sigma:int array -> cost_bound:float -> Flow.t -> verdict
+val mcf : Digraph.t -> sigma:int array -> cost_bound:float -> Flow.t -> verdict
 (** Capacity, demand satisfaction (condition (1')), and cost at most
-    [cost_bound]. *)
+    [cost_bound], each to within 1e-6. *)
 
 val eulerian : Graph.t -> bool array -> verdict
 (** Per-edge orientation bits: in-degree equals out-degree everywhere. *)
 
-val mst : ?tol:float -> Graph.t -> weight:float -> int list -> verdict
+val mst : Graph.t -> weight:float -> int list -> verdict
 (** [mst g ~weight edges]: the edge-id list is duplicate-free and in range,
     acyclic, spans every connected component of [g], sums to the claimed
     [weight], and that weight is optimal (certified against an independent
     Kruskal re-derivation — the minimum spanning forest weight is unique
-    even when the edge set is not). [tol] defaults to [1e-9]. *)
+    even when the edge set is not). Weights compare to within 1e-9. *)
 
 val solver_residual : ?eps:float -> Graph.t -> b:float array -> float array -> verdict
 (** [‖Lx − b‖ ≤ eps·‖b‖] with [L] applied edge-wise ([eps] defaults to

@@ -65,7 +65,8 @@ val of_string : string -> (t, string) result
     An omitted seed defaults to 1; [rounds=a-] leaves the window open. *)
 
 val of_env : unit -> t option
-(** The schedule in [CC_FAULTS], if set and non-empty. Raises
+(** The schedule in [CC_FAULTS] ([Runtime.Config.get ()]'s [faults]),
+    if set and non-empty. Raises
     [Invalid_argument] on a malformed spec (a chaos run must never
     silently fall back to faults-off). *)
 

@@ -142,7 +142,7 @@ let perturb bip y f s nu =
     refresh ebar
   done
 
-let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
+let solve ?(solver = Electrical.Cg 1e-10) g ~sigma =
   let bip = build g ~sigma in
   let m2 = 2 * bip.nq in
   let mh = bip.nq in
@@ -168,9 +168,7 @@ let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
   let rho_threshold = c_rho *. (float_of_int (max mh 2) ** (0.5 -. eta)) in
   let mu_end = 1. /. (32. *. float_of_int (max mh 2)) in
   let cap =
-    match iteration_cap with
-    | Some c -> c
-    | None -> 150 + (20 * Mcf_ipm.iterations_reference ~m:(Digraph.m g) ~w:(max w_max 1))
+    150 + (20 * Mcf_ipm.iterations_reference ~m:(Digraph.m g) ~w:(max w_max 1))
   in
   let mu_estimate () =
     let acc = ref 0. and k = ref 0 in

@@ -35,7 +35,6 @@ type report = {
 
 val solve :
   ?solver:Electrical.solver ->
-  ?iteration_cap:int ->
   Digraph.t ->
   sigma:int array ->
   report option

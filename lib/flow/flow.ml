@@ -57,10 +57,12 @@ let capacity_violation g ~f =
     (Digraph.arcs g);
   !worst
 
-let is_feasible ?(tol = 1e-9) g ~s ~t ~f =
+let is_feasible g ~s ~t ~f =
+  let tol = 1e-9 in
   conservation_violation g ~s ~t ~f <= tol && capacity_violation g ~f <= tol
 
-let is_integral ?(tol = 1e-9) f =
+let is_integral f =
+  let tol = 1e-9 in
   Array.for_all (fun x -> Float.abs (x -. Float.round x) <= tol) f
 
 let round_to_int f = Array.map (fun x -> int_of_float (Float.round x)) f

@@ -29,9 +29,11 @@ val demand_violation : Digraph.t -> sigma:int array -> f:t -> float
 val capacity_violation : Digraph.t -> f:t -> float
 (** Max of [f_e − u_e] and [−f_e] over arcs (0 when [0 ≤ f ≤ u]). *)
 
-val is_feasible : ?tol:float -> Digraph.t -> s:int -> t:int -> f:t -> bool
+val is_feasible : Digraph.t -> s:int -> t:int -> f:t -> bool
+(** Conservation and capacity violations both at most 1e-9. *)
 
-val is_integral : ?tol:float -> t -> bool
+val is_integral : t -> bool
+(** Every entry within 1e-9 of an integer. *)
 
 val round_to_int : t -> int array
 (** Nearest-integer snapshot (for reporting integral flows). *)

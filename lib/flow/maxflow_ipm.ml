@@ -95,7 +95,7 @@ let progress_step ~solver g support f_rel ~s ~t ~remaining =
   in
   (elec.Electrical.solver_rounds + fix_rounds + 2, gamma *. remaining)
 
-let max_flow ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~s ~t =
+let max_flow ?(solver = Electrical.Cg 1e-10) g ~s ~t =
   Flow.check_terminals "Maxflow_ipm.max_flow" g ~s ~t;
   let n = Digraph.n g in
   let m = Digraph.m g in
@@ -120,11 +120,7 @@ let max_flow ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~s ~t =
     in
     let target = float_of_int cap_bound in
     let f_rel = Array.make m 0. in
-    let cap =
-      match iteration_cap with
-      | Some c -> c
-      | None -> 100 + (20 * iterations_reference ~m ~u)
-    in
+    let cap = 100 + (20 * iterations_reference ~m ~u) in
     (* IPM phase: drive the symmetrized flow toward the target, stalling at
        the symmetrized optimum. *)
     let val_routed = ref 0. in

@@ -37,16 +37,15 @@ type report = {
 
 val max_flow :
   ?solver:Electrical.solver ->
-  ?iteration_cap:int ->
   Digraph.t ->
   s:int ->
   t:int ->
   report
 (** [max_flow g ~s ~t]. [solver] selects the Laplacian backend for the
     electrical flows (default [Cg 1e-10]; use [Theorem_1_1] for full-fidelity
-    round accounting, at real wall-clock cost). [iteration_cap] bounds the
-    IPM phase (default [100 + 20·iterations_reference]); exactness never depends
-    on the cap. Raises [Invalid_argument] naming the terminal and [n] when
+    round accounting, at real wall-clock cost). The IPM phase runs at most
+    [100 + 20·iterations_reference] steps; exactness never depends on that
+    cap. Raises [Invalid_argument] naming the terminal and [n] when
     [s] or [t] is outside [[0, n)], and when [s = t]. *)
 
 val iterations_reference : m:int -> u:int -> int

@@ -380,7 +380,7 @@ let round_and_repair lift f ledger =
     in
     if aux_used then None else Some (Array.sub f_lift 0 lift.m0, repair)
 
-let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
+let solve ?(solver = Electrical.Cg 1e-10) g ~sigma =
   let lift = build_lift g ~sigma in
   let lg = lift.lg in
   let mh = Digraph.m lg in
@@ -394,11 +394,7 @@ let solve ?(solver = Electrical.Cg 1e-10) ?iteration_cap g ~sigma =
   let f = Array.make mh 0.5 in
   let mu = ref (float_of_int (1 + Digraph.max_cost lg)) in
   let mu_end = 1. /. (32. *. float_of_int mh) in
-  let cap =
-    match iteration_cap with
-    | Some c -> c
-    | None -> 150 + (20 * iterations_reference ~m:(Digraph.m g) ~w:w_max)
-  in
+  let cap = 150 + (20 * iterations_reference ~m:(Digraph.m g) ~w:w_max) in
   let iters = ref 0 in
   let solves = ref 0 in
   while !mu > mu_end && !iters < cap do

@@ -59,7 +59,6 @@ type report = {
 
 val solve :
   ?solver:Electrical.solver ->
-  ?iteration_cap:int ->
   Digraph.t ->
   sigma:int array ->
   report option

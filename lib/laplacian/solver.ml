@@ -175,15 +175,13 @@ let prepare_with_sparsifier ~eps ~inner ~sparsify_rounds g h =
     p_ws = Linalg.Chebyshev.Workspace.create n;
   }
 
-let prepare ?(eps = 1e-6) ?(phi = 0.05) ?inner ?backend ?model g =
+let prepare ?(eps = 1e-6) ?inner ?model g =
   require_connected "Solver.prepare" g;
   (* Only the sparsifier phase is model-sensitive: κ-estimation and the
      Chebyshev loop are matvecs against a globally-known iterate, which
      is one broadcast round per iteration in either model (DESIGN.md
      §13). *)
-  let sp =
-    Sparsify.Spectral.sparsify ~phi ?backend ?model (preprocess_weights eps g)
-  in
+  let sp = Sparsify.Spectral.sparsify ?model (preprocess_weights eps g) in
   prepare_with_sparsifier ~eps ~inner
     ~sparsify_rounds:(Some sp.Sparsify.Spectral.rounds)
     g sp.Sparsify.Spectral.sparsifier
@@ -224,13 +222,13 @@ let solve_prepared p b =
     residual = st.Linalg.Chebyshev.residual;
   }
 
-let solve ?eps ?phi ?inner ?backend ?model g b =
-  solve_prepared (prepare ?eps ?phi ?inner ?backend ?model g) b
+let solve ?eps ?inner ?model g b =
+  solve_prepared (prepare ?eps ?inner ?model g) b
 
-let solve_with_sparsifier ?(eps = 1e-6) ?inner g sp b =
+let solve_with_sparsifier ?(eps = 1e-6) g sp b =
   require_connected "Solver.solve_with_sparsifier" g;
   solve_prepared
-    (prepare_with_sparsifier ~eps ~inner ~sparsify_rounds:None g
+    (prepare_with_sparsifier ~eps ~inner:None ~sparsify_rounds:None g
        sp.Sparsify.Spectral.sparsifier)
     b
 

@@ -53,9 +53,7 @@ type prepared
 
 val prepare :
   ?eps:float ->
-  ?phi:float ->
   ?inner:inner_solver ->
-  ?backend:Sparsify.Spectral.backend ->
   ?model:Runtime.Model.t ->
   Graph.t ->
   prepared
@@ -79,9 +77,7 @@ val solve_prepared : prepared -> Linalg.Vec.t -> report
 
 val solve :
   ?eps:float ->
-  ?phi:float ->
   ?inner:inner_solver ->
-  ?backend:Sparsify.Spectral.backend ->
   ?model:Runtime.Model.t ->
   Graph.t ->
   Linalg.Vec.t ->
@@ -91,7 +87,6 @@ val solve :
 
 val solve_with_sparsifier :
   ?eps:float ->
-  ?inner:inner_solver ->
   Graph.t ->
   Sparsify.Spectral.result ->
   Linalg.Vec.t ->
@@ -99,10 +94,10 @@ val solve_with_sparsifier :
 (** Reuse a previously built sparsifier (the flow IPMs re-solve on graphs
     whose resistances change every iteration but whose support is fixed;
     when the caller knows the sparsifier is still valid it can skip phase
-    1). Builds the same handle as {!prepare} around the given sparsifier
-    and solves once. The sparsifier construction is {e not} charged: the
-    report has no ["sparsify"] phase. Raises [Invalid_argument] on a
-    disconnected graph. *)
+    1). Builds the same handle as {!prepare} around the given sparsifier,
+    with [prepare]'s default inner solver, and solves once. The sparsifier
+    construction is {e not} charged: the report has no ["sparsify"] phase.
+    Raises [Invalid_argument] on a disconnected graph. *)
 
 (** {2 Conjugate-gradient baseline} *)
 

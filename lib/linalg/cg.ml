@@ -16,7 +16,7 @@ end
    so [solve] (a thin wrapper over this kernel) stays bit-identical to the
    seed solver — pinned by the differential test in test_linalg. *)
 (* cc_lint: hot solve_into *)
-let solve_into ?max_iters ?(tol = 1e-10) ?x0 (ws : Workspace.t) apply_into b =
+let solve_into ?max_iters ?(tol = 1e-10) (ws : Workspace.t) apply_into b =
   let n = Vec.dim b in
   if Workspace.dim ws <> n then
     invalid_arg "Cg.solve_into: workspace dimension mismatch";
@@ -25,7 +25,7 @@ let solve_into ?max_iters ?(tol = 1e-10) ?x0 (ws : Workspace.t) apply_into b =
   and r = ws.Workspace.r
   and p = ws.Workspace.p
   and ap = ws.Workspace.ap in
-  (match x0 with Some x0 -> Vec.copy_into x0 x | None -> Vec.fill x 0.);
+  Vec.fill x 0.;
   (* r <- b - A x *)
   apply_into x ap;
   for i = 0 to n - 1 do
@@ -74,13 +74,13 @@ let solve_into ?max_iters ?(tol = 1e-10) ?x0 (ws : Workspace.t) apply_into b =
   let residual = sqrt !rs in
   { iterations = !iters; residual; converged = residual <= target }
 
-let solve ?max_iters ?tol ?x0 apply b =
+let solve ?max_iters ?tol apply b =
   let ws = Workspace.create (Vec.dim b) in
   let apply_into src dst = Vec.copy_into (apply src) dst in
-  let st = solve_into ?max_iters ?tol ?x0 ws apply_into b in
+  let st = solve_into ?max_iters ?tol ws apply_into b in
   (ws.Workspace.x, st)
 
-let solve_grounded ?max_iters ?tol apply b =
+let solve_grounded ?tol apply b =
   let b = Vec.center b in
-  let x, st = solve ?max_iters ?tol apply b in
+  let x, st = solve ?tol apply b in
   (Vec.center x, st)

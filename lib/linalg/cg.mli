@@ -32,7 +32,6 @@ end
 val solve_into :
   ?max_iters:int ->
   ?tol:float ->
-  ?x0:Vec.t ->
   Workspace.t ->
   (Vec.t -> Vec.t -> unit) ->
   Vec.t ->
@@ -48,17 +47,17 @@ val solve_into :
 val solve :
   ?max_iters:int ->
   ?tol:float ->
-  ?x0:Vec.t ->
   (Vec.t -> Vec.t) ->
   Vec.t ->
   Vec.t * stats
-(** [solve apply b] runs CG on the operator [apply] with right-hand side [b]
-    until the relative residual drops below [tol] (default [1e-10]) or
-    [max_iters] (default [10 * dim]) iterations elapse. For singular Laplacian
-    operators the caller must supply [b] orthogonal to the kernel; the iterate
-    then stays in the range. Allocating wrapper over {!solve_into}. *)
+(** [solve apply b] runs CG on the operator [apply] with right-hand side [b],
+    from [x = 0], until the relative residual drops below [tol] (default
+    [1e-10]) or [max_iters] (default [10 * dim]) iterations elapse. For
+    singular Laplacian operators the caller must supply [b] orthogonal to
+    the kernel; the iterate then stays in the range. Allocating wrapper
+    over {!solve_into}. *)
 
-val solve_grounded :
-  ?max_iters:int -> ?tol:float -> (Vec.t -> Vec.t) -> Vec.t -> Vec.t * stats
-(** Like {!solve} but first centers [b] (projects out the all-ones kernel of a
-    connected Laplacian) and re-centers the solution. *)
+val solve_grounded : ?tol:float -> (Vec.t -> Vec.t) -> Vec.t -> Vec.t * stats
+(** Like {!solve} (at most [10 * dim] iterations) but first centers [b]
+    (projects out the all-ones kernel of a connected Laplacian) and
+    re-centers the solution. *)

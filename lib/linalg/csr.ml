@@ -104,18 +104,19 @@ let to_dense a =
   iter a (fun i j v -> d.(i).(j) <- v);
   d
 
-let of_dense ?(eps = 0.) d =
+let of_dense d =
   let n = Array.length d in
   let m = if n = 0 then 0 else Array.length d.(0) in
   let acc = ref [] in
   for i = 0 to n - 1 do
     for j = 0 to m - 1 do
-      if Float.abs d.(i).(j) > eps then acc := (i, j, d.(i).(j)) :: !acc
+      if Float.abs d.(i).(j) > 0. then acc := (i, j, d.(i).(j)) :: !acc
     done
   done;
   of_triplets ~rows:n ~cols:m !acc
 
-let is_symmetric ?(eps = 1e-9) a =
+let is_symmetric a =
+  let eps = 1e-9 in
   a.n_rows = a.n_cols
   &&
   let ok = ref true in

@@ -34,7 +34,8 @@ val add : t -> t -> t
 
 val to_dense : t -> Dense.t
 
-val of_dense : ?eps:float -> Dense.t -> t
-(** Entries with absolute value ≤ [eps] (default 0) are dropped. *)
+val of_dense : Dense.t -> t
+(** Zero entries are dropped. *)
 
-val is_symmetric : ?eps:float -> t -> bool
+val is_symmetric : t -> bool
+(** Mirrored entries agree to within 1e-9. *)

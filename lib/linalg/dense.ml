@@ -57,7 +57,8 @@ let add a b =
   let n = dim a in
   init n (fun i j -> a.(i).(j) +. b.(i).(j))
 
-let is_symmetric ?(eps = 1e-9) a =
+let is_symmetric a =
+  let eps = 1e-9 in
   let n = dim a in
   let ok = ref true in
   for i = 0 to n - 1 do
@@ -122,9 +123,9 @@ let cholesky_solve l b =
 
 let solve_spd ?(shift = 0.) a b = cholesky_solve (cholesky ~shift a) b
 
-let inverse_spd ?(shift = 0.) a =
+let inverse_spd a =
   let n = dim a in
-  let l = cholesky ~shift a in
+  let l = cholesky a in
   let inv = create n in
   for j = 0 to n - 1 do
     let col = cholesky_solve l (Vec.basis n j) in
@@ -163,7 +164,8 @@ let deterministic_start n =
   in
   Vec.normalize v
 
-let power_iteration ?(iters = 200) ?(tol = 1e-10) apply n =
+let power_iteration ?(iters = 200) apply n =
+  let tol = 1e-10 in
   let v = ref (deterministic_start n) in
   let lambda = ref 0. in
   (try

@@ -31,7 +31,8 @@ val mul_vec_into : t -> Vec.t -> Vec.t -> unit
 
 val add : t -> t -> t
 
-val is_symmetric : ?eps:float -> t -> bool
+val is_symmetric : t -> bool
+(** Mirrored entries agree to within 1e-9. *)
 
 val cholesky : ?shift:float -> t -> t
 (** [cholesky a] returns the lower-triangular [l] with [l * lᵀ = a + shift·I].
@@ -50,7 +51,7 @@ val cholesky_solve_into : t -> Vec.t -> Vec.t -> Vec.t -> unit
 val solve_spd : ?shift:float -> t -> Vec.t -> Vec.t
 (** One-shot symmetric-positive-definite solve via Cholesky. *)
 
-val inverse_spd : ?shift:float -> t -> t
+val inverse_spd : t -> t
 (** Inverse of an SPD matrix via Cholesky solves, column by column. *)
 
 val solve_grounded : t -> Vec.t -> Vec.t
@@ -59,11 +60,12 @@ val solve_grounded : t -> Vec.t -> Vec.t
     resulting SPD system, and re-centering the solution so that [x ⊥ 1].
     This computes [L† b] exactly for a connected Laplacian. *)
 
-val power_iteration :
-  ?iters:int -> ?tol:float -> (Vec.t -> Vec.t) -> int -> float * Vec.t
+val power_iteration : ?iters:int -> (Vec.t -> Vec.t) -> int -> float * Vec.t
 (** [power_iteration apply n] runs deterministic power iteration on the
     operator [apply] over dimension [n], started from a fixed deterministic
-    vector. Returns [(rayleigh_quotient, unit eigvec estimate)]. *)
+    vector, for at most [iters] (default 200) steps or until the Rayleigh
+    quotient moves by at most 1e-10 relative. Returns
+    [(rayleigh_quotient, unit eigvec estimate)]. *)
 
 val eig_bounds_spd : t -> float * float
 (** [eig_bounds_spd a] returns [(lo, hi)]: a lower bound on the smallest and

@@ -17,18 +17,9 @@
 type t
 (** A pool of worker domains (the caller counts as worker 0). *)
 
-val env_var : string
-(** ["CC_DOMAINS"] — the shard coordinator pins it in worker environments
-    so [set_default] forcings survive the exec. *)
-
 val default_domains : unit -> int
-(** The domain count a runtime uses when [create] omits [~domains]: the
-    value forced by {!set_default} if any, else the [CC_DOMAINS]
-    environment variable when set to a positive integer, else 1. *)
-
-val set_default : int option -> unit
-(** Force (or, with [None], unforce) the {!default_domains} result —
-    the test-suite hook, overriding the environment. *)
+(** The domain count a runtime uses when [create] omits [~domains]:
+    {!Config.get}'s [domains] ([CC_DOMAINS], default 1). *)
 
 val get : int -> t
 (** [get k] returns the process-wide pool of [k] domains, spawning its

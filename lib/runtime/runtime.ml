@@ -1,3 +1,4 @@
+module Config = Config
 module Cost = Cost
 module Mailbox = Mailbox
 module Sanitize = Sanitize

@@ -11,6 +11,7 @@
     Layers that only price rounds analytically hold a plain {!Cost.t}
     instead. *)
 
+module Config = Config
 module Cost = Cost
 module Mailbox = Mailbox
 module Sanitize = Sanitize

@@ -23,19 +23,7 @@ let violation ~phase ~kind fmt =
 
 (* ------------------------------------------------------- enabling logic *)
 
-let env_var = "CC_SANITIZE"
-
-let forced : bool option ref = ref None
-
-let set_default b = forced := b
-
-let enabled_default () =
-  match !forced with
-  | Some b -> b
-  | None -> (
-    match Sys.getenv_opt env_var with
-    | Some ("1" | "true" | "yes" | "on") -> true
-    | Some _ | None -> false)
+let enabled_default () = (Config.get ()).sanitize
 
 (* ------------------------------------------------------------ FNV-1a 64 *)
 

@@ -21,8 +21,7 @@
 
     Enabled per runtime via [Runtime.Make(T).create ~sanitize:true], or
     globally with the [CC_SANITIZE=1] environment variable (values [1],
-    [true], [yes], [on]); {!set_default} overrides the environment from
-    test code. *)
+    [true], [yes], [on]; see {!Config}). *)
 
 exception Violation of { phase : string; kind : string; detail : string }
 (** [kind] is one of ["width"], ["duplicate-dst"], ["broadcast-width"],
@@ -30,12 +29,7 @@ exception Violation of { phase : string; kind : string; detail : string }
     uncaught violations print readably. *)
 
 val enabled_default : unit -> bool
-(** What [create ?sanitize] defaults to: {!set_default}'s override if any,
-    else the environment. *)
-
-val set_default : bool option -> unit
-(** [set_default (Some b)] forces the default; [set_default None] restores
-    environment control. *)
+(** What [create ?sanitize] defaults to: {!Config.get}'s [sanitize]. *)
 
 type t
 (** Per-runtime sanitizer state: transcript hashes plus the

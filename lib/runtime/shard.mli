@@ -14,31 +14,18 @@
     same error at the same message. *)
 
 val default_shards : unit -> int
-(** The shard count a transport uses when none is forced: the value set by
-    {!set_default} if any, else [CC_SHARDS] when set to a positive
-    integer, else 1. *)
-
-val set_default : int option -> unit
-(** Force (or, with [None], unforce) {!default_shards} — the test-suite
-    hook, overriding the environment. *)
+(** The shard count a transport uses when none is passed:
+    {!Config.get}'s [shards] ([CC_SHARDS], default 1). *)
 
 (** What the socket supervisor does when a worker dies mid-session
     (DESIGN.md §14): [Fail] propagates {!Shard_down} (the pre-supervision
     behaviour), [Respawn] replaces the worker and replays the interrupted
     operation, [Drain] hands the dead shard's node range to survivors and
-    continues degraded. *)
-type policy = Fail | Respawn | Drain
+    continues degraded. The default is {!Config.get}'s [policy]
+    ([CC_SHARD_POLICY], else [Fail]). *)
+type policy = Config.policy = Fail | Respawn | Drain
 
 val policy_to_string : policy -> string
-
-val default_policy : unit -> policy
-(** The policy a transport uses when none is passed: a recognized
-    [CC_SHARD_POLICY], else [Fail] — an unrecognized value falls back to
-    fail-stop, the behaviour an operator already expects. *)
-
-val default_timeout : unit -> float
-(** Seconds every supervised blocking wait is bounded by: a positive
-    [CC_SHARD_TIMEOUT], else 30. *)
 
 exception Shard_down of { shard : int; round : int; during : string }
 (** A worker process died or its socket reached EOF mid-operation and the

@@ -3,8 +3,9 @@
     A listener domain owns all sockets — it accepts clients, reads
     {!Job.frame_job} frames, answers [Stats]/[Shutdown] inline, and
     enqueues everything else; [jobs] worker domains pop jobs, execute
-    them through {!Exec} (shared artifact {!Cache} + [CC_SERVE_POLICY]
-    certification), and reply on the requesting client's link. *)
+    them through {!Exec} (shared artifact {!Cache} + the configured
+    certification {!Exec.policy}), and reply on the requesting client's
+    link. *)
 
 type config = {
   addr : string;
@@ -17,11 +18,10 @@ type config = {
   max_bytes : int;  (** largest accepted request payload *)
 }
 
-val config_of_env : unit -> (config, string) result
-(** Defaults overridden by [CC_SERVE_ADDR] (default
-    ["unix:/tmp/cc-serve.sock"]), [CC_SERVE_JOBS] (2), [CC_SERVE_CACHE]
-    (32), and [CC_SERVE_POLICY] ([none]); [Error] describes the bad
-    variable. *)
+val default_config : config
+(** [addr = "unix:/tmp/cc-serve.sock"], 2 jobs, a 32-entry cache, policy
+    [Off] ([none]) and an 8-MiB request bound — what [cc_serve] runs when
+    no flag overrides a field. *)
 
 type t
 

@@ -6,7 +6,7 @@
     solves on the same graph skip straight to the zero-allocation
     Chebyshev/CG iteration; sparsify / max-flow / MST jobs memoize the
     certified result itself. A generator operand is run only on a cache
-    miss or under [nocache]. The [CC_SERVE_POLICY] certification policy
+    miss or under [nocache]. The certification policy ([cc_serve --policy])
     decides what happens between computing an answer and returning it. *)
 
 module Json = Metrics.Json

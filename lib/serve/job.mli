@@ -80,7 +80,7 @@ type t = {
           many milliseconds after arrival *)
   inject : bool;
       (** test hook: corrupt the first execution's output so the
-          [CC_SERVE_POLICY] certification path is exercised
+          [cc_serve --policy] certification path is exercised
           deterministically *)
   nocache : bool;  (** bypass the artifact cache (naive-mode benching) *)
 }

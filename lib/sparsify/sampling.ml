@@ -23,7 +23,8 @@ let leverage_scores g =
       e.Graph.w *. (x.(e.Graph.u) -. x.(e.Graph.v)))
     (Graph.edges g)
 
-let sparsify ?(seed = 99L) ?(c = 8.) g =
+let sparsify ?(seed = 99L) g =
+  let c = 8. in
   let n = Graph.n g in
   if n < 2 then invalid_arg "Sampling.sparsify: need n >= 2";
   if not (Graph.is_connected g) then

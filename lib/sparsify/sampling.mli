@@ -7,8 +7,8 @@
     Kept as an explicitly-randomized ablation backend (seeded, so benches
     stay reproducible); all headline pipelines remain deterministic. *)
 
-val sparsify : ?seed:int64 -> ?c:float -> Graph.t -> Graph.t
-(** [sparsify g] samples [⌈c·n·ln n⌉] edges (default [c = 8]) with
+val sparsify : ?seed:int64 -> Graph.t -> Graph.t
+(** [sparsify g] samples [⌈8·n·ln n⌉] edges with
     probability proportional to [w_e·R_eff(e)] (leverage scores, computed
     exactly via the grounded pseudoinverse — [O(n³)], bench scale) and
     reweights each pick by [w_e/(q·p_e)]. Requires a connected input with

@@ -1,5 +1,3 @@
-type backend = Buckets | Bss_internal of int
-
 type result = {
   sparsifier : Graph.t;
   levels : int;
@@ -13,7 +11,7 @@ let weight_class w = int_of_float (Float.floor (Float.log2 w))
 (* Sparsify one expander cluster [vs] of [g], in [g]'s vertex ids. A
    cluster spanning all of [g] is [0..n-1] (Decomposition's contract), so
    it is its own induced subgraph and needs no translation. *)
-let cluster_sparsifier backend g vs =
+let cluster_sparsifier g vs =
   let k = Array.length vs in
   if k < 2 then [||]
   else begin
@@ -26,33 +24,23 @@ let cluster_sparsifier backend g vs =
           (fun e -> { e with Graph.u = vs.(e.Graph.u); v = vs.(e.Graph.v) })
           (Graph.edges h)
     in
-    match backend with
-    | Buckets when Graph.m sub <= 2 * k -> translate sub
-    | Buckets -> (
+    if Graph.m sub <= 2 * k then translate sub
+    else
       (* Keep whichever representation is smaller — a cluster below the
          stand-in's own size would only grow — and the cluster itself
          when the stand-in is not numerically whole. *)
       match Product_demand.sparse_below ~limit:(Graph.m sub) sub with
       | Some h -> translate h
-      | None -> translate sub)
-    | Bss_internal d ->
-      if Graph.m sub <= d * (k - 1) || not (Graph.is_connected sub) then
-        translate sub
-      else translate (Bss.sparsify ~d sub)
+      | None -> translate sub
   end
 
-let sparsify ?(phi = 0.05) ?(gamma = 0.25) ?max_levels ?(backend = Buckets)
-    ?model g =
+let sparsify ?model g =
   let model =
     match model with Some m -> m | None -> Runtime.Model.default ()
   in
   let n = Graph.n g in
   let m = Graph.m g in
-  let max_levels =
-    match max_levels with
-    | Some k -> k
-    | None -> (4 * Runtime.Cost.log2_ceil (max m 2)) + 4
-  in
+  let max_levels = (4 * Runtime.Cost.log2_ceil (max m 2)) + 4 in
   (* Binary weight classes (the log U factor of Theorem 3.3). *)
   let class_tbl = Hashtbl.create 8 in
   Array.iteri
@@ -78,7 +66,9 @@ let sparsify ?(phi = 0.05) ?(gamma = 0.25) ?max_levels ?(backend = Buckets)
       while Graph.m !current > 0 && !level < max_levels do
         incr level;
         max_level_used := max !max_level_used !level;
-        let d = Expander.Decomposition.decompose ~phi ~gamma !current in
+        let d =
+          Expander.Decomposition.decompose ~phi:0.05 ~gamma:0.25 !current
+        in
         (* The partition itself is model-independent; only its charged
            price differs. Unicast pays the Theorem 3.2 formula; broadcast
            pays the FV22 polylog recharge of the send-bound core
@@ -94,7 +84,7 @@ let sparsify ?(phi = 0.05) ?(gamma = 0.25) ?max_levels ?(backend = Buckets)
         Runtime.Cost.charge ledger ~phase:"decompose"
           (decompose_rounds + Runtime.Cost.broadcast_rounds);
         List.iter
-          (fun vs -> blocks := cluster_sparsifier backend !current vs :: !blocks)
+          (fun vs -> blocks := cluster_sparsifier !current vs :: !blocks)
           d.Expander.Decomposition.clusters;
         current := Graph.sub_edges !current d.Expander.Decomposition.crossing
       done;

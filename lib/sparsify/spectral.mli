@@ -11,12 +11,6 @@
     Approximation quality is measured by {!Quality} (experiment E1); size
     and charged rounds follow the theorem's accounting. *)
 
-type backend =
-  | Buckets  (** degree-bucket expander stand-in ({!Product_demand.sparse}) *)
-  | Bss_internal of int
-      (** {!Bss.sparsify} with the given [d] on each cluster — the slow
-          high-quality ablation of E8; only sensible for small inputs *)
-
 type result = {
   sparsifier : Graph.t;  (** known to every node after [rounds] rounds *)
   levels : int;  (** decomposition recursion depth actually used *)
@@ -27,19 +21,14 @@ type result = {
           result broadcasts) and ["gather"] (making the sparsifier global) *)
 }
 
-val sparsify :
-  ?phi:float ->
-  ?gamma:float ->
-  ?max_levels:int ->
-  ?backend:backend ->
-  ?model:Runtime.Model.t ->
-  Graph.t ->
-  result
-(** [sparsify g]. [phi] (default 0.05) is the expander-decomposition target;
-    [gamma] (default 0.25) only affects the charged round formula (it is the
-    [n^{O(1/r²)}] knob of Theorem 3.2); [max_levels] (default
-    [4·⌈log₂ m⌉ + 4]) caps the recursion — any leftover crossing edges are
-    then kept verbatim, which can only improve quality. [model] (default
+val sparsify : ?model:Runtime.Model.t -> Graph.t -> result
+(** [sparsify g]. Every expander cluster is replaced by its degree-bucket
+    stand-in ({!Product_demand.sparse_below}). The decomposition runs at
+    [phi = 0.05] (the expander target) and [gamma = 0.25] (which only
+    affects the charged round formula: the [n^{O(1/r²)}] knob of
+    Theorem 3.2); the recursion stops after [4·⌈log₂ m⌉ + 4] levels, and
+    any leftover crossing edges are then kept verbatim, which can only
+    improve quality. [model] (default
     {!Runtime.Model.default}, i.e. the [CC_MODEL] environment variable)
     selects unicast vs Broadcast Congested Clique {e accounting}: the
     computed sparsifier is bit-identical under both models, only the

@@ -91,8 +91,8 @@ val pair : ?peer:string -> unit -> t * t
 (** {2 Addresses}
 
     Every endpoint — the shard rendezvous ([CC_SHARD_ADDR]), the worker
-    mesh, [cc_worker]'s argument and [cc_serve]'s [--addr] /
-    [CC_SERVE_ADDR] — is written in one grammar:
+    mesh, [cc_worker]'s argument and [cc_serve]'s [--addr] — is written
+    in one grammar:
 
     - ["unix:PATH"], a Unix-domain socket;
     - ["tcp:HOST:PORT"], TCP;

@@ -69,16 +69,14 @@ let config_name (k, d, s) =
   | Clique.Sim.Shard -> Printf.sprintf "shard/shards=%d/domains=%d" s d
 
 let with_config (kernel, domains, shards) f =
-  Clique.Sim.set_default_kernel (Some kernel);
-  Runtime.Pool.set_default (Some domains);
-  Runtime.Shard.set_default (Some shards);
-  Fun.protect
-    ~finally:(fun () ->
-      Clique.Socket.shutdown_all ();
-      Clique.Sim.set_default_kernel None;
-      Runtime.Pool.set_default None;
-      Runtime.Shard.set_default None)
-    f
+  Runtime.Config.with_
+    {
+      (Runtime.Config.get ()) with
+      Runtime.Config.kernel = Some kernel;
+      domains;
+      shards;
+    }
+    (fun () -> Fun.protect ~finally:Clique.Socket.shutdown_all f)
 
 (* A run's identity: ledger totals plus the sanitizer's two FNV-1a
    transcript digests. Content-hash equality pins endpoints and payload

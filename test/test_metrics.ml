@@ -243,9 +243,8 @@ let test_ingest_and_json_determinism () =
    pipeline untouched: E1's seed instance reports the same total with a
    live registry ingesting its breakdown (the bench emission path). *)
 let test_ingestion_under_sanitizer_parity () =
-  Runtime.Sanitize.set_default (Some true);
-  Fun.protect
-    ~finally:(fun () -> Runtime.Sanitize.set_default None)
+  Runtime.Config.with_
+    { (Runtime.Config.get ()) with Runtime.Config.sanitize = true }
     (fun () ->
       let m = Metrics.create () in
       let r = Sparsify.Spectral.sparsify (Gen.connected_gnp ~seed:3L 40 0.5) in

@@ -308,8 +308,98 @@ let test_three_color_parity_across_kernels () =
   Alcotest.(check int) "ledger charged under coloring" r1
     (K.On_sim.phase_rounds rt_sim "coloring")
 
+(* ---------------------------------------------------------- Config.parse *)
+
+module C = Runtime.Config
+
+let env pairs k = List.assoc_opt k pairs
+
+(* One row per spelling: unset gives the default; every accepted spelling,
+   padded and upper-case ones included, gives its value; an unrecognized
+   value falls back to the default. *)
+let check_knob name show rows =
+  List.iter
+    (fun (value, want) ->
+      let pairs = match value with None -> [] | Some v -> [ (name, v) ] in
+      Alcotest.(check string)
+        (Printf.sprintf "%s=%S" name (Option.value value ~default:"<unset>"))
+        want
+        (show (C.parse (env pairs))))
+    rows
+
+let test_config_parse_table () =
+  let int_rows default =
+    [ (None, default); (Some "3", "3"); (Some " 3", "3"); (Some "2 ", "2");
+      (Some "0", default); (Some "-2", default); (Some "x", default) ]
+  in
+  check_knob "CC_DOMAINS" (fun c -> string_of_int c.C.domains) (int_rows "1");
+  check_knob "CC_SHARDS" (fun c -> string_of_int c.C.shards) (int_rows "1");
+  check_knob "CC_MODEL"
+    (fun c -> Runtime.Model.name c.C.model)
+    [ (None, "unicast"); (Some "broadcast", "broadcast");
+      (Some "bcast", "broadcast"); (Some "unicast", "unicast");
+      (Some "clique", "unicast"); (Some " BCAST ", "broadcast");
+      (Some "Broadcast", "broadcast"); (Some "???", "unicast") ];
+  check_knob "CC_SANITIZE"
+    (fun c -> string_of_bool c.C.sanitize)
+    [ (None, "false"); (Some "1", "true"); (Some "true", "true");
+      (Some "yes", "true"); (Some "on", "true"); (Some "TRUE", "true");
+      (Some " On ", "true"); (Some "0", "false"); (Some "off", "false");
+      (Some "junk", "false") ];
+  check_knob "CC_SHARD_POLICY"
+    (fun c -> Runtime.Shard.policy_to_string c.C.policy)
+    [ (None, "fail"); (Some "fail", "fail"); (Some "respawn", "respawn");
+      (Some "drain", "drain"); (Some " Respawn ", "respawn");
+      (Some "DRAIN", "drain"); (Some "retry", "fail") ];
+  check_knob "CC_SHARD_TIMEOUT"
+    (fun c -> Printf.sprintf "%g" c.C.timeout)
+    [ (None, "30"); (Some "2.5", "2.5"); (Some " 4 ", "4"); (Some "0", "30");
+      (Some "-1", "30"); (Some "soon", "30") ];
+  check_knob "CC_SHARD_REMOTE"
+    (fun c -> string_of_int c.C.remote)
+    [ (None, "0"); (Some "2", "2"); (Some " 1 ", "1"); (Some "0", "0");
+      (Some "-1", "0"); (Some "x", "0") ];
+  let text f c = Option.value (f c) ~default:"<none>" in
+  check_knob "CC_SHARD_ADDR"
+    (text (fun c -> c.C.addr))
+    [ (None, "<none>"); (Some "tcp:127.0.0.1:7000", "tcp:127.0.0.1:7000");
+      (Some " unix:/tmp/r ", "unix:/tmp/r") ];
+  check_knob "CC_SHARD_LOG"
+    (text (fun c -> c.C.log))
+    [ (None, "<none>"); (Some "/tmp/log", "/tmp/log");
+      (Some " /tmp/log ", "/tmp/log") ];
+  check_knob "CC_FAULTS"
+    (text (fun c -> c.C.faults))
+    [ (None, "<none>"); (Some "", "<none>"); (Some "  ", "<none>");
+      (Some "seed=9;drop:0.25", "seed=9;drop:0.25");
+      (Some " seed=9 ", "seed=9") ];
+  Alcotest.(check bool) "no kernel knob" true
+    ((C.parse (env [])).C.kernel = None);
+  (* The padded, upper-case environment one probe ran with. *)
+  let c =
+    C.parse
+      (env
+         [ ("CC_SHARDS", " 3"); ("CC_DOMAINS", "2 "); ("CC_MODEL", " BCAST ");
+           ("CC_SANITIZE", "TRUE") ])
+  in
+  Alcotest.(check (list string)) "padded probe"
+    [ "3"; "2"; "broadcast"; "true" ]
+    [ string_of_int c.C.shards; string_of_int c.C.domains;
+      Runtime.Model.name c.C.model; string_of_bool c.C.sanitize ]
+
+let test_config_with_restores () =
+  let before = C.get () in
+  let forced = { before with C.shards = before.C.shards + 7 } in
+  (try C.with_ forced (fun () -> failwith "inside") with Failure _ -> ());
+  Alcotest.(check int) "restored after an exception" before.C.shards
+    (C.get ()).C.shards;
+  Alcotest.(check int) "forced inside" (before.C.shards + 7)
+    (C.with_ forced (fun () -> Runtime.Shard.default_shards ()))
+
 let suite =
   [
+    Alcotest.test_case "Config.parse table" `Quick test_config_parse_table;
+    Alcotest.test_case "Config.with_ restores" `Quick test_config_with_restores;
     Alcotest.test_case "sim exchange bandwidth" `Quick
       test_sim_exchange_bandwidth;
     Alcotest.test_case "sim broadcast bandwidth" `Quick

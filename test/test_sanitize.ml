@@ -115,21 +115,18 @@ let test_broadcast_width_wins_and_legal_fanout () =
   ignore (K.On_bcast.exchange rt [| [ (1, [| 5 |]); (2, [| 5 |]) ]; []; [] |]);
   Alcotest.(check int) "legal fanout is one round" 1 (K.On_bcast.rounds rt)
 
+(* The spellings themselves are test_runtime's Config.parse table; here the
+   forced record reaches the default the charged pipelines read. *)
 let test_model_selector () =
   let module Mo = Runtime.Model in
-  Fun.protect
-    ~finally:(fun () -> Mo.set_default None)
-    (fun () ->
-      Alcotest.(check bool) "broadcast parses" true
-        (Mo.of_string "Broadcast" = Some Mo.Broadcast
-        && Mo.of_string "bcast" = Some Mo.Broadcast);
-      Alcotest.(check bool) "unicast parses" true
-        (Mo.of_string "unicast" = Some Mo.Unicast);
-      Alcotest.(check bool) "junk rejected" true (Mo.of_string "???" = None);
-      Mo.set_default (Some Mo.Broadcast);
-      Alcotest.(check string) "forced default wins" "broadcast"
-        (Mo.name (Mo.default ()));
-      Mo.set_default None)
+  List.iter
+    (fun m ->
+      Runtime.Config.with_
+        { (Runtime.Config.get ()) with Runtime.Config.model = m }
+        (fun () ->
+          Alcotest.(check string) "forced default wins" (Mo.name m)
+            (Mo.name (Mo.default ()))))
+    [ Mo.Broadcast; Mo.Unicast ]
 
 (* ---------------------------------------------------- phase attribution *)
 
@@ -181,16 +178,18 @@ let test_drift_baseline_over_used_transport () =
 
 (* ------------------------------------------------- enabling and default *)
 
-let test_set_default () =
-  Fun.protect
-    ~finally:(fun () -> San.set_default None)
-    (fun () ->
-      San.set_default (Some true);
+let with_sanitize b f =
+  Runtime.Config.with_
+    { (Runtime.Config.get ()) with Runtime.Config.sanitize = b }
+    f
+
+let test_config_default () =
+  with_sanitize true (fun () ->
       let rt = K.clique 2 in
       Alcotest.(check bool) "default on" true (K.On_sim.sanitized rt);
       Alcotest.(check bool) "sanitizer exposed" true
-        (K.On_sim.sanitizer rt <> None);
-      San.set_default (Some false);
+        (K.On_sim.sanitizer rt <> None));
+  with_sanitize false (fun () ->
       let rt = K.clique 2 in
       Alcotest.(check bool) "default off" false (K.On_sim.sanitized rt);
       (* An explicit argument beats the ambient default. *)
@@ -264,7 +263,8 @@ let suite =
     Alcotest.test_case "ledger drift detection" `Quick test_ledger_drift;
     Alcotest.test_case "drift baseline on used transport" `Quick
       test_drift_baseline_over_used_transport;
-    Alcotest.test_case "set_default" `Quick test_set_default;
+    Alcotest.test_case "Config.with_ sets the default" `Quick
+      test_config_default;
     Alcotest.test_case "transcript distinguishes runs" `Quick
       test_transcript_distinguishes_runs;
     Alcotest.test_case "cost rejects negative rounds" `Quick

@@ -44,6 +44,14 @@ let drain_until_closed l =
    with Wire.Link.Closed _ | Wire.Frame.Malformed _ -> ());
   exit 0
 
+(* Diversion: spawned with CC_TEST_REMOTE_WORKER=<addr>, this process is
+   a remote worker dialing that coordinator, exactly as bin/cc_worker
+   makes one. *)
+let () =
+  match Sys.getenv_opt "CC_TEST_REMOTE_WORKER" with
+  | None -> ()
+  | Some addr -> Sock.remote_worker addr
+
 (* Diversion: spawned as a mute client, this process connects to the
    given rendezvous and never sends a byte — the bootstrap-hang
    regression (a pre-supervision coordinator blocked forever on it). *)
@@ -502,14 +510,15 @@ let test_bad_hello_reaped () =
 (* ------------------------------------------------------- remote workers *)
 
 (* A remote worker is any process dialing the TCP rendezvous: here the
-   test binary itself, diverted by CC_SHARD_REMOTE_WORKER exactly as
-   bin/cc_worker would. One of the two shards runs in that process; the
-   session must behave identically to an all-local one. *)
+   test binary itself, diverted by CC_TEST_REMOTE_WORKER into
+   [Socket.remote_worker] exactly as bin/cc_worker is. One of the two
+   shards runs in that process; the session must behave identically to
+   an all-local one. *)
 let test_remote_worker_joins () =
   let port = ephemeral_port () in
   let addr = Printf.sprintf "127.0.0.1:%d" port in
   let remote =
-    spawn_with_env [ "CC_SHARD_REMOTE_WORKER=tcp:" ^ addr ]
+    spawn_with_env [ "CC_TEST_REMOTE_WORKER=tcp:" ^ addr ]
   in
   Fun.protect
     ~finally:(fun () -> reap remote)
@@ -680,12 +689,12 @@ let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 let test_per_call_sessions_closed () =
   if not (Sys.file_exists "/proc/self/fd") then ()
   else begin
-    Clique.Sim.set_default_kernel (Some Clique.Sim.Shard);
-    Shard.set_default (Some 2);
-    Fun.protect
-      ~finally:(fun () ->
-        Clique.Sim.set_default_kernel None;
-        Shard.set_default None)
+    Runtime.Config.with_
+      {
+        (Runtime.Config.get ()) with
+        Runtime.Config.kernel = Some Clique.Sim.Shard;
+        shards = 2;
+      }
       (fun () ->
         let before = open_fds () in
         let g = Gen.connected_gnp ~seed:3L 24 0.3 in
@@ -710,11 +719,12 @@ let test_per_call_sessions_closed () =
   end
 
 (* Every Unix-domain session names its rendezvous and its workers' mesh
-   sockets cc-wire-<pid>-…; once the session is closed none may be left
-   in the temp directory — the coordinator removes its spawned workers'
-   files, since it may SIGKILL them before they could. *)
+   sockets cc-wire-<pid>-… (pid zero-padded to 7 digits); once the
+   session is closed none may be left in the temp directory — the
+   coordinator removes its spawned workers' files, since it may SIGKILL
+   them before they could. *)
 let our_socket_files () =
-  let prefix = Printf.sprintf "cc-wire-%d-" (Unix.getpid ()) in
+  let prefix = Printf.sprintf "cc-wire-%07d-" (Unix.getpid ()) in
   List.filter
     (String.starts_with ~prefix)
     (Array.to_list (Sys.readdir (Filename.get_temp_dir_name ())))

@@ -307,7 +307,9 @@ let suite =
    [Graph.induced] (the whole-graph one too), every product-demand
    candidate built before the size test, edge lists joined with [@] and
    merged by the former [Graph.reweight_simple]. The one addition is
-   [on_candidate], which observes each candidate built and its cluster.
+   [on_candidate], which observes each candidate built and its cluster;
+   the one removal is the per-cluster BSS backend, which the library no
+   longer has.
    The differential oracle for [Spectral.sparsify]. *)
 module Seed_spectral = struct
   let weight_class w = int_of_float (Float.floor (Float.log2 w))
@@ -325,31 +327,23 @@ module Seed_spectral = struct
     in
     Graph.create (Graph.n g) edge_list
 
-  let cluster_sparsifier ~on_candidate backend sub vs =
+  let cluster_sparsifier ~on_candidate sub vs =
     let k = Graph.n sub in
     let translate h =
       Array.to_list (Graph.edges h)
       |> List.map (fun e -> { e with Graph.u = vs.(e.Graph.u); v = vs.(e.Graph.v) })
     in
     if k < 2 then []
+    else if Graph.m sub <= 2 * k then translate sub
     else begin
-      match backend with
-      | Sparsify.Spectral.Buckets ->
-        if Graph.m sub <= 2 * k then translate sub
-        else begin
-          let candidate = Sparsify.Product_demand.sparse sub in
-          on_candidate sub candidate;
-          if Graph.m candidate < Graph.m sub then translate candidate
-          else translate sub
-        end
-      | Sparsify.Spectral.Bss_internal d ->
-        if Graph.m sub <= d * (k - 1) || not (Graph.is_connected sub) then
-          translate sub
-        else translate (Sparsify.Bss.sparsify ~d sub)
+      let candidate = Sparsify.Product_demand.sparse sub in
+      on_candidate sub candidate;
+      if Graph.m candidate < Graph.m sub then translate candidate
+      else translate sub
     end
 
   let sparsify ?(on_candidate = fun _ _ -> ()) ?(phi = 0.05) ?(gamma = 0.25)
-      ?max_levels ?(backend = Sparsify.Spectral.Buckets) ?model g =
+      ?max_levels ?model g =
     let model =
       match model with Some m -> m | None -> Runtime.Model.default ()
     in
@@ -395,7 +389,7 @@ module Seed_spectral = struct
             (fun vs ->
               let sub, _ = Graph.induced !current vs in
               sparsifier_edges :=
-                cluster_sparsifier ~on_candidate backend sub vs
+                cluster_sparsifier ~on_candidate sub vs
                 @ !sparsifier_edges)
             d.Expander.Decomposition.clusters;
           current := Graph.sub_edges !current d.Expander.Decomposition.crossing
@@ -585,12 +579,7 @@ let test_sparsify_equals_seed () =
             (result_bits (Seed_spectral.sparsify ~model g)
             = result_bits (Sparsify.Spectral.sparsify ~model g)))
         [ Runtime.Model.Unicast; Runtime.Model.Broadcast ])
-    graphs;
-  let g = Graph_gen.connected_gnp ~seed:8L 24 0.5 in
-  let backend = Sparsify.Spectral.Bss_internal 6 in
-  Alcotest.(check bool) "bss backend" true
-    (result_bits (Seed_spectral.sparsify ~backend g)
-    = result_bits (Sparsify.Spectral.sparsify ~backend g))
+    graphs
 
 (* perfbench's solve-cold fleet for [seed] (24 weighted G(n, 0.3) graphs,
    n from 128 to 192, weights 1..8), after the solver's weight rounding
