@@ -5,7 +5,7 @@
 
    Every run applies the whole catalog in one pass (Analysis.Semantic):
    each file is read and parsed once with the compiler frontend; the tree
-   goes through the per-file rules (L1-L5, L7, L9, L13, Analysis.Lint),
+   goes through the per-file rules (L1-L5, L7, L9, L13, L14, Analysis.Lint),
    the implementations make the module-qualified call graph for the
    interprocedural rules L10-L12, and L6 checks the file list.
    --graph dumps the call graph as GraphViz DOT to stdout and exits.

@@ -52,6 +52,11 @@ let supervisor_privileged path =
   || (under "runtime" path
      && List.mem (Filename.basename path) [ "shard.ml"; "shard.mli" ])
 
+(* The only code allowed unchecked array access: the dense kernels,
+   whose abstract factor type fixes the array lengths their loops rely
+   on (L14). *)
+let unchecked_privileged path = under "linalg" path
+
 let is_lib_module path =
   match segments path with "lib" :: _ :: _ -> true | _ -> false
 
@@ -179,7 +184,7 @@ let findings ~file tree =
   and wire_ok = wire_privileged file
   and supervisor_ok =
     (not (is_lib_module file)) || supervisor_privileged file
-  in
+  and unchecked_ok = unchecked_privileged file in
   let found = ref [] in
   let add line rule fmt =
     Printf.ksprintf
@@ -224,6 +229,10 @@ let findings ~file tree =
       add line Rule.L9
         "raw socket call '%s' outside the wire layer: use Wire.Link so \
          framing and byte accounting apply"
+        name
+    | Some ("Array", ("unsafe_get" | "unsafe_set")) when not unchecked_ok ->
+      add line Rule.L14
+        "unchecked access '%s' outside lib/linalg: index with bounds checks"
         name
     | _ -> ());
     if (not supervisor_ok) && List.mem "Shard_down" path then

@@ -8,7 +8,8 @@
     outside [lib/runtime] and [lib/clique] (L3); [Obj.magic] (L4) and
     catch-all handlers (L5) are forbidden everywhere; raw socket syscalls
     are confined to [lib/wire] and the socket transport (L9); [Shard_down]
-    is named only by the supervisor layer (L13). Every lib module ships an
+    is named only by the supervisor layer (L13); [Array.unsafe_get] and
+    [Array.unsafe_set] only in [lib/linalg] (L14). Every lib module ships an
     [.mli] (L6, over the file list). The tree comes from the compiler's
     own parser ({!Ast}), so comments, strings and character literals are
     never mistaken for code. {!Semantic.analyze} runs these rules beside
@@ -24,7 +25,7 @@ val findings :
   file:string ->
   [ `Impl of Parsetree.structure | `Intf of Parsetree.signature ] ->
   finding list
-(** L1-L5, L7, L9 and L13 over one parsed file, in one walk; allow markers
+(** L1-L5, L7, L9, L13 and L14 over one parsed file, in one walk; allow markers
     are not applied here. Every long identifier the tree carries is
     checked (values, constructors, record fields, types, module and
     module-type paths, [open]s, exception rebinds, type extensions), and

@@ -1,6 +1,7 @@
-type id = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L9 | L10 | L11 | L12 | L13
+type id =
+  | L1 | L2 | L3 | L4 | L5 | L6 | L7 | L9 | L10 | L11 | L12 | L13 | L14
 
-let all = [ L1; L2; L3; L4; L5; L6; L7; L9; L10; L11; L12; L13 ]
+let all = [ L1; L2; L3; L4; L5; L6; L7; L9; L10; L11; L12; L13; L14 ]
 
 let to_string = function
   | L1 -> "L1"
@@ -15,6 +16,7 @@ let to_string = function
   | L11 -> "L11"
   | L12 -> "L12"
   | L13 -> "L13"
+  | L14 -> "L14"
 
 let of_string = function
   | "L1" -> Some L1
@@ -29,6 +31,7 @@ let of_string = function
   | "L11" -> Some L11
   | "L12" -> Some L12
   | "L13" -> Some L13
+  | "L14" -> Some L14
   | _ -> None
 
 (* The rules that look past one identifier: call graph and hot markers. *)
@@ -74,6 +77,10 @@ let synopsis = function
      coordinator (lib/clique/socket.ml), the fault drivers (lib/fault/), \
      and the definition site may name the exception — a charged layer \
      that catches it papers over a dead worker without certification"
+  | L14 ->
+    "unchecked array access (Array.unsafe_get, Array.unsafe_set) outside \
+     lib/linalg, the one layer whose abstract types fix every length its \
+     unchecked loops rely on"
 
 let allow_marker = "cc_lint: allow"
 

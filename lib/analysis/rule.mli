@@ -6,15 +6,16 @@
     Rules are identified as [L1]..[Ln] (the catalog range is whatever
     {!all} holds — never hardcode it) and can be suppressed per line with a
     [(* cc_lint: allow L2 *)] comment (ids match case-insensitively).
-    Every rule runs on the compiler's parse tree: [L1]-[L5], [L7], [L9]
-    and [L13] one identifier or handler case at a time ({!Lint}), [L6]
+    Every rule runs on the compiler's parse tree: [L1]-[L5], [L7], [L9],
+    [L13] and [L14] one identifier or handler case at a time ({!Lint}), [L6]
     over the file list, and the {!semantic} subset over the call graph and
     the hot markers ({!Semantic}). There is no [L8]: its line-based
     hot-path tracker was retired for [L12], which checks the same
     primitives on the parse tree, and ids are never reused, so existing
     markers keep their meaning. *)
 
-type id = L1 | L2 | L3 | L4 | L5 | L6 | L7 | L9 | L10 | L11 | L12 | L13
+type id =
+  | L1 | L2 | L3 | L4 | L5 | L6 | L7 | L9 | L10 | L11 | L12 | L13 | L14
 (** The rule catalog; see {!synopsis} for what each enforces. *)
 
 val all : id list

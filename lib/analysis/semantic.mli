@@ -2,7 +2,7 @@
 
     Every source is read and parsed once, with the compiler's own frontend
     ({!Ast}). Each tree goes through the per-file rules of {!Lint} (L1-L5,
-    L7, L9, L13); the implementations also make a module-qualified call
+    L7, L9, L13, L14); the implementations also make a module-qualified call
     graph ({!Callgraph}) with interprocedural reachability ({!Dataflow}),
     for the rules that need more than one line at a time:
 

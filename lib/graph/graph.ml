@@ -72,6 +72,23 @@ let laplacian_dense g =
     g.edges;
   d
 
+(* [laplacian_dense g] without row and column 0, built directly: each
+   entry gets the same terms, from the same edges in the same order. *)
+let laplacian_grounded g =
+  if g.n = 0 then invalid_arg "Graph.laplacian_grounded: no vertex to ground";
+  let d = Array.make_matrix (g.n - 1) (g.n - 1) 0. in
+  Array.iter
+    (fun e ->
+      let u = e.u - 1 and v = e.v - 1 in
+      if u >= 0 then d.(u).(u) <- d.(u).(u) +. e.w;
+      if v >= 0 then d.(v).(v) <- d.(v).(v) +. e.w;
+      if u >= 0 && v >= 0 then begin
+        d.(u).(v) <- d.(u).(v) -. e.w;
+        d.(v).(u) <- d.(v).(u) -. e.w
+      end)
+    g.edges;
+  d
+
 (* cc_lint: hot apply_laplacian_into *)
 let apply_laplacian_into g x y =
   if Array.length x <> g.n then

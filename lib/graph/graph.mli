@@ -45,6 +45,12 @@ val laplacian : t -> Linalg.Csr.t
 
 val laplacian_dense : t -> Linalg.Dense.t
 
+val laplacian_grounded : t -> Linalg.Dense.t
+(** [laplacian_grounded g] is {!laplacian_dense} without row and column 0:
+    the SPD matrix of a connected graph grounded at vertex 0, entry for
+    entry bit-identical to the copy out of the full matrix. Raises
+    [Invalid_argument] on the empty graph. *)
+
 val apply_laplacian : t -> Linalg.Vec.t -> Linalg.Vec.t
 (** [apply_laplacian g x] is [L_G x] computed edge-by-edge without
     materializing [L] — the one-round matvec of the clique model. *)

@@ -34,9 +34,7 @@ let inner_solve inner h =
   let n = Graph.n h in
   match inner with
   | Direct ->
-    let l = Graph.laplacian_dense h in
-    let reduced = Linalg.Dense.init (n - 1) (fun i j -> l.(i + 1).(j + 1)) in
-    let chol = Linalg.Dense.cholesky ~shift:1e-12 reduced in
+    let chol = Linalg.Dense.cholesky ~shift:1e-12 (Graph.laplacian_grounded h) in
     let c = Linalg.Vec.create n in
     let bsub = Linalg.Vec.create (n - 1) in
     let ysub = Linalg.Vec.create (n - 1) in

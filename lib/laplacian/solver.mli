@@ -34,7 +34,13 @@ type report = {
   phase_rounds : (string * int) list;
       (** ledger breakdown (sorted): "chebyshev", "kappa-estimate",
           "sparsify" *)
-  residual : float;  (** final relative ℓ₂ residual ‖b − L_G x‖/‖b‖ *)
+  residual : float;
+      (** the Chebyshev recurrence's last residual, [‖r‖/‖b‖] for the
+          centered [b], where [r] starts at [b] and takes [r ← r − L_G d]
+          each step. It equals [‖b − L_G x‖/‖b‖] only in exact
+          arithmetic. In floating point it can read far below the residual
+          of [x] measured afresh: 5.6e-9 against 6.6e-4 on a 60-vertex
+          path with weights alternating 2^40 and 1. *)
 }
 
 (** {2 Prepared handles}

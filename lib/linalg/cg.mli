@@ -12,7 +12,9 @@
 
 type stats = {
   iterations : int;
-  residual : float;  (** final ‖b − A x‖₂ *)
+  residual : float;
+      (** final [‖r‖₂] for the recurrence's residual [r ← r − α A p]:
+          [‖b − A x‖₂] in exact arithmetic only *)
   converged : bool;
 }
 

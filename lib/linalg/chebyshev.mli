@@ -11,7 +11,9 @@
 
 type stats = {
   iterations : int;
-  residual : float;  (** final ‖b − A x‖₂ / ‖b‖₂ *)
+  residual : float;
+      (** [‖r‖₂ / ‖b‖₂] for the recurrence's residual [r] ([r₀ = b],
+          [r ← r − A d]): [‖b − A x‖₂ / ‖b‖₂] in exact arithmetic only *)
   converged : bool;
 }
 

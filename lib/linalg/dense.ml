@@ -27,7 +27,7 @@ let mul a b =
   done;
   c
 
-(* cc_lint: hot mul_vec_into cholesky_solve_into *)
+(* cc_lint: hot mul_vec_into *)
 let mul_vec_into a x y =
   let n = dim a in
   if Array.length x <> n then
@@ -68,57 +68,186 @@ let is_symmetric a =
   done;
   !ok
 
+(* A Cholesky factor L, packed into three flat arrays:
+   - [lo]: L's rows left of the diagonal, row i (L[i][0..i-1]) at offset
+     [row_off i] = i(i-1)/2;
+   - [up]: Lᵀ's rows right of the diagonal, row i (L[i+1..n-1][i], that
+     is column i of L below the diagonal) at offset [up_off n i] =
+     i(2n-i-1)/2;
+   - [diag]: the diagonal.
+   Only [cholesky] builds one, so [Array.length lo = Array.length up =
+   n(n-1)/2] with [n = Array.length diag] always holds: the invariant the
+   unchecked loops of [forward] and [backward] rest on. *)
+type factor = { lo : float array; up : float array; diag : float array }
+
+let row_off i = i * (i - 1) / 2
+
+let up_off n i = i * ((2 * n) - i - 1) / 2
+
+(* Every entry sums the same terms in the same order as the textbook
+   row-by-row loop
+     s = a[i][j] + (shift if i = j else 0);  s -= L[i][k]·L[j][k], k < j
+   so every bit matches it. Four columns j..j+3 of row i share one pass
+   over the prefix k < j (four independent accumulator chains); each then
+   takes its in-block terms k = j, j+1, ... in order, as soon as the
+   entries before it are known. *)
 let cholesky ?(shift = 0.) a =
   let n = dim a in
-  let l = create n in
+  let lo = Array.make (n * (n - 1) / 2) 0. in
+  let diag = Array.make n 0. in
   for i = 0 to n - 1 do
-    for j = 0 to i do
-      let s = ref (a.(i).(j) +. if i = j then shift else 0.) in
-      for k = 0 to j - 1 do
-        s := !s -. (l.(i).(k) *. l.(j).(k))
+    let ai = a.(i) and oi = row_off i in
+    let jb = ref 0 in
+    while !jb + 3 < i do
+      let j0 = !jb in
+      let o0 = row_off j0 and o1 = row_off (j0 + 1) in
+      let o2 = row_off (j0 + 2) and o3 = row_off (j0 + 3) in
+      (* [+. 0.] as in the diagonal's [+. shift]: it turns a -0. into 0. *)
+      let s0 = ref (ai.(j0) +. 0.) and s1 = ref (ai.(j0 + 1) +. 0.) in
+      let s2 = ref (ai.(j0 + 2) +. 0.) and s3 = ref (ai.(j0 + 3) +. 0.) in
+      for k = 0 to j0 - 1 do
+        let lik = lo.(oi + k) in
+        s0 := !s0 -. (lik *. lo.(o0 + k));
+        s1 := !s1 -. (lik *. lo.(o1 + k));
+        s2 := !s2 -. (lik *. lo.(o2 + k));
+        s3 := !s3 -. (lik *. lo.(o3 + k))
       done;
-      if i = j then begin
-        if !s <= 0. then
-          failwith
-            (Printf.sprintf "Dense.cholesky: non-positive pivot %g at %d" !s i);
-        l.(i).(i) <- sqrt !s
-      end
-      else l.(i).(j) <- !s /. l.(j).(j)
+      let l0 = !s0 /. diag.(j0) in
+      lo.(oi + j0) <- l0;
+      s1 := !s1 -. (l0 *. lo.(o1 + j0));
+      let l1 = !s1 /. diag.(j0 + 1) in
+      lo.(oi + j0 + 1) <- l1;
+      s2 := !s2 -. (l0 *. lo.(o2 + j0));
+      s2 := !s2 -. (l1 *. lo.(o2 + j0 + 1));
+      let l2 = !s2 /. diag.(j0 + 2) in
+      lo.(oi + j0 + 2) <- l2;
+      s3 := !s3 -. (l0 *. lo.(o3 + j0));
+      s3 := !s3 -. (l1 *. lo.(o3 + j0 + 1));
+      s3 := !s3 -. (l2 *. lo.(o3 + j0 + 2));
+      lo.(oi + j0 + 3) <- !s3 /. diag.(j0 + 3);
+      jb := j0 + 4
+    done;
+    for j = !jb to i - 1 do
+      let oj = row_off j in
+      let s = ref (ai.(j) +. 0.) in
+      for k = 0 to j - 1 do
+        s := !s -. (lo.(oi + k) *. lo.(oj + k))
+      done;
+      lo.(oi + j) <- !s /. diag.(j)
+    done;
+    let s = ref (ai.(i) +. shift) in
+    for k = 0 to i - 1 do
+      let lik = lo.(oi + k) in
+      s := !s -. (lik *. lik)
+    done;
+    if !s <= 0. then
+      failwith
+        (Printf.sprintf "Dense.cholesky: non-positive pivot %g at %d" !s i);
+    diag.(i) <- sqrt !s
+  done;
+  let up = Array.make (Array.length lo) 0. in
+  for i = 0 to n - 1 do
+    let oi = up_off n i - i - 1 in
+    for k = i + 1 to n - 1 do
+      up.(oi + k) <- lo.(row_off k + i)
     done
   done;
-  l
+  { lo; up; diag }
 
-let cholesky_solve_into l b scratch x =
-  let n = dim l in
-  if Array.length b <> n then
-    invalid_arg "Dense.cholesky_solve_into: dimension mismatch";
-  if Array.length scratch <> n || Array.length x <> n then
-    invalid_arg "Dense.cholesky_solve_into: output dimension mismatch";
-  (* forward: l y = b, with y in the caller's scratch buffer *)
-  let y = scratch in
-  for i = 0 to n - 1 do
-    let s = ref b.(i) in
-    for k = 0 to i - 1 do
-      s := !s -. (l.(i).(k) *. y.(k))
+let lower f =
+  let n = Array.length f.diag in
+  init n (fun i j ->
+      if j < i then f.lo.(row_off i + j) else if j = i then f.diag.(i) else 0.)
+
+(* cc_lint: hot forward backward forward_into backward_into cholesky_solve_into *)
+(* L y = b, four rows i..i+3 at a time: they share each y_k load over
+   their common prefix k < i, then add their in-block terms in order, so
+   y_i sums b_i − Σ_k L[i][k]·y_k in the textbook order. Lengths are the
+   caller's to check; the factor's own are fixed by [cholesky]. *)
+let forward f (b : Vec.t) (y : Vec.t) =
+  let lo = f.lo and d = f.diag in
+  let n = Array.length d in
+  let ib = ref 0 in
+  while !ib + 3 < n do
+    let i0 = !ib in
+    let o0 = row_off i0 and o1 = row_off (i0 + 1) in
+    let o2 = row_off (i0 + 2) and o3 = row_off (i0 + 3) in
+    let s0 = ref (Array.unsafe_get b i0) in
+    let s1 = ref (Array.unsafe_get b (i0 + 1)) in
+    let s2 = ref (Array.unsafe_get b (i0 + 2)) in
+    let s3 = ref (Array.unsafe_get b (i0 + 3)) in
+    for k = 0 to i0 - 1 do
+      let yk = Array.unsafe_get y k in
+      s0 := !s0 -. (Array.unsafe_get lo (o0 + k) *. yk);
+      s1 := !s1 -. (Array.unsafe_get lo (o1 + k) *. yk);
+      s2 := !s2 -. (Array.unsafe_get lo (o2 + k) *. yk);
+      s3 := !s3 -. (Array.unsafe_get lo (o3 + k) *. yk)
     done;
-    y.(i) <- !s /. l.(i).(i)
+    let y0 = !s0 /. Array.unsafe_get d i0 in
+    Array.unsafe_set y i0 y0;
+    s1 := !s1 -. (Array.unsafe_get lo (o1 + i0) *. y0);
+    let y1 = !s1 /. Array.unsafe_get d (i0 + 1) in
+    Array.unsafe_set y (i0 + 1) y1;
+    s2 := !s2 -. (Array.unsafe_get lo (o2 + i0) *. y0);
+    s2 := !s2 -. (Array.unsafe_get lo (o2 + i0 + 1) *. y1);
+    let y2 = !s2 /. Array.unsafe_get d (i0 + 2) in
+    Array.unsafe_set y (i0 + 2) y2;
+    s3 := !s3 -. (Array.unsafe_get lo (o3 + i0) *. y0);
+    s3 := !s3 -. (Array.unsafe_get lo (o3 + i0 + 1) *. y1);
+    s3 := !s3 -. (Array.unsafe_get lo (o3 + i0 + 2) *. y2);
+    Array.unsafe_set y (i0 + 3) (!s3 /. Array.unsafe_get d (i0 + 3));
+    ib := i0 + 4
   done;
-  (* backward: lᵀ x = y *)
-  for i = n - 1 downto 0 do
-    let s = ref y.(i) in
-    for k = i + 1 to n - 1 do
-      s := !s -. (l.(k).(i) *. x.(k))
+  for i = !ib to n - 1 do
+    let oi = row_off i in
+    let s = ref (Array.unsafe_get b i) in
+    for k = 0 to i - 1 do
+      s := !s -. (Array.unsafe_get lo (oi + k) *. Array.unsafe_get y k)
     done;
-    x.(i) <- !s /. l.(i).(i)
+    Array.unsafe_set y i (!s /. Array.unsafe_get d i)
   done
 
-let cholesky_solve l b =
-  let n = dim l in
+(* Lᵀ x = y over Lᵀ's contiguous rows. One chain: the first term of x_i
+   needs x_{i+1}, so no two rows can share a pass. *)
+let backward f (y : Vec.t) (x : Vec.t) =
+  let up = f.up and d = f.diag in
+  let n = Array.length d in
+  for i = n - 1 downto 0 do
+    let oi = up_off n i - i - 1 in
+    let s = ref (Array.unsafe_get y i) in
+    for k = i + 1 to n - 1 do
+      s := !s -. (Array.unsafe_get up (oi + k) *. Array.unsafe_get x k)
+    done;
+    Array.unsafe_set x i (!s /. Array.unsafe_get d i)
+  done
+
+let check_dims entry f src dst =
+  let n = Array.length f.diag in
+  if Array.length src <> n then invalid_arg (entry ^ ": dimension mismatch");
+  if Array.length dst <> n then
+    invalid_arg (entry ^ ": output dimension mismatch")
+
+let forward_into f b y =
+  check_dims "Dense.forward_into" f b y;
+  forward f b y
+
+let backward_into f y x =
+  check_dims "Dense.backward_into" f y x;
+  backward f y x
+
+let cholesky_solve_into f b scratch x =
+  check_dims "Dense.cholesky_solve_into" f b scratch;
+  check_dims "Dense.cholesky_solve_into" f b x;
+  forward f b scratch;
+  backward f scratch x
+
+let cholesky_solve f b =
+  let n = Array.length f.diag in
   if Array.length b <> n then
     invalid_arg "Dense.cholesky_solve: dimension mismatch";
   let scratch = Vec.create n in
   let x = Vec.create n in
-  cholesky_solve_into l b scratch x;
+  cholesky_solve_into f b scratch x;
   x
 
 let solve_spd ?(shift = 0.) a b = cholesky_solve (cholesky ~shift a) b

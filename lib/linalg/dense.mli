@@ -1,11 +1,14 @@
 (** Dense square matrices and the direct factorizations used for the
     internal (node-local) solves of the congested-clique algorithms.
 
-    Matrices are row-major [float array array]. These routines are only ever
-    applied to the *sparsified* graphs (size [O(n log n)] edges on [n]
-    vertices), so cubic-time factorizations are acceptable: in the congested
-    clique every node holds the whole sparsifier and solves internally
-    (Theorem 1.1's proof), which is exactly what these functions model. *)
+    Matrices are row-major [float array array]. The factorizations are
+    cubic-time. The solver applies them to the grounded Laplacian of the
+    *sparsifier* H ([O(n log n)] edges on [n] vertices): in the congested
+    clique every node holds the whole sparsifier and solves internally, at
+    zero rounds (Theorem 1.1's proof), which is what these functions model.
+    Reference and certification paths also apply them to the input graph
+    G itself: [Flow.Electrical]'s exact backend and
+    [Laplacian.Solver.error_in_l_norm], through {!solve_grounded}. *)
 
 type t = float array array
 
@@ -34,19 +37,37 @@ val add : t -> t -> t
 val is_symmetric : t -> bool
 (** Mirrored entries agree to within 1e-9. *)
 
-val cholesky : ?shift:float -> t -> t
-(** [cholesky a] returns the lower-triangular [l] with [l * lᵀ = a + shift·I].
-    [a] must be symmetric positive definite (after the shift).
-    Raises [Failure] if a non-positive pivot is met. *)
+type factor
+(** A Cholesky factor [L], lower triangular, stored packed: [L]'s rows
+    left of the diagonal, [Lᵀ]'s rows right of it, and the diagonal, each
+    in one flat array ([n(n−1) + n] floats). Only {!cholesky} builds one. *)
 
-val cholesky_solve : t -> Vec.t -> Vec.t
-(** [cholesky_solve l b] solves [l lᵀ x = b] by forward/back substitution. *)
+val cholesky : ?shift:float -> t -> factor
+(** [cholesky a] returns the factor [L] with [L Lᵀ = a + shift·I]. [a]
+    must be symmetric positive definite (after the shift); only its lower
+    triangle is read. Raises [Failure] if a non-positive pivot is met.
+    Every entry sums the same terms in the same order as the textbook
+    row-by-row loop, so the bits match it. *)
 
-val cholesky_solve_into : t -> Vec.t -> Vec.t -> Vec.t -> unit
-(** [cholesky_solve_into l b scratch x] solves [l lᵀ x = b] without
-    allocating: the forward-substitution intermediate lives in [scratch] and
-    the solution in [x]. [b], [scratch] and [x] must be pairwise distinct
-    buffers of dimension [dim l]. Bit-identical to {!cholesky_solve}. *)
+val lower : factor -> t
+(** [lower f] is [L] as a square matrix, zero above the diagonal. *)
+
+val forward_into : factor -> Vec.t -> Vec.t -> unit
+(** [forward_into l b y] solves [L y = b] into [y] without allocating.
+    [b] and [y] must be distinct buffers of dimension [n]. *)
+
+val backward_into : factor -> Vec.t -> Vec.t -> unit
+(** [backward_into l y x] solves [Lᵀ x = y] into [x] without allocating.
+    [y] and [x] must be distinct buffers of dimension [n]. *)
+
+val cholesky_solve : factor -> Vec.t -> Vec.t
+(** [cholesky_solve l b] solves [L Lᵀ x = b] by forward/back substitution. *)
+
+val cholesky_solve_into : factor -> Vec.t -> Vec.t -> Vec.t -> unit
+(** [cholesky_solve_into l b scratch x] solves [L Lᵀ x = b] without
+    allocating: {!forward_into} into [scratch], then {!backward_into} into
+    [x]. [b], [scratch] and [x] must be pairwise distinct buffers of
+    dimension [n]. Bit-identical to {!cholesky_solve}. *)
 
 val solve_spd : ?shift:float -> t -> Vec.t -> Vec.t
 (** One-shot symmetric-positive-definite solve via Cholesky. *)

@@ -3,18 +3,6 @@
    Laplacian in isotropic position; every step shifts both barriers and picks
    an edge whose rank-one update keeps both potentials from growing. *)
 
-let forward_sub l x =
-  let k = Array.length x in
-  let y = Linalg.Vec.create k in
-  for i = 0 to k - 1 do
-    let s = ref x.(i) in
-    for j = 0 to i - 1 do
-      s := !s -. (l.(i).(j) *. y.(j))
-    done;
-    y.(i) <- !s /. l.(i).(i)
-  done;
-  y
-
 let sparsify ?(d = 8) g =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Bss.sparsify: need n >= 2";
@@ -25,9 +13,7 @@ let sparsify ?(d = 8) g =
   let budget = d * k in
   if m <= budget then g
   else begin
-    let lap = Graph.laplacian_dense g in
-    let a = Linalg.Dense.init k (fun i j -> lap.(i + 1).(j + 1)) in
-    let r = Linalg.Dense.cholesky ~shift:1e-12 a in
+    let r = Linalg.Dense.cholesky ~shift:1e-12 (Graph.laplacian_grounded g) in
     (* Isotropic edge vectors v_e = r^{-1} b_e. *)
     let vecs =
       Array.map
@@ -36,7 +22,9 @@ let sparsify ?(d = 8) g =
           let sw = sqrt e.Graph.w in
           if e.Graph.u > 0 then b.(e.Graph.u - 1) <- sw;
           if e.Graph.v > 0 then b.(e.Graph.v - 1) <- b.(e.Graph.v - 1) -. sw;
-          forward_sub r b)
+          let v = Linalg.Vec.create k in
+          Linalg.Dense.forward_into r b v;
+          v)
         (Graph.edges g)
     in
     let sd = sqrt (float_of_int d) in

@@ -1,8 +1,3 @@
-let grounded g =
-  let n = Graph.n g in
-  let l = Graph.laplacian_dense g in
-  Linalg.Dense.init (n - 1) (fun i j -> l.(i + 1).(j + 1))
-
 (* Extreme eigenvalues of the pencil (A, B): eigenvalues of
    C = R^{-T} A R^{-1} where B = Rᵀ R. λmax by power iteration on C; λmin as
    1/λmax(C^{-1}) with C^{-1} = R A^{-1} Rᵀ applied via solves. *)
@@ -11,43 +6,27 @@ let pencil_bounds g h =
     invalid_arg "Quality.pencil_bounds: vertex count mismatch";
   if Graph.n g < 2 then invalid_arg "Quality.pencil_bounds: need n >= 2";
   try
-    let a = grounded g and b = grounded h in
-    let rb = Linalg.Dense.cholesky ~shift:1e-12 b in
+    let a = Graph.laplacian_grounded g in
+    let rb = Linalg.Dense.cholesky ~shift:1e-12 (Graph.laplacian_grounded h) in
     (* rb is lower triangular: b = rb rbᵀ. C = rb^{-1} a rb^{-T}. *)
     let k = Linalg.Dense.dim a in
-    let forward_sub l x =
-      (* solve l y = x *)
+    let fresh pass x =
       let y = Linalg.Vec.create k in
-      for i = 0 to k - 1 do
-        let s = ref x.(i) in
-        for j = 0 to i - 1 do
-          s := !s -. (l.(i).(j) *. y.(j))
-        done;
-        y.(i) <- !s /. l.(i).(i)
-      done;
-      y
-    in
-    let backward_sub l x =
-      (* solve lᵀ y = x *)
-      let y = Linalg.Vec.create k in
-      for i = k - 1 downto 0 do
-        let s = ref x.(i) in
-        for j = i + 1 to k - 1 do
-          s := !s -. (l.(j).(i) *. y.(j))
-        done;
-        y.(i) <- !s /. l.(i).(i)
-      done;
+      pass rb x y;
       y
     in
     let apply_c x =
-      forward_sub rb (Linalg.Dense.mul_vec a (backward_sub rb x))
+      fresh Linalg.Dense.forward_into
+        (Linalg.Dense.mul_vec a (fresh Linalg.Dense.backward_into x))
     in
     let la = Linalg.Dense.cholesky ~shift:1e-12 a in
+    let rb_sq = Linalg.Dense.lower rb in
+    let rb_t = Linalg.Dense.transpose rb_sq in
     let apply_c_inv x =
       (* C^{-1} = rbᵀ a^{-1} rb *)
-      let y = Linalg.Dense.mul_vec rb x in
+      let y = Linalg.Dense.mul_vec rb_sq x in
       let z = Linalg.Dense.cholesky_solve la y in
-      Linalg.Dense.mul_vec (Linalg.Dense.transpose rb) z
+      Linalg.Dense.mul_vec rb_t z
     in
     let lmax, _ = Linalg.Dense.power_iteration ~iters:500 apply_c k in
     let inv_lmin, _ = Linalg.Dense.power_iteration ~iters:500 apply_c_inv k in

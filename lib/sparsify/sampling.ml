@@ -1,11 +1,9 @@
 let leverage_scores g =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Sampling.leverage_scores: need n >= 2";
-  let l = Graph.laplacian_dense g in
   (* Grounded inverse gives effective resistances:
      R(u,v) = (e_u − e_v)ᵀ L† (e_u − e_v). *)
-  let reduced = Linalg.Dense.init (n - 1) (fun i j -> l.(i + 1).(j + 1)) in
-  let chol = Linalg.Dense.cholesky ~shift:1e-12 reduced in
+  let chol = Linalg.Dense.cholesky ~shift:1e-12 (Graph.laplacian_grounded g) in
   let solve b =
     let b = Linalg.Vec.center b in
     let b' = Array.sub b 1 (n - 1) in

@@ -50,6 +50,7 @@ grep -q ' L11 ' "$out" || fail "missing L11 finding"
 grep -q ' L12 ' "$out" || fail "missing L12 finding"
 grep -q ' L2 ' "$out" || fail "missing L2 finding (per-file rules not run?)"
 grep -q ' L13 ' "$out" || fail "missing L13 finding (supervision bypass)"
+grep -q ' L14 ' "$out" || fail "missing L14 finding (unchecked access outside lib/linalg)"
 grep -q 'Planted_l10.choose -> Entropy_pool.draw -> Random.int' "$out" ||
   fail "L10 chain does not name every hop"
 

@@ -309,6 +309,30 @@ let test_l9_allow_suppression () =
     (scan ~file:"lib/fault/fake.ml"
        [ "let fd = Unix.accept lsock (* cc_lint: allow L2 *)" ])
 
+(* -------------------------------------------------------- planted L14 *)
+
+let test_l14_unchecked_access () =
+  let src =
+    [
+      "let get a i = Array.unsafe_get a i";
+      "let set a i v = Stdlib.Array.unsafe_set a i v";
+      "let ok a i = Array.get a i";
+      "let s = \"Array.unsafe_get in a string is data\"";
+      "let f = Float.Array.unsafe_get";
+    ]
+  in
+  check_findings "unchecked access flagged outside lib/linalg"
+    [ (Rule.L14, 1); (Rule.L14, 2); (Rule.L14, 5) ]
+    (scan ~file:"lib/laplacian/fake.ml" src);
+  check_findings "harness trees are not privileged either"
+    [ (Rule.L14, 1); (Rule.L14, 2); (Rule.L14, 5) ]
+    (scan ~file:"test/fake_test.ml" src);
+  check_findings "lib/linalg may index unchecked" []
+    (scan ~file:"lib/linalg/fake.ml" src);
+  check_findings "allow marker waives it" []
+    (scan ~file:"lib/sparsify/fake.ml"
+       [ "let get a i = Array.unsafe_get a i (* cc_lint: allow L14 *)" ])
+
 (* ------------------------------------------------- output and catalog *)
 
 let test_report_format () =
@@ -321,7 +345,7 @@ let test_report_format () =
     = "lib/flow/x.ml:1 L2 ")
 
 let test_rule_catalog () =
-  Alcotest.(check int) "twelve rules" 12 (List.length Rule.all);
+  Alcotest.(check int) "thirteen rules" 13 (List.length Rule.all);
   Alcotest.(check (option rule_t)) "the retired L8 is no rule" None
     (Rule.of_string "L8");
   List.iter
@@ -333,7 +357,7 @@ let test_rule_catalog () =
   (* The catalog range is derived from Rule.all (no stale "L1-L6" strings
      anywhere): both the --rules table and the JSON header grow with the
      variant automatically. *)
-  Alcotest.(check string) "range derived from Rule.all" "L1-L13"
+  Alcotest.(check string) "range derived from Rule.all" "L1-L14"
     (Analysis.Report.rules_range ());
   Alcotest.(check int) "one table line per rule" (List.length Rule.all)
     (List.length
@@ -388,6 +412,8 @@ let lexical_suite =
       test_l9_wire_privilege;
     Alcotest.test_case "L9: case-insensitive allow" `Quick
       test_l9_allow_suppression;
+    Alcotest.test_case "L14: unchecked access outside lib/linalg" `Quick
+      test_l14_unchecked_access;
     Alcotest.test_case "suppression markers" `Quick test_suppression;
     Alcotest.test_case "marker closed by **)" `Quick
       test_marker_closed_by_stars;
@@ -654,7 +680,7 @@ let test_json_roundtrip () =
   let j = Report.to_json ~errors r.Semantic.findings in
   let s = Json.to_string j in
   Alcotest.(check bool) "schema tag embedded" true (contains s Report.schema);
-  Alcotest.(check bool) "rules span embedded" true (contains s "L1-L13");
+  Alcotest.(check bool) "rules span embedded" true (contains s "L1-L14");
   (match Json.of_string s with
   | Ok j' -> Alcotest.(check bool) "round-trips" true (Json.equal j j')
   | Error e -> Alcotest.fail ("to_json output failed to parse: " ^ e));

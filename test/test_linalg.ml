@@ -345,10 +345,17 @@ let test_solve_grounded_tiny () =
     (Linalg.Dense.solve_grounded [| [| 0. |] |] [| 0. |] = [| 0. |])
 
 let test_cholesky_shift_rescues_psd () =
-  (* A singular PSD matrix factors once shifted. *)
+  (* A singular PSD matrix factors once shifted, and L Lᵀ = A + shift·I. *)
   let a = [| [| 1.; -1. |]; [| -1.; 1. |] |] in
-  let l = Linalg.Dense.cholesky ~shift:1e-9 a in
-  Alcotest.(check bool) "factored" true (Array.length l = 2)
+  let l = Linalg.Dense.lower (Linalg.Dense.cholesky ~shift:1e-9 a) in
+  let llt = Linalg.Dense.mul l (Linalg.Dense.transpose l) in
+  Alcotest.(check int) "factored" 2 (Linalg.Dense.dim l);
+  for i = 0 to 1 do
+    for j = 0 to 1 do
+      let want = a.(i).(j) +. if i = j then 1e-9 else 0. in
+      check_float "L Lᵀ = A + shift·I" 1e-12 want llt.(i).(j)
+    done
+  done
 
 let test_cg_max_iters_respected () =
   let a = Gen.expander 40 6 in
@@ -596,6 +603,188 @@ let test_cholesky_solve_into_differential () =
   Dense.cholesky_solve_into chol b scratch x;
   bitwise "cholesky_solve_into" (Dense.cholesky_solve chol b) x
 
+(* Verbatim copies of the square (float array array) Cholesky factor and
+   its solve that the packed factor replaced: the reference the packed
+   code must match bit for bit. *)
+module Square_chol = struct
+  let cholesky ?(shift = 0.) a =
+    let n = Linalg.Dense.dim a in
+    let l = Linalg.Dense.create n in
+    for i = 0 to n - 1 do
+      for j = 0 to i do
+        let s = ref (a.(i).(j) +. if i = j then shift else 0.) in
+        for k = 0 to j - 1 do
+          s := !s -. (l.(i).(k) *. l.(j).(k))
+        done;
+        if i = j then begin
+          if !s <= 0. then
+            failwith
+              (Printf.sprintf "Dense.cholesky: non-positive pivot %g at %d" !s i);
+          l.(i).(i) <- sqrt !s
+        end
+        else l.(i).(j) <- !s /. l.(j).(j)
+      done
+    done;
+    l
+
+  let cholesky_solve_into l b scratch x =
+    let n = Linalg.Dense.dim l in
+    if Array.length b <> n then
+      invalid_arg "Dense.cholesky_solve_into: dimension mismatch";
+    if Array.length scratch <> n || Array.length x <> n then
+      invalid_arg "Dense.cholesky_solve_into: output dimension mismatch";
+    (* forward: l y = b, with y in the caller's scratch buffer *)
+    let y = scratch in
+    for i = 0 to n - 1 do
+      let s = ref b.(i) in
+      for k = 0 to i - 1 do
+        s := !s -. (l.(i).(k) *. y.(k))
+      done;
+      y.(i) <- !s /. l.(i).(i)
+    done;
+    (* backward: lᵀ x = y *)
+    for i = n - 1 downto 0 do
+      let s = ref y.(i) in
+      for k = i + 1 to n - 1 do
+        s := !s -. (l.(k).(i) *. x.(k))
+      done;
+      x.(i) <- !s /. l.(i).(i)
+    done
+end
+
+(* Word-for-word equality: unlike (=), it tells 0. from -0. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* The packed factor against the square reference on [a]: the factor
+   entry for entry (through [Dense.lower]), the forward pass, the
+   backward pass and the solve on three right-hand sides, all bit for
+   bit; or the same [Failure] text. *)
+let check_packed_matches_square ?(shift = 0.) what a =
+  let open Linalg in
+  let n = Dense.dim a in
+  let outcome f = match f () with v -> Ok v | exception Failure m -> Error m in
+  match
+    ( outcome (fun () -> Square_chol.cholesky ~shift a),
+      outcome (fun () -> Dense.cholesky ~shift a) )
+  with
+  | Error want, Error got -> Alcotest.(check string) (what ^ ": failure") want got
+  | Ok _, Error m -> Alcotest.failf "%s: packed factor failed (%s)" what m
+  | Error m, Ok _ -> Alcotest.failf "%s: packed factor missed failure %s" what m
+  | Ok sq, Ok f ->
+    let lf = Dense.lower f in
+    Array.iteri
+      (fun i row ->
+        if not (same_bits row lf.(i)) then
+          Alcotest.failf "%s: factor row %d differs" what i)
+      sq;
+    let rng = Prng.create (Int64.of_int (1000 + n)) in
+    for r = 0 to 2 do
+      let b =
+        Vec.init n (fun i ->
+            if r = 0 then float_of_int (i - (n / 2))
+            else Prng.float rng 2. -. 1.)
+      in
+      let y_sq = Vec.create n and x_sq = Vec.create n in
+      Square_chol.cholesky_solve_into sq b y_sq x_sq;
+      let y = Vec.create n and x = Vec.create n in
+      Dense.forward_into f b y;
+      if not (same_bits y_sq y) then
+        Alcotest.failf "%s: forward pass differs (rhs %d)" what r;
+      Dense.backward_into f y x;
+      if not (same_bits x_sq x) then
+        Alcotest.failf "%s: backward pass differs (rhs %d)" what r;
+      let scratch = Vec.create n in
+      Dense.cholesky_solve_into f b scratch x;
+      if not (same_bits x_sq x) then
+        Alcotest.failf "%s: cholesky_solve_into differs (rhs %d)" what r;
+      if not (same_bits x_sq (Dense.cholesky_solve f b)) then
+        Alcotest.failf "%s: cholesky_solve differs (rhs %d)" what r
+    done
+
+(* A = MᵀM + δI for a random M: SPD, dense, no structure to hide in. *)
+let random_spd rng n =
+  let open Linalg in
+  let m = Dense.init n (fun _ _ -> Prng.float rng 2. -. 1.) in
+  Dense.add (Dense.mul (Dense.transpose m) m)
+    (Dense.init n (fun i j -> if i = j then 0.1 else 0.))
+
+let test_packed_cholesky_matches_square () =
+  let rng = Prng.create 0x5ca1eL in
+  (* Every n from 0 to 13 reaches every remainder of the 4-blocks, in the
+     factorization's columns and in the forward pass's rows. *)
+  for n = 0 to 13 do
+    for t = 1 to 3 do
+      check_packed_matches_square
+        (Printf.sprintf "random SPD n=%d #%d" n t)
+        (random_spd rng n)
+    done
+  done;
+  List.iter
+    (fun n ->
+      check_packed_matches_square (Printf.sprintf "random SPD n=%d" n)
+        (random_spd rng n))
+    [ 31; 64 ];
+  (* -0. off the diagonal: [+. 0.] must turn it into 0. as before. *)
+  check_packed_matches_square "signed zeros"
+    (Linalg.Dense.init 9 (fun i j -> if i = j then 2. else -0.));
+  (* The internal L_H solve of serve-hot's graph family. *)
+  let g = Graph_gen.weighted_gnp ~seed:3L 160 0.3 8 in
+  let h = (Sparsify.Spectral.sparsify g).Sparsify.Spectral.sparsifier in
+  check_packed_matches_square ~shift:1e-12 "reduced L_H, n=160"
+    (Graph.laplacian_grounded h);
+  (* Weights up to 2^40: the log U range of the solver's inputs. *)
+  let wide =
+    Graph.create 40
+      (List.init 39 (fun i ->
+           { Graph.u = i; v = i + 1; w = Float.ldexp 1. (i mod 41) })
+      @ List.init 20 (fun i ->
+            { Graph.u = i; v = 39 - i; w = Float.ldexp 1. (40 - (2 * i)) }))
+  in
+  check_packed_matches_square ~shift:1e-12 "grounded, weights to 2^40"
+    (Graph.laplacian_grounded wide);
+  (* A singular PSD matrix the shift rescues. *)
+  check_packed_matches_square ~shift:1e-9 "singular PSD, shifted"
+    (Graph.laplacian_dense (Graph_gen.path 7));
+  (* Indefinite (eigenvalues 3 and −1, then a bad pivot past a block):
+     both raise the same text. *)
+  check_packed_matches_square "indefinite 2x2" [| [| 1.; 2. |]; [| 2.; 1. |] |];
+  check_packed_matches_square "indefinite at row 6"
+    (Linalg.Dense.init 7 (fun i j ->
+         if i = j then if i = 6 then -1. else 4. else 0.5))
+
+let test_grounded_laplacian_matches_copy () =
+  List.iter
+    (fun g ->
+      let n = Graph.n g in
+      let l = Graph.laplacian_dense g in
+      let copy = Linalg.Dense.init (n - 1) (fun i j -> l.(i + 1).(j + 1)) in
+      let built = Graph.laplacian_grounded g in
+      Alcotest.(check int) "dimension" (n - 1) (Linalg.Dense.dim built);
+      Array.iteri
+        (fun i row ->
+          if not (same_bits row built.(i)) then
+            Alcotest.failf "grounded row %d differs (n=%d)" i n)
+        copy)
+    [
+      Graph_gen.weighted_gnp ~seed:3L 60 0.3 8;
+      Graph_gen.connected_gnp ~seed:5L 17 0.4;
+      Graph.create 4
+        [
+          { Graph.u = 0; v = 1; w = 0.1 };
+          { Graph.u = 1; v = 0; w = 0.2 };
+          { Graph.u = 2; v = 3; w = 1e12 };
+          { Graph.u = 3; v = 2; w = 3e-7 };
+        ];
+      Graph.create 1 [];
+    ];
+  Alcotest.check_raises "empty graph"
+    (Invalid_argument "Graph.laplacian_grounded: no vertex to ground")
+    (fun () -> ignore (Graph.laplacian_grounded (Graph.create 0 [])))
+
 let test_normalize_is_a_copy () =
   let open Linalg in
   (* The seed returned the *input* when ‖x‖ = 0, so callers mutating the
@@ -738,11 +927,22 @@ let test_dense_mul_vec_into_allocates_nothing () =
       Linalg.Dense.mul_vec_into a x y)
 
 let test_dense_cholesky_solve_into_allocates_nothing () =
-  let l = Linalg.Dense.cholesky (dense_spd 40) in
-  let b = Linalg.Vec.init 40 (fun i -> float_of_int ((i * 3) mod 11) -. 5.) in
-  let scratch = Linalg.Vec.create 40 and x = Linalg.Vec.create 40 in
-  calls_allocate_nothing "Dense.cholesky_solve_into" (fun () ->
-      Linalg.Dense.cholesky_solve_into l b scratch x)
+  (* n = 40 and 159 both run the forward pass's 4-row blocks and its
+     remainder rows. *)
+  List.iter
+    (fun n ->
+      let l = Linalg.Dense.cholesky (dense_spd n) in
+      let b = Linalg.Vec.init n (fun i -> float_of_int ((i * 3) mod 11) -. 5.) in
+      let scratch = Linalg.Vec.create n and x = Linalg.Vec.create n in
+      calls_allocate_nothing
+        (Printf.sprintf "Dense.cholesky_solve_into n=%d" n)
+        (fun () -> Linalg.Dense.cholesky_solve_into l b scratch x);
+      calls_allocate_nothing
+        (Printf.sprintf "Dense.forward_into/backward_into n=%d" n)
+        (fun () ->
+          Linalg.Dense.forward_into l b scratch;
+          Linalg.Dense.backward_into l scratch x))
+    [ 40; 159 ]
 
 let test_apply_laplacian_into_allocates_nothing () =
   let g = Graph_gen.weighted_gnp ~seed:24L 80 0.2 16 in
@@ -760,6 +960,10 @@ let suite =
         test_matvec_into_differential;
       Alcotest.test_case "cholesky solve into differential" `Quick
         test_cholesky_solve_into_differential;
+      Alcotest.test_case "packed cholesky bitwise = square reference" `Quick
+        test_packed_cholesky_matches_square;
+      Alcotest.test_case "grounded laplacian = copy of the full one" `Quick
+        test_grounded_laplacian_matches_copy;
       Alcotest.test_case "normalize returns a copy" `Quick
         test_normalize_is_a_copy;
       Alcotest.test_case "cg bit-identical to seed" `Quick
