@@ -7,15 +7,14 @@ type result = {
   graph : Callgraph.t;
 }
 
-(* L10 traversal boundary: the metered/driver/observability layers use
-   Domain, Unix and wall-clock by design and under their own rules (L9,
-   sanitizer, disabled-mode metrics); reaching *into* them from a charged
-   layer is the sanctioned path, so the walk stops at their doorstep. *)
+(* L10 traversal boundary: the metered and driver layers use Domain, Unix
+   and wall-clock by design and under their own rules (L9, sanitizer);
+   reaching *into* them from a charged layer is the sanctioned path, so
+   the walk stops at their doorstep. *)
 let traversal_stops file =
   Lint.transport_privileged file
   || Lint.wire_privileged file
   || Lint.under "fault" file
-  || Lint.under "metrics" file
 
 (* ------------------------------------------------------------- suppression *)
 

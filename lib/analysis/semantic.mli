@@ -12,9 +12,9 @@
       in a charged layer is a violation even when the primitive lives
       three helpers away in [lib/core]. Traversal does not descend into
       the sanctioned infrastructure layers ([lib/runtime], [lib/clique],
-      [lib/wire], [lib/fault], [lib/metrics]) — calling the metered
-      runtime is the model, not a violation. The finding prints the chain
-      hop by hop.
+      [lib/wire], [lib/fault]) — calling the metered runtime is the
+      model, not a violation. Every other layer, [lib/metrics] included,
+      is walked. The finding prints the chain hop by hop.
 
     - {b L11 — domain-race detector.} Top-level mutable state (ref cells,
       global [Hashtbl]/[Array]/[Bytes]/array-literal values) written from

@@ -1202,7 +1202,9 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?(backoff = 0.2)
   if k > 62 then invalid_arg "Socket.create: at most 62 shards";
   let policy = Option.value policy ~default:c.policy in
   let timeout =
-    match timeout with Some x when x > 0.0 -> x | _ -> c.timeout
+    match timeout with
+    | Some x when x > 0.0 && x <= Runtime.Config.max_timeout -> x
+    | _ -> c.timeout
   in
   let remote =
     min (match remote with Some r -> max 0 r | None -> c.remote) k

@@ -91,10 +91,11 @@ val create :
     external workers joining through the rendezvous — requires [addr],
     and bootstrap waits for them like any other worker, bounded by
     [timeout]. [policy] and [timeout] default to their environment knobs
-    as documented above; [backoff] is the first respawn pause, in
-    seconds. [CC_SHARD_LOG=path] appends the supervisor's events to
-    [path]. Every bootstrap failure is a structured
-    [Runtime.Shard.Shard_down] with [round = 0]. *)
+    as documented above; a [timeout] that is not positive or is above
+    [Runtime.Config.max_timeout] also takes the knob's value. [backoff]
+    is the first respawn pause, in seconds. [CC_SHARD_LOG=path] appends
+    the supervisor's events to [path]. Every bootstrap failure is a
+    structured [Runtime.Shard.Shard_down] with [round = 0]. *)
 
 val close : t -> unit
 (** Send shutdown frames, close links, reap the worker processes, and

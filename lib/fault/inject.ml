@@ -23,27 +23,16 @@ module Make (T : Runtime.TRANSPORT) = struct
   type t = {
     base : T.t;
     schedule : Schedule.t;
-    metrics : Metrics.t;
     crashed : bool array;
-    counts : (string, int) Hashtbl.t;
-    mutable total : int;
-    mutable events : event list;
+    mutable events : event list;  (* newest first *)
   }
 
   let default_width = T.default_width
 
   let unicast = T.unicast
 
-  let inject ?(metrics = Metrics.disabled) ~schedule base =
-    {
-      base;
-      schedule;
-      metrics;
-      crashed = Array.make (T.n base) false;
-      counts = Hashtbl.create 8;
-      total = 0;
-      events = [];
-    }
+  let inject ~schedule base =
+    { base; schedule; crashed = Array.make (T.n base) false; events = [] }
 
   let n t = T.n t.base
 
@@ -53,20 +42,23 @@ module Make (T : Runtime.TRANSPORT) = struct
 
   let recovery_rounds t = T.recovery_rounds t.base
 
+  (* Both counts are read off the trace, the layer's one store. *)
   let injected t =
-    List.sort compare
-      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.counts [])
+    List.map (fun e -> Schedule.kind_name e.kind) t.events
+    |> List.sort String.compare
+    |> List.fold_left
+         (fun acc k ->
+           match acc with
+           | (k', c) :: rest when k' = k -> (k, c + 1) :: rest
+           | _ -> (k, 1) :: acc)
+         []
+    |> List.rev
 
-  let injected_total t = t.total
+  let injected_total t = List.length t.events
 
   let events t = List.rev t.events
 
   let record t ~round ~op ~kind ~src ~dst ~detail =
-    let kn = Schedule.kind_name kind in
-    t.total <- t.total + 1;
-    Hashtbl.replace t.counts kn
-      (1 + Option.value ~default:0 (Hashtbl.find_opt t.counts kn));
-    Metrics.incr (Metrics.counter t.metrics ("fault.injected." ^ kn));
     t.events <- { round; op; kind; src; dst; detail } :: t.events
 
   (* Operation salts keep exchange/route/broadcast decisions independent

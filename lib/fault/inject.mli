@@ -25,15 +25,16 @@ val pp_event : Format.formatter -> event -> unit
 module Make (T : Runtime.TRANSPORT) : sig
   include Runtime.TRANSPORT
 
-  val inject : ?metrics:Metrics.t -> schedule:Schedule.t -> T.t -> t
+  val inject : schedule:Schedule.t -> T.t -> t
   (** [inject ~schedule base] wraps an existing kernel. Every injected
-      fault bumps the [fault.injected.<kind>] counter in [metrics]
-      (default {!Metrics.disabled}) and is appended to {!events}. *)
+      fault is appended to {!events}, the layer's one record of what it
+      did; the counts below are read off it. *)
 
   val injected : t -> (string * int) list
   (** Per-kind injected-fault counts, sorted by kind name. *)
 
   val injected_total : t -> int
+  (** The number of injected faults: the length of {!events}. *)
 
   val events : t -> event list
   (** The fault trace, in injection order. *)

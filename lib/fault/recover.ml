@@ -39,42 +39,31 @@ let attempt ~check f =
     | Check.Fail _ as v -> Error (Check.to_string v))
 
 (* The one retry loop. [in_retry] wraps every re-execution: the identity
-   for a plain computation, the recovery phase for one on a runtime. *)
-let loop ~in_retry ?(retries = 2) ?(metrics = Metrics.disabled) ~name ~check
-    f =
+   for a plain computation, the recovery phase for one on a runtime. The
+   attempts it made are the whole account: [outcome.attempts] on success,
+   [Fault_detected.attempts] on exhaustion. *)
+let loop ~in_retry ?(retries = 2) ~name ~check f =
   if retries < 0 then invalid_arg "Recover.run: retries must be >= 0";
-  let attempts_c = Metrics.counter metrics "recovery.attempts" in
-  let retries_c = Metrics.counter metrics "recovery.retries" in
-  let recovered_c = Metrics.counter metrics "recovery.recovered" in
-  let exhausted_c = Metrics.counter metrics "recovery.exhausted" in
   let rec go k last =
-    if k > retries + 1 then begin
-      Metrics.incr exhausted_c;
+    if k > retries + 1 then
       raise (Fault_detected { workload = name; attempts = k - 1; cause = last })
-    end
-    else begin
-      Metrics.incr attempts_c;
-      if k > 1 then Metrics.incr retries_c;
+    else
       let result =
         if k = 1 then attempt ~check f
         else in_retry (fun () -> attempt ~check f)
       in
       match result with
-      | Ok value ->
-        if k > 1 then Metrics.incr recovered_c;
-        { value; attempts = k; recovered = k > 1 }
+      | Ok value -> { value; attempts = k; recovered = k > 1 }
       | Error cause -> go (k + 1) cause
-    end
   in
   go 1 "never attempted"
 
-let run ?retries ?metrics ~name ~check f =
-  loop ~in_retry:(fun g -> g ()) ?retries ?metrics ~name ~check f
+let run ?retries ~name ~check f =
+  loop ~in_retry:(fun g -> g ()) ?retries ~name ~check f
 
 module Make (R : Runtime.S) = struct
   (* The first attempt is ordinary work in the caller's phase; every
      re-execution is charged to the recovery phase. *)
-  let run ?retries ?metrics ~name rt ~check f =
-    loop ~in_retry:(R.with_phase rt recovery_phase) ?retries ?metrics ~name
-      ~check f
+  let run ?retries ~name rt ~check f =
+    loop ~in_retry:(R.with_phase rt recovery_phase) ?retries ~name ~check f
 end

@@ -28,24 +28,21 @@ type 'a outcome = {
 
 val run :
   ?retries:int ->
-  ?metrics:Metrics.t ->
   name:string ->
   check:('a -> Check.verdict) ->
   (unit -> 'a) ->
   'a outcome
-(** [run ~retries ~metrics ~name ~check f] runs [f] up to [retries + 1]
-    times ([retries] defaults to 2) until [check] certifies its output. An
+(** [run ~retries ~name ~check f] runs [f] up to [retries + 1] times
+    ([retries] defaults to 2) until [check] certifies its output. An
     attempt fails when [check] returns a counterexample or when [f] raises
     (resource exhaustion excepted — [Out_of_memory] and [Stack_overflow]
-    propagate). Counters [recovery.attempts], [recovery.retries],
-    [recovery.recovered], and [recovery.exhausted] are bumped in [metrics]
-    (default {!Metrics.disabled}). Raises {!Fault_detected} naming [name]
-    when the budget is exhausted. *)
+    propagate). Raises {!Fault_detected} naming [name] when the budget is
+    exhausted. The attempts made are accounted in the result's [attempts]
+    and [recovered], or in the exception's [attempts]. *)
 
 module Make (R : Runtime.S) : sig
   val run :
     ?retries:int ->
-    ?metrics:Metrics.t ->
     name:string ->
     R.t ->
     check:('a -> Check.verdict) ->

@@ -1,7 +1,8 @@
 (** A minimal JSON tree with a deterministic serializer and a
-    recursive-descent parser — hand-rolled (no new dependencies, like
-    [lib/analysis]'s scanners) so the bench harness can emit
-    [BENCH_E<k>.json] files and [bench_diff] can read them back.
+    recursive-descent parser — hand-rolled (no new dependencies) so the
+    bench harness can emit [BENCH_E<k>.json] files and [bench_diff] can
+    read them back; cc_serve's job bodies and [cc_lint --json] use it
+    too.
 
     Serialization is deterministic: object fields are emitted in the order
     given, floats use the shortest decimal representation that round-trips

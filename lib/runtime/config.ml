@@ -22,6 +22,8 @@ type t = {
   kernel : kernel option;
 }
 
+let max_timeout = 1e6
+
 let parse lookup =
   let raw name = Option.map String.trim (lookup name) in
   let word name = Option.map String.lowercase_ascii (raw name) in
@@ -48,7 +50,7 @@ let parse lookup =
       | _ -> Fail);
     timeout =
       (match Option.bind (raw "CC_SHARD_TIMEOUT") float_of_string_opt with
-      | Some x when x > 0.0 -> x
+      | Some x when x > 0.0 && x <= max_timeout -> x
       | _ -> 30.0);
     addr = raw "CC_SHARD_ADDR";
     remote = count "CC_SHARD_REMOTE" ~min:0 ~default:0;

@@ -28,7 +28,9 @@ type t = {
   policy : policy;
       (** [CC_SHARD_POLICY]: [fail], [respawn] or [drain]; else [Fail] —
           the fail-stop behaviour an operator already expects. *)
-  timeout : float;  (** [CC_SHARD_TIMEOUT]: positive seconds, else 30. *)
+  timeout : float;
+      (** [CC_SHARD_TIMEOUT]: positive seconds up to {!max_timeout}, else
+          30. *)
   addr : string option;
       (** [CC_SHARD_ADDR]: the socket transport's rendezvous, in
           [Wire.Link]'s grammar; [None] means a Unix-domain socket under
@@ -43,6 +45,12 @@ type t = {
       (** No environment knob. [None] means [Shard] when [shards > 1], else
           [Arena]. *)
 }
+
+val max_timeout : float
+(** [1e6] seconds, the largest usable session timeout. The socket
+    transport waits up to [2·timeout + 1] seconds in one [Unix.select],
+    which refuses a wait of [2^31] seconds or more; a larger, infinite or
+    NaN value would fail every sharded run. *)
 
 val parse : (string -> string option) -> t
 (** [parse lookup] reads every knob through [lookup], which maps a

@@ -489,7 +489,21 @@ let test_l10_stops_at_privileged_layers () =
        [
          ("lib/runtime/fake_rt.ml", "let step f = ignore (Domain.spawn f)\n");
          ("lib/flow/fake_push.ml", "let run f = Fake_rt.step f\n");
-       ])
+       ]);
+  (* lib/metrics holds only JSON code and is walked like any helper
+     layer: a clock read there is reported against its charged caller. *)
+  let findings =
+    sem_findings
+      [
+        ("lib/metrics/fake_clock.ml", "let now () = Unix.gettimeofday ()\n");
+        ("lib/flow/fake_ipm.ml", "let step () = Fake_clock.now ()\n");
+      ]
+  in
+  check_findings "a clock read under lib/metrics is found"
+    [ (Rule.L10, 1) ] findings;
+  Alcotest.(check bool) "chain walks into lib/metrics" true
+    (contains (List.hd findings).Lint.message
+       "Fake_ipm.step -> Fake_clock.now -> Unix.gettimeofday")
 
 let test_l10_direct_hit_and_suppression () =
   let findings =

@@ -354,7 +354,9 @@ let test_config_parse_table () =
   check_knob "CC_SHARD_TIMEOUT"
     (fun c -> Printf.sprintf "%g" c.C.timeout)
     [ (None, "30"); (Some "2.5", "2.5"); (Some " 4 ", "4"); (Some "0", "30");
-      (Some "-1", "30"); (Some "soon", "30") ];
+      (Some "-1", "30"); (Some "soon", "30"); (Some "1e6", "1e+06");
+      (Some "inf", "30"); (Some "1e400", "30"); (Some "nan", "30");
+      (Some "1e10", "30"); (Some "1.08e9", "30") ];
   check_knob "CC_SHARD_REMOTE"
     (fun c -> string_of_int c.C.remote)
     [ (None, "0"); (Some "2", "2"); (Some " 1 ", "1"); (Some "0", "0");

@@ -215,6 +215,18 @@ let test_coalescing_no_cross_traffic () =
   Alcotest.(check int) "no crossings" 0 (stat "shard.crossings" t);
   Sock.close t
 
+(* An unusable explicit timeout takes the knob's value: the coordinator
+   waits up to 2·timeout + 1 s in one [Unix.select], which refuses a wait
+   of 2^31 s or more with EINVAL. *)
+let test_infinite_timeout () =
+  let n = 8 in
+  let t = Sock.create ~shards:2 ~timeout:infinity n in
+  let out = all_to_all n in
+  let expected, _ = M.deliver ~n ~width:2 out in
+  Alcotest.check inboxes_t "exchange completes" expected
+    (Sock.exchange t out);
+  Sock.close t
+
 (* -------------------------------------------------------- error parity *)
 
 let capture f = match f () with _ -> "no exception" | exception e -> Printexc.to_string e
@@ -845,6 +857,8 @@ let () =
             test_coalescing_all_to_all;
           Alcotest.test_case "no cross traffic: no mesh frames" `Quick
             test_coalescing_no_cross_traffic;
+          Alcotest.test_case "an infinite timeout takes the default" `Quick
+            test_infinite_timeout;
         ] );
       ( "errors",
         [
