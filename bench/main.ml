@@ -102,10 +102,26 @@ let git_rev () =
       end
       else None
     in
+    let after prefix l =
+      if String.starts_with ~prefix l then
+        Some
+          (String.sub l (String.length prefix)
+             (String.length l - String.length prefix))
+      else None
+    in
+    let relative_to dir p =
+      if Filename.is_relative p then Filename.concat dir p else p
+    in
+    (* [.git] is the repository, or a file "gitdir: <path>" pointing at it
+       (a worktree, a submodule, a [--separate-git-dir] clone), the path
+       relative to the file's directory. *)
     let rec find_git dir depth =
+      let dot = Filename.concat dir ".git" in
       if depth > 6 then None
-      else if Sys.file_exists (Filename.concat dir ".git") then
-        Some (Filename.concat dir ".git")
+      else if Sys.file_exists dot && Sys.is_directory dot then Some dot
+      else if Sys.file_exists dot then
+        Option.map (relative_to dir)
+          (Option.bind (read_first_line dot) (after "gitdir: "))
       else find_git (Filename.concat dir Filename.parent_dir_name) (depth + 1)
     in
     (* [git pack-refs] (which [git gc] also runs) deletes the loose ref
@@ -121,24 +137,28 @@ let git_rev () =
                | [ hash; name ] when name = r -> Some hash
                | _ -> None)
     in
+    let resolve r dir =
+      match read_first_line (Filename.concat dir r) with
+      | Some hash -> Some hash
+      | None -> packed_ref dir r
+    in
     match find_git "." 0 with
     | None -> "unknown"
     | Some git -> (
       match read_first_line (Filename.concat git "HEAD") with
       | None -> "unknown"
-      | Some head ->
-        let prefix = "ref: " in
-        if String.length head > String.length prefix
-           && String.sub head 0 (String.length prefix) = prefix
-        then
-          let r =
-            String.sub head (String.length prefix)
-              (String.length head - String.length prefix)
+      | Some head -> (
+        match after "ref: " head with
+        | None -> head
+        | Some r ->
+          (* A worktree keeps its branches in the main repository, which
+             its [commondir] file names. *)
+          let common =
+            Option.map (relative_to git)
+              (read_first_line (Filename.concat git "commondir"))
           in
-          match read_first_line (Filename.concat git r) with
-          | Some hash -> hash
-          | None -> Option.value (packed_ref git r) ~default:"unknown"
-        else head))
+          List.find_map (resolve r) (git :: Option.to_list common)
+          |> Option.value ~default:"unknown")))
 
 let write_bench x ~wall_clock =
   (* Attach this experiment's Bechamel estimates ("repro/e<k>-..."
@@ -1283,13 +1303,12 @@ let e13_minor_words_per_extra_iteration () =
      must allocate the same number of minor words, i.e. the steady-state
      loop is allocation-free. Meaningful on the native backend only. *)
   let g = Gen.connected_gnp ~seed:21L 60 0.15 in
-  let l = Graph.laplacian g in
   let b =
     Linalg.Vec.center
       (Linalg.Vec.init 60 (fun i -> float_of_int ((i * 7) mod 11) -. 5.))
   in
   let cg_ws = Linalg.Cg.Workspace.create 60 in
-  let apply_into src dst = Linalg.Csr.mul_vec_into l src dst in
+  let apply_into src dst = Graph.apply_laplacian_into g src dst in
   let run_cg k =
     ignore (Linalg.Cg.solve_into ~max_iters:k ~tol:0. cg_ws apply_into b)
   in

@@ -70,9 +70,8 @@ let k_inboxes = 3
 
 let k_error = 4
 
-let k_bcast = 5
-
-let k_bcast_ok = 6
+(* Kinds 5 and 6 are retired and never reused: a worker of an older
+   build at the same frame version reads them as a broadcast. *)
 
 let k_peer_down = 7
 
@@ -114,15 +113,6 @@ let put_batch w msgs =
    least its four ints. *)
 let get_batch r =
   List.init (Frame.Reader.count r ~bytes:32) (fun _ -> get_msg r)
-
-(* Broadcast values, in the request and in the reply: a count, then one
-   int array each. *)
-let put_values w values =
-  Frame.Writer.int w (Array.length values);
-  Array.iter (Frame.Writer.ints w) values
-
-let get_values r =
-  Array.init (Frame.Reader.count r ~bytes:8) (fun _ -> Frame.Reader.ints r)
 
 (* Accept one connection, waiting at most until [deadline]. *)
 let accept_deadline ~deadline ~tcp ~peer fd =
@@ -432,38 +422,6 @@ let handle_exchange st (f : Frame.t) =
       end)
   end
 
-let handle_bcast st (f : Frame.t) =
-  if f.epoch < st.epoch then true
-  else begin
-    let r = Frame.Reader.of_bytes f.payload in
-    let phase = Frame.Reader.string r in
-    let width = Frame.Reader.int r in
-    let lo = Frame.Reader.int r in
-    let values = get_values r in
-    Mailbox.set_context phase;
-    let error = ref None in
-    (try
-       Array.iteri
-         (fun i pay ->
-           let w = Array.length pay in
-           if w > width then begin
-             error :=
-               Some
-                 { Shard.gidx = lo + i; src = lo + i; dst = -1; words = w;
-                   width };
-             raise Exit
-           end)
-         values
-     with Exit -> ());
-    (match !error with
-    | Some o -> reply st ~kind:k_error ~seq:f.seq (overflow_payload o)
-    | None ->
-      let w = Frame.Writer.create ~hint:256 () in
-      put_values w values;
-      reply st ~kind:k_bcast_ok ~seq:f.seq (Frame.Writer.contents w));
-    true
-  end
-
 (* A Config frame (re)builds the whole session view: epoch, the session
    timeout, the live table, every live worker's node range and mesh
    address. The worker adopts the coordinator's timeout, so its mesh waits
@@ -561,7 +519,6 @@ let worker_serve st =
     | f ->
       if f.Frame.kind = k_shutdown then continue := false
       else if f.Frame.kind = k_exchange then continue := handle_exchange st f
-      else if f.Frame.kind = k_bcast then continue := handle_bcast st f
       else if f.Frame.kind = k_config then continue := handle_config st f
       else if f.Frame.kind = k_heartbeat then continue := handle_heartbeat st f
       else begin
@@ -1301,7 +1258,6 @@ let create ?shards:requested ?addr ?remote ?policy ?timeout ?(backoff = 0.2)
 
 type outcome =
   | Ok_inboxes of (int * int array) list array * (int * int * int * int)
-  | Ok_bcast of int array array
   | Err of Shard.overflow
 
 let read_overflow r : Shard.overflow =
@@ -1347,7 +1303,6 @@ let collect_reply t ~deadline s =
     end
     else if f.Frame.kind = k_error then `Out (Err (read_overflow r))
     else if f.Frame.kind = k_inboxes then `Out (read_inboxes r)
-    else if f.Frame.kind = k_bcast_ok then `Out (Ok_bcast (get_values r))
     else `Dead [ s ]
   with
   | reply -> reply
@@ -1428,8 +1383,7 @@ let exchange ?(width = default_width) t outboxes =
         t.peer_bytes_recv <- t.peer_bytes_recv + br;
         t.peer_frames <- t.peer_frames + fs;
         ignore fr
-      | Err o -> errors := o :: !errors
-      | Ok_bcast _ -> raise (Dead_workers [ s ]));
+      | Err o -> errors := o :: !errors);
     raise_first_error ~range_error:split.range_error !errors;
     let inboxes = Array.make t.n [] in
     List.iter
@@ -1444,47 +1398,20 @@ let exchange ?(width = default_width) t outboxes =
   in
   supervised t ~during:"exchange" attempt
 
+(* Broadcast and Lenzen routing stay coordinator-side, exactly as on the
+   in-process kernels. Workers keep no state across rounds, so a worker
+   round trip could only compute [Mailbox.broadcast]'s view, word count
+   and width error again; routing's cost model is [⌈load/(n·width)⌉]
+   batches either way, and no charged workload drives it through the
+   message stream (DESIGN.md §11.3). Neither touches a link, so a dead
+   worker is noticed by the next exchange or heartbeat. *)
 let broadcast ?(width = default_width) t values =
-  Mailbox.check_values ~n:t.n values;
-  let attempt () =
-    t.seq <- t.seq + 1;
-    let e = epoch t in
-    let lives = Shard.Partition.live_list t.part in
-    List.iter
-      (fun s ->
-        let lo, hi = Shard.Partition.bounds t.part s in
-        let w = Frame.Writer.create ~hint:256 () in
-        Frame.Writer.string w (Mailbox.current_context ());
-        Frame.Writer.int w width;
-        Frame.Writer.int w lo;
-        put_values w (Array.sub values lo (hi - lo));
-        send_to t s
-          { Frame.kind = k_bcast; src = -1; dst = s; seq = t.seq; epoch = e;
-            payload = Frame.Writer.contents w })
-      lives;
-    let view = Array.make t.n [||] in
-    let errors = ref [] in
-    collect_all t ~each:(fun s -> function
-      | Ok_bcast slice ->
-        let lo, _ = Shard.Partition.bounds t.part s in
-        Array.iteri (fun i pay -> view.(lo + i) <- pay) slice
-      | Err o -> errors := o :: !errors
-      | Ok_inboxes _ -> raise (Dead_workers [ s ]));
-    raise_first_error ~range_error:None !errors;
-    let words = ref 0 in
-    Array.iter
-      (fun pay -> words := !words + ((t.n - 1) * Array.length pay))
-      values;
-    t.words_sent <- t.words_sent + !words;
-    t.rounds <- t.rounds + Runtime.Cost.broadcast_rounds;
-    view
-  in
-  supervised t ~during:"broadcast" attempt
+  ensure_live t "broadcast";
+  let view, words = Mailbox.broadcast ~n:t.n ~width values in
+  t.words_sent <- t.words_sent + words;
+  t.rounds <- t.rounds + Runtime.Cost.broadcast_rounds;
+  view
 
-(* Lenzen routing stays a coordinator-side analytic path, exactly as on
-   the in-process kernels: no charged workload drives [route] through the
-   message stream, its cost model is [⌈load/(n·width)⌉] batches either
-   way (DESIGN.md §11). *)
 let route ?(width = default_width) t msgs =
   ensure_live t "route";
   let inboxes, words, batches = Mailbox.route ~n:t.n ~width msgs in

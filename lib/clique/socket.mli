@@ -162,8 +162,12 @@ val route :
     message stream). *)
 
 val broadcast : ?width:int -> t -> int array array -> int array array
-(** One-to-all broadcast: each worker width-checks and echoes its node
-    range, the coordinator assembles the common view. *)
+(** One-to-all broadcast, computed on the coordinator by
+    {!Runtime.Mailbox.broadcast}: the same view, word count and width
+    error as every in-process kernel, and no frame on the wire. Like
+    {!route} it raises [Shard_down] on a session that is down, but it
+    does not notice a worker that died since the last exchange: the next
+    exchange or heartbeat does, and charges the recovery round there. *)
 
 val stats : t -> (string * int) list
 (** [wire.frames], [wire.bytes_sent], [wire.bytes_recv] (coordinator

@@ -1,6 +1,5 @@
 module Vec = Linalg.Vec
 module Dense = Linalg.Dense
-module Csr = Linalg.Csr
 module Chebyshev = Linalg.Chebyshev
 module Graph = Graph
 module Digraph = Digraph

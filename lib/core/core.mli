@@ -21,7 +21,6 @@
 
 module Vec = Linalg.Vec
 module Dense = Linalg.Dense
-module Csr = Linalg.Csr
 module Chebyshev = Linalg.Chebyshev
 module Graph = Graph
 module Digraph = Digraph
@@ -92,7 +91,9 @@ val minimum_spanning_tree : Graph.t -> Clique.Boruvka.result
 
 val effective_resistance : Graph.t -> int -> int -> float
 (** A classic Laplacian-paradigm application, solved with the default
-    electrical backend. *)
+    electrical backend: [infinity] across components, [0.] from a vertex
+    to itself, and [Invalid_argument] naming the vertex and [n] for a
+    vertex out of range ({!Electrical.effective_resistance}). *)
 
 val version : string
 

@@ -25,8 +25,15 @@ let compute ?(solver = Cg 1e-10) ~support ~resistance ~b () =
       let l = Graph.laplacian_dense cg in
       (Linalg.Dense.solve_grounded l b, 1, 1)
     | Cg tol ->
-      let x, st = Linalg.Cg.solve_grounded ~tol (Graph.apply_laplacian cg) b in
-      (x, st.Linalg.Cg.iterations * Runtime.Cost.matvec_rounds,
+      (* b is centered a second time: float centering is not idempotent,
+         and the pinned flows and rounds come from this double pass. *)
+      let ws = Linalg.Cg.Workspace.create (Graph.n cg) in
+      let st =
+        Linalg.Cg.solve_into ~tol ws (Graph.apply_laplacian_into cg)
+          (Linalg.Vec.center b)
+      in
+      (Linalg.Vec.center ws.Linalg.Cg.Workspace.x,
+       st.Linalg.Cg.iterations * Runtime.Cost.matvec_rounds,
        st.Linalg.Cg.iterations)
     | Theorem_1_1 eps ->
       let r = Laplacian.Solver.solve ~eps cg b in
@@ -53,9 +60,18 @@ let compute ?(solver = Cg 1e-10) ~support ~resistance ~b () =
   }
 
 let effective_resistance ?solver g u v =
+  let n = Graph.n g in
+  List.iter
+    (fun x ->
+      if x < 0 || x >= n then
+        invalid_arg
+          (Printf.sprintf
+             "Electrical.effective_resistance: vertex %d out of range (n = %d)"
+             x n))
+    [ u; v ];
   if u = v then 0.
+  else if (Traversal.bfs g u).(v) < 0 then infinity
   else begin
-    let n = Graph.n g in
     let b =
       Linalg.Vec.sub (Linalg.Vec.basis n u) (Linalg.Vec.basis n v)
     in

@@ -30,10 +30,16 @@ val compute :
 (** [compute ~support ~resistance ~b ()] solves the electrical-flow problem
     on [support] (edge ids of [support] index [resistance] and the output
     [flow]). [b] must sum to 0 and be supported on one connected component.
-    Default solver: [Cg 1e-10]. *)
+    Default solver: [Cg 1e-10], which runs {!Linalg.Cg.solve_into} on a
+    fresh workspace over {!Graph.apply_laplacian_into}, from the centered
+    [b], and centers the potentials it returns. *)
 
 val effective_resistance :
   ?solver:solver -> Graph.t -> int -> int -> float
 (** [effective_resistance g u v] with resistances = 1/weight: the energy of a
     unit u→v electrical flow — used by examples and tests (and a classic
-    Laplacian-paradigm quantity in its own right). *)
+    Laplacian-paradigm quantity in its own right). It is [0.] when
+    [u = v], and [infinity] when no path joins [u] and [v] (one BFS from
+    [u] decides this before any solve). Otherwise [Theorem_1_1] still
+    needs the whole of [g] connected. Raises [Invalid_argument] naming
+    the vertex and [n] if [u] or [v] is not in [0 .. n-1]. *)

@@ -51,16 +51,6 @@ let total_weight g = Array.fold_left (fun acc e -> acc +. e.w) 0. g.edges
 
 let max_weight g = Array.fold_left (fun acc e -> Float.max acc e.w) 0. g.edges
 
-let laplacian g =
-  let triplets = ref [] in
-  Array.iter
-    (fun e ->
-      triplets :=
-        (e.u, e.u, e.w) :: (e.v, e.v, e.w) :: (e.u, e.v, -.e.w)
-        :: (e.v, e.u, -.e.w) :: !triplets)
-    g.edges;
-  Linalg.Csr.of_triplets ~rows:g.n ~cols:g.n !triplets
-
 let laplacian_dense g =
   let d = Array.make_matrix g.n g.n 0. in
   Array.iter

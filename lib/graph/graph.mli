@@ -40,10 +40,8 @@ val total_weight : t -> float
 val max_weight : t -> float
 (** Largest edge weight ([0.] on the empty graph) — the paper's [U]. *)
 
-val laplacian : t -> Linalg.Csr.t
-(** The graph Laplacian [L = D − A] as a sparse matrix. Parallel edges sum. *)
-
 val laplacian_dense : t -> Linalg.Dense.t
+(** The graph Laplacian [L = D − A] as a dense matrix. Parallel edges sum. *)
 
 val laplacian_grounded : t -> Linalg.Dense.t
 (** [laplacian_grounded g] is {!laplacian_dense} without row and column 0:

@@ -20,6 +20,12 @@ let require_connected entry g =
   if not (Graph.is_connected g) then
     invalid_arg (entry ^ ": graph must be connected (L† needs one component)")
 
+(* Written so that NaN fails too: every comparison with NaN is false. *)
+let require_eps entry eps =
+  if not (eps > 0. && eps < Float.infinity) then
+    invalid_arg
+      (Printf.sprintf "%s: eps %g is not finite and positive" entry eps)
+
 let require_rhs entry n b =
   if Linalg.Vec.dim b <> n then
     invalid_arg
@@ -174,6 +180,7 @@ let prepare_with_sparsifier ~eps ~inner ~sparsify_rounds g h =
   }
 
 let prepare ?(eps = 1e-6) ?inner ?model g =
+  require_eps "Solver.prepare" eps;
   require_connected "Solver.prepare" g;
   (* Only the sparsifier phase is model-sensitive: κ-estimation and the
      Chebyshev loop are matvecs against a globally-known iterate, which
@@ -224,6 +231,7 @@ let solve ?eps ?inner ?model g b =
   solve_prepared (prepare ?eps ?inner ?model g) b
 
 let solve_with_sparsifier ?(eps = 1e-6) g sp b =
+  require_eps "Solver.solve_with_sparsifier" eps;
   require_connected "Solver.solve_with_sparsifier" g;
   solve_prepared
     (prepare_with_sparsifier ~eps ~inner:None ~sparsify_rounds:None g
@@ -237,6 +245,7 @@ type prepared_cg = {
 }
 
 let prepare_cg ?(eps = 1e-6) g =
+  require_eps "Solver.prepare_cg" eps;
   require_connected "Solver.prepare_cg" g;
   {
     pc_eps = eps;

@@ -71,7 +71,8 @@ val prepare :
     accounting for the sparsifier phase; the matvec-driven phases
     (κ-estimation, Chebyshev) cost the same in both models, and the
     solution is bit-identical. Raises [Invalid_argument] on a disconnected
-    graph. *)
+    graph, and on an [eps] that is not finite and positive (0, negative,
+    NaN, ±∞), naming it. *)
 
 val solve_prepared : prepared -> Linalg.Vec.t -> report
 (** [solve_prepared p b] approximately solves [L_G x = b] for [b ⊥ 1] ([b]
@@ -103,15 +104,18 @@ val solve_with_sparsifier :
     1). Builds the same handle as {!prepare} around the given sparsifier,
     with [prepare]'s default inner solver, and solves once. The sparsifier
     construction is {e not} charged: the report has no ["sparsify"] phase.
-    Raises [Invalid_argument] on a disconnected graph. *)
+    Raises [Invalid_argument] on a disconnected graph or a bad [eps], as
+    {!prepare} does. *)
 
 (** {2 Conjugate-gradient baseline} *)
 
 type prepared_cg
 
 val prepare_cg : ?eps:float -> Graph.t -> prepared_cg
-(** One CG workspace per graph, reused across right-hand sides. Raises
-    [Invalid_argument] on a disconnected graph. *)
+(** One CG workspace per graph, reused across right-hand sides. [eps]
+    (default [1e-6]) sets CG's relative tolerance to [eps / 100]. Raises
+    [Invalid_argument] on a disconnected graph or a bad [eps], as
+    {!prepare} does. *)
 
 val solve_cg_prepared : prepared_cg -> Linalg.Vec.t -> report
 (** Plain distributed conjugate gradients (each iteration = one matvec

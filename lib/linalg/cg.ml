@@ -13,8 +13,8 @@ end
    dot products and norms are inlined because a call returning [float] boxes
    its result, which would charge one minor word per iteration. The element
    expressions reproduce the historical allocating implementation literally,
-   so [solve] (a thin wrapper over this kernel) stays bit-identical to the
-   seed solver — pinned by the differential test in test_linalg. *)
+   so the kernel stays bit-identical to the seed solver — pinned by the
+   differential test in test_linalg. *)
 (* cc_lint: hot solve_into *)
 let solve_into ?max_iters ?(tol = 1e-10) (ws : Workspace.t) apply_into b =
   let n = Vec.dim b in
@@ -73,14 +73,3 @@ let solve_into ?max_iters ?(tol = 1e-10) (ws : Workspace.t) apply_into b =
    with Exit -> ());
   let residual = sqrt !rs in
   { iterations = !iters; residual; converged = residual <= target }
-
-let solve ?max_iters ?tol apply b =
-  let ws = Workspace.create (Vec.dim b) in
-  let apply_into src dst = Vec.copy_into (apply src) dst in
-  let st = solve_into ?max_iters ?tol ws apply_into b in
-  (ws.Workspace.x, st)
-
-let solve_grounded ?tol apply b =
-  let b = Vec.center b in
-  let x, st = solve ?tol apply b in
-  (Vec.center x, st)

@@ -1,14 +1,14 @@
 (** Conjugate gradients on symmetric positive semi-definite operators.
 
-    Used in two places: (a) as the *baseline* Laplacian solver that the
+    Used in three places: (a) as the *baseline* Laplacian solver that the
     benchmarks compare the paper's preconditioned-Chebyshev solver against
-    (experiment E8), and (b) as the inner exact-ish solver for moderately
-    large sparsifier Laplacians where a dense Cholesky would be wasteful.
+    (experiment E8), (b) as the inner exact-ish solver for moderately
+    large sparsifier Laplacians where a dense Cholesky would be wasteful,
+    and (c) as the default backend of the flow IPMs' electrical flows.
 
-    The implementation is a zero-allocation workspace kernel
-    ({!Workspace}, {!solve_into}); the original allocating entry points
-    ({!solve}, {!solve_grounded}) are thin wrappers over it with
-    bit-identical results. *)
+    The implementation is one zero-allocation workspace kernel
+    ({!Workspace}, {!solve_into}); a caller with a singular Laplacian
+    centers [b] before the solve and [x] after it. *)
 
 type stats = {
   iterations : int;
@@ -38,28 +38,13 @@ val solve_into :
   (Vec.t -> Vec.t -> unit) ->
   Vec.t ->
   stats
-(** [solve_into ws apply_into b] runs CG with all state in [ws]; the
-    solution is left in [ws.x]. [apply_into src dst] must set
-    [dst <- A src] without touching any other workspace buffer. After the
-    workspace warm-up, each iteration performs zero heap allocations
-    (asserted via [Gc.minor_words] deltas in the test suite). Raises
-    [Invalid_argument] if [Workspace.dim ws <> Vec.dim b]. Stopping rules
-    and arithmetic are bit-identical to {!solve}. *)
-
-val solve :
-  ?max_iters:int ->
-  ?tol:float ->
-  (Vec.t -> Vec.t) ->
-  Vec.t ->
-  Vec.t * stats
-(** [solve apply b] runs CG on the operator [apply] with right-hand side [b],
-    from [x = 0], until the relative residual drops below [tol] (default
-    [1e-10]) or [max_iters] (default [10 * dim]) iterations elapse. For
-    singular Laplacian operators the caller must supply [b] orthogonal to
-    the kernel; the iterate then stays in the range. Allocating wrapper
-    over {!solve_into}. *)
-
-val solve_grounded : ?tol:float -> (Vec.t -> Vec.t) -> Vec.t -> Vec.t * stats
-(** Like {!solve} (at most [10 * dim] iterations) but first centers [b]
-    (projects out the all-ones kernel of a connected Laplacian) and
-    re-centers the solution. *)
+(** [solve_into ws apply_into b] runs CG on the operator [apply_into] with
+    right-hand side [b], from [x = 0], until the residual drops below
+    [tol ·‖b‖₂] ([tol] defaults to [1e-10]) or [max_iters] (default
+    [10 * dim]) iterations elapse; the solution is left in [ws.x].
+    [apply_into src dst] must set [dst <- A src] without touching any
+    other workspace buffer. For a singular Laplacian operator the caller
+    must supply [b] orthogonal to the kernel; the iterate then stays in
+    the range. After the workspace warm-up, each iteration performs zero
+    heap allocations (asserted via [Gc.minor_words] deltas in the test
+    suite). Raises [Invalid_argument] if [Workspace.dim ws <> Vec.dim b]. *)

@@ -314,20 +314,3 @@ let power_iteration ?(iters = 200) apply n =
      done
    with Exit -> ());
   (!lambda, !v)
-
-let eig_bounds_spd a =
-  let n = dim a in
-  (* Upper bound: Gershgorin discs. *)
-  let hi = ref 0. in
-  for i = 0 to n - 1 do
-    let r = ref 0. in
-    for j = 0 to n - 1 do
-      if j <> i then r := !r +. Float.abs a.(i).(j)
-    done;
-    hi := Float.max !hi (a.(i).(i) +. !r)
-  done;
-  (* Lower bound: inverse power iteration using a Cholesky factorization. *)
-  let l = cholesky ~shift:1e-12 a in
-  let mu, _ = power_iteration (fun v -> cholesky_solve l v) n in
-  let lo = if mu > 0. then 1. /. mu else 0. in
-  (lo, !hi)

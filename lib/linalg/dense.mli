@@ -29,8 +29,8 @@ val mul_vec : t -> Vec.t -> Vec.t
 
 val mul_vec_into : t -> Vec.t -> Vec.t -> unit
 (** [mul_vec_into a x y] sets [y <- A x] without allocating; [y] must not
-    alias [x] or a row of [a]. Same [apply_into] operator shape as
-    {!Csr.mul_vec_into}. *)
+    alias [x] or a row of [a]. This is the [apply_into] operator shape
+    that {!Cg.solve_into} and {!Chebyshev.solve_into} consume. *)
 
 val add : t -> t -> t
 
@@ -87,8 +87,3 @@ val power_iteration : ?iters:int -> (Vec.t -> Vec.t) -> int -> float * Vec.t
     vector, for at most [iters] (default 200) steps or until the Rayleigh
     quotient moves by at most 1e-10 relative. Returns
     [(rayleigh_quotient, unit eigvec estimate)]. *)
-
-val eig_bounds_spd : t -> float * float
-(** [eig_bounds_spd a] returns [(lo, hi)]: a lower bound on the smallest and
-    an upper bound on the largest eigenvalue of SPD [a]
-    (Gershgorin for [hi]; inverse power iteration for [lo]). *)

@@ -33,7 +33,7 @@ val axpy : float -> t -> t -> t
 
     Each [_into] variant writes its full result into a caller-owned
     destination and performs no heap allocation; destinations follow the
-    operator convention of {!Csr.mul_vec_into} (output parameter last).
+    operator convention of {!Dense.mul_vec_into} (output parameter last).
     Element expressions are bit-identical to the allocating functions that
     wrap them ({!sub}, {!scale}, {!axpy}, {!center}). [add_into] has no
     allocating twin. *)

@@ -62,7 +62,7 @@ jstatus=0
 grep -q '"cc-lint/1"' "$stage/findings.json" || fail "JSON output lacks schema tag"
 
 # The shipped tree must stay clean under the same gate.
-(cd "$repo_root" && "$lint" lib bin bench test) >"$out" 2>&1 ||
+(cd "$repo_root" && "$lint" lib bin bench test examples) >"$out" 2>&1 ||
   fail "shipped tree is not clean"
 
 echo "lint_smoke: OK"

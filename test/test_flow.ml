@@ -377,6 +377,120 @@ let test_electrical_solver_rounds_reported () =
   Alcotest.(check bool) "rounds = iterations" true
     (r.Electrical.solver_rounds = r.Electrical.solver_iterations)
 
+(* Two unit edges, 0–1 and 2–3: R(0,1) = 1, and no path joins 0 and 2.
+   The solvers used to answer R(0,2) with 2 (CG), 4.9996e11 (Exact) or a
+   "graph must be connected" error (Theorem 1.1), and a vertex out of
+   range with a bare index error or, for (7,7), with 0. *)
+let test_effective_resistance_components () =
+  let g =
+    Graph.create 4
+      [ { Graph.u = 0; v = 1; w = 1. }; { Graph.u = 2; v = 3; w = 1. } ]
+  in
+  let solvers =
+    [
+      ("cg", Electrical.Cg 1e-10);
+      ("exact", Electrical.Exact);
+      ("theorem 1.1", Electrical.Theorem_1_1 1e-6);
+    ]
+  in
+  List.iter
+    (fun (name, solver) ->
+      if name <> "theorem 1.1" then
+        Alcotest.(check (float 1e-9)) (name ^ ": R(0,1)") 1.
+          (Electrical.effective_resistance ~solver g 0 1);
+      Alcotest.(check (float 0.)) (name ^ ": R(0,2)") infinity
+        (Electrical.effective_resistance ~solver g 0 2))
+    solvers;
+  Alcotest.(check (float 0.)) "Core: R(0,2)" infinity
+    (Core.effective_resistance g 0 2);
+  let out_of_range what u v =
+    Alcotest.check_raises what
+      (Invalid_argument
+         "Electrical.effective_resistance: vertex 7 out of range (n = 4)")
+      (fun () -> ignore (Electrical.effective_resistance g u v))
+  in
+  out_of_range "R(0,7)" 0 7;
+  out_of_range "R(7,7)" 7 7;
+  out_of_range "R(7,0)" 7 0
+
+(* A verbatim copy of the CG backend's former path, CG's grounded
+   wrapper over the allocating [Graph.apply_laplacian]: center b, run CG
+   with a fresh vector copied in per matvec, center x. The workspace
+   backend must match it bit for bit: potentials, flow, energy, rounds. *)
+let grounded_cg_reference ~tol ~support ~resistance ~b =
+  let open Linalg in
+  let cg =
+    Graph.create (Graph.n support)
+      (Array.to_list (Graph.edges support)
+      |> List.mapi (fun id e -> { e with Graph.w = 1. /. resistance id }))
+  in
+  let b = Vec.center (Vec.center b) in
+  let ws = Cg.Workspace.create (Vec.dim b) in
+  let apply = Graph.apply_laplacian cg in
+  let st =
+    Cg.solve_into ~tol ws (fun src dst -> Vec.copy_into (apply src) dst) b
+  in
+  let phi = Vec.center ws.Cg.Workspace.x in
+  let flow =
+    Array.mapi
+      (fun id e -> (phi.(e.Graph.u) -. phi.(e.Graph.v)) /. resistance id)
+      (Graph.edges support)
+  in
+  let energy = ref 0. in
+  Array.iteri
+    (fun id f -> energy := !energy +. (resistance id *. f *. f))
+    flow;
+  (phi, flow, !energy, st.Cg.iterations)
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let test_electrical_cg_matches_grounded_reference () =
+  List.iter
+    (fun (name, support, resistance) ->
+      let n = Graph.n support in
+      List.iter
+        (fun (tag, b) ->
+          let what = Printf.sprintf "%s, %s" name tag in
+          let phi, flow, energy, iters =
+            grounded_cg_reference ~tol:1e-10 ~support ~resistance ~b
+          in
+          let r =
+            Electrical.compute ~solver:(Electrical.Cg 1e-10) ~support
+              ~resistance ~b ()
+          in
+          Alcotest.(check bool) (what ^ ": potentials") true
+            (same_bits phi r.Electrical.potentials);
+          Alcotest.(check bool) (what ^ ": flow") true
+            (same_bits flow r.Electrical.flow);
+          Alcotest.(check bool) (what ^ ": energy") true
+            (Int64.equal (Int64.bits_of_float energy)
+               (Int64.bits_of_float r.Electrical.energy));
+          Alcotest.(check int) (what ^ ": iterations") iters
+            r.Electrical.solver_iterations;
+          Alcotest.(check int) (what ^ ": rounds")
+            (iters * Runtime.Cost.matvec_rounds)
+            r.Electrical.solver_rounds)
+        [
+          ( "unit s-t demand",
+            Linalg.Vec.sub (Linalg.Vec.basis n 0) (Linalg.Vec.basis n (n - 1)) );
+          ( "spread demand",
+            Linalg.Vec.init n (fun i -> float_of_int ((i * 7) mod 5) -. 2.) );
+        ])
+    [
+      ( "weighted_gnp 30",
+        Graph_gen.weighted_gnp ~seed:3L 30 0.2 8,
+        fun id -> 1. /. float_of_int (1 + (id mod 8)) );
+      ("grid 5x6", Graph_gen.grid 5 6, fun id -> 0.25 +. float_of_int (id mod 7));
+      ( "expander 24",
+        Graph_gen.expander 24 4,
+        fun id -> Float.ldexp 1. ((id mod 11) - 5) );
+      ("barbell 6", Graph_gen.barbell 6, fun id -> 1. +. (0.37 *. float_of_int id));
+    ]
+
 let more_flow_qcheck =
   let open QCheck in
   [
@@ -427,6 +541,10 @@ let suite =
       Alcotest.test_case "decompose pure cycle" `Quick test_decompose_pure_cycle;
       Alcotest.test_case "electrical rounds reported" `Quick
         test_electrical_solver_rounds_reported;
+      Alcotest.test_case "effective resistance across components" `Quick
+        test_effective_resistance_components;
+      Alcotest.test_case "electrical cg = grounded reference" `Quick
+        test_electrical_cg_matches_grounded_reference;
     ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) more_flow_qcheck
 

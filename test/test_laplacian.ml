@@ -309,6 +309,31 @@ let test_disconnected_rejected () =
         b);
   rejects "Solver.prepare_cg" (fun () -> Laplacian.Solver.solve_cg_baseline g b)
 
+(* An eps that is not finite and positive is refused by name, once, in
+   the solver: it used to surface as a NaN weight out of the weight
+   rounding (Theorem 1.1), or as an unconverged CG answer reported as a
+   success (the baseline). *)
+let test_bad_eps_refused () =
+  let g = Gen.weighted_gnp ~seed:5L 30 0.3 8 in
+  let b = demand 30 in
+  List.iter
+    (fun (eps, shown) ->
+      let refuses entry f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s, eps %s" entry shown)
+          (Invalid_argument
+             (Printf.sprintf "%s: eps %s is not finite and positive" entry
+                shown))
+          (fun () -> ignore (f ()))
+      in
+      refuses "Solver.prepare" (fun () -> Laplacian.Solver.solve ~eps g b);
+      refuses "Solver.solve_with_sparsifier" (fun () ->
+          Laplacian.Solver.solve_with_sparsifier ~eps g
+            (Sparsify.Spectral.sparsify g) b);
+      refuses "Solver.prepare_cg" (fun () ->
+          Laplacian.Solver.solve_cg_baseline ~eps g b))
+    [ (0., "0"); (-1., "-1"); (nan, "nan"); (infinity, "inf") ]
+
 (* A NaN weight used to reach the solver, which answered x = nan with
    residual nan; the graph is now refused before any solve runs. *)
 let test_nan_weight_refused () =
@@ -333,6 +358,7 @@ let suite =
       Alcotest.test_case "zero rhs" `Quick test_zero_rhs;
       Alcotest.test_case "disconnected graph rejected" `Quick
         test_disconnected_rejected;
+      Alcotest.test_case "bad eps refused" `Quick test_bad_eps_refused;
     ]
 
 (* ------------------------------------------------- pinned golden reports *)

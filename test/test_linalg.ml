@@ -15,10 +15,11 @@ let vec_add x y =
   Linalg.Vec.add_into x y dst;
   dst
 
-let csr_mul a x =
-  let y = Linalg.Vec.create (Linalg.Csr.rows a) in
-  Linalg.Csr.mul_vec_into a x y;
-  y
+(* CG from a fresh workspace: the solution and the stats. *)
+let cg_solve ?max_iters apply_into b =
+  let ws = Linalg.Cg.Workspace.create (Linalg.Vec.dim b) in
+  let st = Linalg.Cg.solve_into ?max_iters ws apply_into b in
+  (ws.Linalg.Cg.Workspace.x, st)
 
 (* The grounded convention on the workspace Chebyshev kernel: center [b],
    iterate, center [x]. *)
@@ -122,54 +123,13 @@ let test_power_iteration () =
   check_float "dominant eigenvalue" 1e-6 5. lambda;
   Alcotest.(check bool) "eigvec aligned" true (Float.abs v.(1) > 0.99)
 
-let test_eig_bounds () =
-  let a = [| [| 2.; 1. |]; [| 1.; 2. |] |] in
-  (* eigenvalues 1 and 3 *)
-  let lo, hi = Linalg.Dense.eig_bounds_spd a in
-  Alcotest.(check bool) "lo <= 1" true (lo <= 1. +. 1e-6);
-  Alcotest.(check bool) "lo near 1" true (lo > 0.9);
-  Alcotest.(check bool) "hi >= 3" true (hi >= 3. -. 1e-9)
-
-(* ------------------------------------------------------------------ Csr *)
-
-let test_csr_build () =
-  let a =
-    Linalg.Csr.of_triplets ~rows:3 ~cols:3
-      [ (0, 0, 1.); (0, 2, 2.); (2, 1, -1.); (0, 2, 3.); (1, 1, 0.) ]
-  in
-  Alcotest.(check int) "nnz merges dups, drops zeros" 3 (Linalg.Csr.nnz a);
-  check_float "merged value" 1e-12 5. (Linalg.Csr.get a 0 2);
-  check_float "absent is 0" 1e-12 0. (Linalg.Csr.get a 1 1)
-
-let test_csr_matvec () =
-  let a =
-    Linalg.Csr.of_triplets ~rows:2 ~cols:3
-      [ (0, 0, 1.); (0, 1, 2.); (1, 2, 4.) ]
-  in
-  let y = csr_mul a [| 1.; 1.; 1. |] in
-  Alcotest.(check bool)
-    "Ax" true
-    (Linalg.Vec.equal y (Linalg.Vec.of_list [ 3.; 4. ]));
-  let z = Linalg.Csr.mul_vec_transpose a [| 1.; 1. |] in
-  Alcotest.(check bool)
-    "Aᵀx" true
-    (Linalg.Vec.equal z (Linalg.Vec.of_list [ 1.; 2.; 4. ]))
-
-let test_csr_transpose_dense_roundtrip () =
-  let d = [| [| 0.; 1.; 0. |]; [| 2.; 0.; 3. |]; [| 0.; 0.; 4. |] |] in
-  let a = Linalg.Csr.of_dense d in
-  let back = Linalg.Csr.to_dense (Linalg.Csr.transpose (Linalg.Csr.transpose a)) in
-  Alcotest.(check bool)
-    "transpose involution" true
-    (back = d)
-
-let test_csr_laplacian_symmetry () =
+let test_laplacian_symmetry () =
   let g = Gen.connected_gnp ~seed:7L 20 0.2 in
-  let l = Graph.laplacian g in
-  Alcotest.(check bool) "symmetric" true (Linalg.Csr.is_symmetric l);
+  Alcotest.(check bool) "symmetric" true
+    (Linalg.Dense.is_symmetric (Graph.laplacian_dense g));
   (* Row sums of a Laplacian vanish. *)
   let ones = Linalg.Vec.constant 20 1. in
-  let y = csr_mul l ones in
+  let y = Graph.apply_laplacian g ones in
   Alcotest.(check bool) "L·1 = 0" true (Linalg.Vec.norm2 y < 1e-9)
 
 (* ------------------------------------------------------------------- Cg *)
@@ -177,7 +137,7 @@ let test_csr_laplacian_symmetry () =
 let test_cg_solves_spd () =
   let a = [| [| 4.; 1.; 0. |]; [| 1.; 3.; 1. |]; [| 0.; 1.; 2. |] |] in
   let b = [| 1.; 2.; 3. |] in
-  let x, st = Linalg.Cg.solve (Linalg.Dense.mul_vec a) b in
+  let x, st = cg_solve (Linalg.Dense.mul_vec_into a) b in
   Alcotest.(check bool) "converged" true st.Linalg.Cg.converged;
   let r = Linalg.Vec.sub (Linalg.Dense.mul_vec a x) b in
   Alcotest.(check bool) "residual" true (Linalg.Vec.norm2 r < 1e-8)
@@ -185,7 +145,8 @@ let test_cg_solves_spd () =
 let test_cg_grounded_laplacian () =
   let g = Gen.connected_gnp ~seed:3L 30 0.15 in
   let b = Linalg.Vec.center (Linalg.Vec.init 30 (fun i -> float_of_int (i mod 5))) in
-  let x, st = Linalg.Cg.solve_grounded (Graph.apply_laplacian g) b in
+  let x, st = cg_solve (Graph.apply_laplacian_into g) (Linalg.Vec.center b) in
+  let x = Linalg.Vec.center x in
   Alcotest.(check bool) "converged" true st.Linalg.Cg.converged;
   let r = Linalg.Vec.sub (Graph.apply_laplacian g x) b in
   Alcotest.(check bool) "residual" true (Linalg.Vec.norm2 r < 1e-7)
@@ -267,10 +228,10 @@ let qcheck_tests =
       small_nat
       (fun seed ->
         let g = Graph_gen.connected_gnp ~seed:(Int64.of_int (seed + 100)) 10 0.4 in
-        let l = Graph.laplacian g in
         let d = Graph.laplacian_dense g in
         let x = Linalg.Vec.init 10 (fun i -> float_of_int ((i + seed) mod 4)) in
-        Linalg.Vec.equal ~eps:1e-9 (csr_mul l x) (Linalg.Dense.mul_vec d x));
+        Linalg.Vec.equal ~eps:1e-9 (Graph.apply_laplacian g x)
+          (Linalg.Dense.mul_vec d x));
   ]
 
 let suite =
@@ -285,13 +246,7 @@ let suite =
     Alcotest.test_case "inverse spd" `Quick test_inverse_spd;
     Alcotest.test_case "grounded laplacian solve" `Quick test_solve_grounded;
     Alcotest.test_case "power iteration" `Quick test_power_iteration;
-    Alcotest.test_case "eig bounds" `Quick test_eig_bounds;
-    Alcotest.test_case "csr build" `Quick test_csr_build;
-    Alcotest.test_case "csr matvec" `Quick test_csr_matvec;
-    Alcotest.test_case "csr transpose roundtrip" `Quick
-      test_csr_transpose_dense_roundtrip;
-    Alcotest.test_case "laplacian csr symmetric" `Quick
-      test_csr_laplacian_symmetry;
+    Alcotest.test_case "laplacian csr symmetric" `Quick test_laplacian_symmetry;
     Alcotest.test_case "cg solves spd" `Quick test_cg_solves_spd;
     Alcotest.test_case "cg grounded laplacian" `Quick test_cg_grounded_laplacian;
     Alcotest.test_case "chebyshev identity preconditioner" `Quick
@@ -360,9 +315,7 @@ let test_cholesky_shift_rescues_psd () =
 let test_cg_max_iters_respected () =
   let a = Gen.expander 40 6 in
   let b = Linalg.Vec.center (Linalg.Vec.basis 40 0) in
-  let _, st =
-    Linalg.Cg.solve ~max_iters:3 (Graph.apply_laplacian a) b
-  in
+  let _, st = cg_solve ~max_iters:3 (Graph.apply_laplacian_into a) b in
   Alcotest.(check bool) "stopped at cap" true (st.Linalg.Cg.iterations <= 3)
 
 let test_chebyshev_respects_max_iters () =
@@ -413,21 +366,6 @@ let more_qcheck =
         let x = Linalg.Vec.of_list xs in
         Linalg.Vec.equal ~eps:1e-9 (Linalg.Vec.center x)
           (Linalg.Vec.center (Linalg.Vec.center x)));
-    Test.make ~name:"csr add = dense add" ~count:40 small_nat
-      (fun seed ->
-        let g1 = Graph_gen.connected_gnp ~seed:(Int64.of_int (seed + 300)) 8 0.4 in
-        let g2 = Graph_gen.connected_gnp ~seed:(Int64.of_int (seed + 301)) 8 0.4 in
-        let a = Graph.laplacian g1 and b = Graph.laplacian g2 in
-        Linalg.Csr.to_dense (Linalg.Csr.add a b)
-        = Linalg.Dense.add (Graph.laplacian_dense g1) (Graph.laplacian_dense g2));
-    Test.make ~name:"csr scale commutes with matvec" ~count:40 small_nat
-      (fun seed ->
-        let g = Graph_gen.connected_gnp ~seed:(Int64.of_int (seed + 302)) 9 0.4 in
-        let a = Graph.laplacian g in
-        let x = Linalg.Vec.init 9 (fun i -> float_of_int ((i * 3) mod 5)) in
-        Linalg.Vec.equal ~eps:1e-9
-          (csr_mul (Linalg.Csr.scale 2.5 a) x)
-          (Linalg.Vec.scale 2.5 (csr_mul a x)));
     Test.make ~name:"grounded solve really solves" ~count:30 small_nat
       (fun seed ->
         let g = Graph_gen.connected_gnp ~seed:(Int64.of_int (seed + 303)) 10 0.4 in
@@ -810,7 +748,7 @@ let test_cg_bit_identical_to_seed () =
       in
       let apply = Graph.apply_laplacian g in
       let x_seed, st_seed = Seed_cg.solve apply b in
-      let x_new, st_new = Cg.solve apply b in
+      let x_new, st_new = cg_solve (into apply) b in
       bitwise (Printf.sprintf "cg x (seed %d)" seed) x_seed x_new;
       Alcotest.(check bool)
         (Printf.sprintf "cg stats (seed %d)" seed)
@@ -862,12 +800,11 @@ let test_cg_iterations_allocate_nothing () =
   let open Linalg in
   if Sys.backend_type = Sys.Native then begin
     let g = Graph_gen.connected_gnp ~seed:21L 60 0.15 in
-    let l = Graph.laplacian g in
     let b =
       Vec.center (Vec.init 60 (fun i -> float_of_int ((i * 7) mod 11) -. 5.))
     in
     let ws = Cg.Workspace.create 60 in
-    let apply_into src dst = Csr.mul_vec_into l src dst in
+    let apply_into src dst = Graph.apply_laplacian_into g src dst in
     let run k = ignore (Cg.solve_into ~max_iters:k ~tol:0. ws apply_into b) in
     run 2 (* warm-up *);
     let d1 = minor_words_delta (fun () -> run 5) in
@@ -879,12 +816,11 @@ let test_chebyshev_iterations_allocate_nothing () =
   let open Linalg in
   if Sys.backend_type = Sys.Native then begin
     let g = Graph_gen.connected_gnp ~seed:22L 60 0.15 in
-    let l = Graph.laplacian g in
     let b =
       Vec.center (Vec.init 60 (fun i -> float_of_int ((i * 3) mod 13) -. 6.))
     in
     let ws = Chebyshev.Workspace.create 60 in
-    let apply_a_into src dst = Csr.mul_vec_into l src dst in
+    let apply_a_into src dst = Graph.apply_laplacian_into g src dst in
     let solve_b_into src dst = Vec.scale_into 0.125 src dst in
     let run k =
       ignore

@@ -134,6 +134,47 @@ let test_bad_graph_refused () =
         (request addr
            {|{"kind":"solve","graph":{"gen":"grid","rows":2,"cols":2},"b":[1,2,3]}|}))
 
+(* The solver refuses an eps that is not finite and positive, by name;
+   the CG baseline used to answer "eps":1e400 (which parses to ∞) after
+   0 iterations with residual 1.0, and "eps":0 unconverged. The body is
+   sent verbatim: [Client.request_string] would re-encode ∞ as null. *)
+let test_bad_eps_refused () =
+  with_daemon (fun addr ->
+      let link = Link.dial ~peer:"test" (Link.address addr) in
+      List.iter
+        (fun (eps, shown) ->
+          Link.send link
+            {
+              Wire.Frame.kind = Serve.Job.frame_job;
+              src = 0;
+              dst = 0;
+              seq = 1;
+              epoch = 0;
+              payload =
+                Bytes.of_string
+                  (Printf.sprintf
+                     {|{"kind":"solve","solver":"cg","graph":{"gen":"weighted_gnp","n":30,"p":0.3,"u":8},"eps":%s}|}
+                     eps);
+            };
+          let r =
+            match
+              Json.of_string
+                (Bytes.to_string
+                   (Link.recv ~deadline:(deadline ()) link).Wire.Frame.payload)
+            with
+            | Ok j -> j
+            | Error e -> Alcotest.fail e
+          in
+          check_refused ("eps " ^ eps) r;
+          Alcotest.(check (option string))
+            ("eps " ^ eps ^ ": names eps")
+            (Some
+               (Printf.sprintf
+                  "Solver.prepare_cg: eps %s is not finite and positive" shown))
+            (Serve.Client.error_message r))
+        [ ("1e400", "inf"); ("0", "0") ];
+      Link.close link)
+
 let test_oversized_frame_refused_connection_kept () =
   with_daemon ~max_bytes:256 (fun addr ->
       let c = Serve.Client.connect addr in
@@ -838,6 +879,8 @@ let () =
             test_unknown_kind_refused;
           Alcotest.test_case "bad instances refused" `Quick
             test_bad_graph_refused;
+          Alcotest.test_case "bad eps refused by name" `Quick
+            test_bad_eps_refused;
           Alcotest.test_case "oversized frame refused, connection kept" `Quick
             test_oversized_frame_refused_connection_kept;
           Alcotest.test_case "64-KB request drained, connection kept" `Quick

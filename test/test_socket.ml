@@ -215,6 +215,42 @@ let test_coalescing_no_cross_traffic () =
   Alcotest.(check int) "no crossings" 0 (stat "shard.crossings" t);
   Sock.close t
 
+(* Broadcast runs on the coordinator: the in-process view, words and
+   rounds, with no frame on the wire. So it does not notice a worker that
+   died since the last exchange; the next exchange does, and a session
+   that is down refuses a broadcast too. *)
+let test_broadcast_on_coordinator () =
+  let n = 8 in
+  let t = Sock.create ~shards:2 n in
+  let values = Array.init n (fun v -> [| v; v + 3 |]) in
+  let expected, words = M.broadcast ~n ~width:2 values in
+  let before = stat "wire.frames" t in
+  Alcotest.(check (array (array int))) "broadcast parity" expected
+    (Sock.broadcast t values);
+  Alcotest.(check int) "no frame sent or received" before
+    (stat "wire.frames" t);
+  Alcotest.(check int) "words" words (Sock.words_sent t);
+  Alcotest.(check int) "rounds" Runtime.Cost.broadcast_rounds (Sock.rounds t);
+  (match Sock.pids t with
+  | [ _; pid1 ] ->
+    Unix.kill pid1 Sys.sigkill;
+    ignore (Unix.waitpid [] pid1)
+  | pids ->
+    Alcotest.fail (Printf.sprintf "expected 2 workers, got %d" (List.length pids)));
+  Alcotest.(check (array (array int))) "a dead worker goes unnoticed"
+    expected (Sock.broadcast t values);
+  (match Sock.exchange t (all_to_all n) with
+  | _ -> Alcotest.fail "exchange through a dead worker must raise"
+  | exception Shard.Shard_down { shard; during; _ } ->
+    Alcotest.(check int) "the exchange names the dead shard" 1 shard;
+    Alcotest.(check string) "during the exchange" "exchange" during);
+  (match Sock.broadcast t values with
+  | _ -> Alcotest.fail "a down session must refuse a broadcast"
+  | exception Shard.Shard_down { shard; during; _ } ->
+    Alcotest.(check int) "still names the shard" 1 shard;
+    Alcotest.(check string) "during the broadcast" "broadcast" during);
+  Sock.close t
+
 (* An unusable explicit timeout takes the knob's value: the coordinator
    waits up to 2·timeout + 1 s in one [Unix.select], which refuses a wait
    of 2^31 s or more with EINVAL. *)
@@ -859,6 +895,8 @@ let () =
             test_coalescing_no_cross_traffic;
           Alcotest.test_case "an infinite timeout takes the default" `Quick
             test_infinite_timeout;
+          Alcotest.test_case "broadcast: no frame on the wire" `Quick
+            test_broadcast_on_coordinator;
         ] );
       ( "errors",
         [
