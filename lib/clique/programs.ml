@@ -15,9 +15,12 @@ module type S = sig
   val boruvka : runtime -> Graph.t -> int list * float * int
 end
 
-let edge_key g id =
-  let e = Graph.edge g id in
-  (e.Graph.w, id)
+(* Edge [a] is lighter than edge [b]: by weight, then by id. Weights are
+   finite and positive ([Graph.create] admits no other), so this is the
+   order polymorphic [<] gives on [(w, id)] pairs, without building them. *)
+let lighter g a b =
+  let wa = (Graph.edge g a).Graph.w and wb = (Graph.edge g b).Graph.w in
+  wa < wb || (wa = wb && a < b)
 
 (* Deduplicated adjacency sets (parallel edges carry one message, like the
    CONGEST kernel's adjacency sets). *)
@@ -235,7 +238,7 @@ module Make (R : Runtime.S) = struct
               match candidate.(v) with
               | -1 -> candidate.(v) <- id
               | best ->
-                if edge_key g id < edge_key g best then candidate.(v) <- id)
+                if lighter g id best then candidate.(v) <- id)
           (Graph.adj g v)
       done;
       (* Round 2: broadcast the candidates; everyone now shares the merge
@@ -255,7 +258,7 @@ module Make (R : Runtime.S) = struct
             match Hashtbl.find_opt best_of_component c with
             | None -> Hashtbl.replace best_of_component c id
             | Some cur ->
-              if edge_key g id < edge_key g cur then
+              if lighter g id cur then
                 Hashtbl.replace best_of_component c id
           end)
         shared;

@@ -18,24 +18,29 @@ let is_eulerian g =
   done;
   !ok
 
-(* Step 1 (internal): each vertex pairs its incident edges; following the
-   pairs decomposes the edge multiset into closed trails. [partner.(v)] maps
-   an incident edge id to the edge it is paired with at v. *)
+(* Step 1 (internal): each vertex pairs its incident edges in
+   [Graph.adj] order; following the pairs decomposes the edge multiset into
+   closed trails. An edge is paired once at each of its two ends, so the
+   pairs live in two arrays: [at_u.(e)] is the edge paired with [e] at e's
+   u end, [at_v.(e)] the one at its v end. The ends of an edge differ (no
+   self-loops), so parallel edges are told apart by edge id alone. *)
 let build_trails g =
   let n = Graph.n g in
   let m = Graph.m g in
-  let partner = Array.init n (fun _ -> Hashtbl.create 4) in
+  let at_u = Array.make m (-1) and at_v = Array.make m (-1) in
+  let pair_at v a b =
+    if (Graph.edge g a).Graph.u = v then at_u.(a) <- b else at_v.(a) <- b
+  in
   for v = 0 to n - 1 do
-    let incident = List.map snd (Graph.adj g v) in
     let rec pair_up = function
       | [] -> ()
       | [ _ ] -> invalid_arg "Orientation: odd degree"
-      | a :: b :: rest ->
-        Hashtbl.replace partner.(v) a b;
-        Hashtbl.replace partner.(v) b a;
+      | (_, a) :: (_, b) :: rest ->
+        pair_at v a b;
+        pair_at v b a;
         pair_up rest
     in
-    pair_up incident
+    pair_up (Graph.adj g v)
   done;
   let used = Array.make m false in
   let trails = ref [] in
@@ -51,8 +56,10 @@ let build_trails g =
         let e = Graph.edge g !cur in
         let along = e.Graph.u = !from in
         trail := { edge = !cur; along } :: !trail;
+        (* The trail arrives at v when it runs along the edge, at u
+           otherwise, and leaves by the partner paired there. *)
         let arrive = if along then e.Graph.v else e.Graph.u in
-        let nxt = Hashtbl.find partner.(arrive) !cur in
+        let nxt = if along then at_v.(!cur) else at_u.(!cur) in
         if used.(nxt) then begin
           (* The trail can only close at its start pair. *)
           assert (nxt = e0 && arrive = start_edge.Graph.u);
@@ -71,20 +78,29 @@ let build_trails g =
 (* One contraction iteration over all rings simultaneously: 3-color the
    active positions, keep the higher-ID endpoint of each matched link.
    With [Sampling], survivors are chosen by coin flips instead (the paper's
-   randomized remark: drops the log* n coloring rounds). *)
-let contract_once ?rng ~succ ~pred ~active ~eligible ~ring_of () =
-  let positions =
-    Array.of_list
-      (List.filter
-         (fun i -> active.(i) && eligible i)
-         (List.init (Array.length succ) Fun.id))
-  in
-  let k = Array.length positions in
-  let index = Hashtbl.create k in
-  Array.iteri (fun slot p -> Hashtbl.replace index p slot) positions;
-  let s = Array.map (fun p -> Hashtbl.find index succ.(p)) positions in
-  let p = Array.map (fun q -> Hashtbl.find index pred.(q)) positions in
-  let ids = Array.copy positions in
+   randomized remark: drops the log* n coloring rounds).
+
+   The participants are the active positions of rings with more than one
+   active position, in increasing order; a participant's ID is its
+   position. One pass over all positions collects them into [slots] and
+   records each one's slot in [index] (both of length [total], allocated
+   once per orientation; only the participants' entries are read). *)
+let contract_once ?rng ~succ ~pred ~active ~ring_of ~active_per_ring ~slots
+    ~index () =
+  let k = ref 0 in
+  for pos = 0 to Array.length succ - 1 do
+    if active.(pos) && active_per_ring.(ring_of.(pos)) > 1 then begin
+      slots.(!k) <- pos;
+      index.(pos) <- !k;
+      incr k
+    end
+  done;
+  let k = !k in
+  let positions = Array.sub slots 0 k in
+  (* Positions are never written below, so they serve as the IDs. *)
+  let ids = positions in
+  let s = Array.map (fun q -> index.(succ.(q))) positions in
+  let p = Array.map (fun q -> index.(pred.(q))) positions in
   let keep = Array.make k false in
   let cv_rounds =
     match rng with
@@ -112,47 +128,37 @@ let contract_once ?rng ~succ ~pred ~active ~eligible ~ring_of () =
     | Some rng ->
       (* Randomized selection: one coin flip each, zero coloring rounds.
          Guarantee a survivor per ring by retaining the max-ID position of
-         any ring the coins would wipe out. *)
+         any ring the coins would wipe out. Every decision below is per
+         ring, so arrays indexed by ring id hold it ([-1]: no slot). *)
       Array.iteri (fun i _ -> keep.(i) <- Prng.bool rng) positions;
-      let ring_best = Hashtbl.create 16 in
+      let rings = Array.length active_per_ring in
+      let best = Array.make rings (-1) in
+      let alive = Array.make rings false in
       Array.iteri
         (fun i pos ->
-          let r = ring_of pos in
-          match Hashtbl.find_opt ring_best r with
-          | Some (_, best_id) when best_id >= ids.(i) -> ()
-          | _ -> Hashtbl.replace ring_best r (i, ids.(i)))
+          let r = ring_of.(pos) in
+          if best.(r) < 0 || ids.(best.(r)) < ids.(i) then best.(r) <- i;
+          if keep.(i) then alive.(r) <- true)
         positions;
-      let ring_alive = Hashtbl.create 16 in
       Array.iteri
-        (fun i pos -> if keep.(i) then Hashtbl.replace ring_alive (ring_of pos) ())
-        positions;
-      Hashtbl.iter
-        (fun r (i, _) -> if not (Hashtbl.mem ring_alive r) then keep.(i) <- true)
-        ring_best;
+        (fun r i -> if i >= 0 && not alive.(r) then keep.(i) <- true)
+        best;
       (* Also never keep a whole ring intact forever: if every position of a
          ring survived the flips, drop its minimum-ID one. *)
-      let ring_total = Hashtbl.create 16 in
+      let total = Array.make rings 0 in
+      let kept = Array.make rings 0 in
+      let lowest = Array.make rings (-1) in
       Array.iteri
         (fun i pos ->
-          let r = ring_of pos in
-          let tot, kept, mn =
-            match Hashtbl.find_opt ring_total r with
-            | Some x -> x
-            | None -> (0, 0, None)
-          in
-          let mn =
-            match mn with
-            | Some (j, best) when best <= ids.(i) -> Some (j, best)
-            | _ -> Some (i, ids.(i))
-          in
-          Hashtbl.replace ring_total r
-            (tot + 1, (kept + if keep.(i) then 1 else 0), mn))
+          let r = ring_of.(pos) in
+          total.(r) <- total.(r) + 1;
+          if keep.(i) then kept.(r) <- kept.(r) + 1;
+          if lowest.(r) < 0 || ids.(lowest.(r)) > ids.(i) then lowest.(r) <- i)
         positions;
-      Hashtbl.iter
-        (fun _ (tot, kept, mn) ->
-          if tot > 1 && kept = tot then
-            match mn with Some (i, _) -> keep.(i) <- false | None -> ())
-        ring_total;
+      Array.iteri
+        (fun r tot ->
+          if tot > 1 && kept.(r) = tot then keep.(lowest.(r)) <- false)
+        total;
       0
   in
   Array.iteri (fun slot p -> if not keep.(slot) then active.(p) <- false)
@@ -219,6 +225,7 @@ let orient ?(selector = Cole_vishkin) ?(choose = fun (_ : ring_edge list) -> tru
     let ledger = Runtime.Cost.create () in
     let active = Array.make total true in
     let active_per_ring = Array.copy ring_sizes in
+    let slots = Array.make total 0 and index = Array.make total 0 in
     let iterations = ref 0 in
     let coloring_rounds = ref 0 in
     let forward_rounds = ref 0 in
@@ -228,11 +235,9 @@ let orient ?(selector = Cole_vishkin) ?(choose = fun (_ : ring_edge list) -> tru
       (* Rings already down to a single survivor are done; only multi-active
          rings participate (a singleton has succ = itself and no link to
          color). *)
-      let eligible pos = active_per_ring.(ring_of.(pos)) > 1 in
       let cv =
-        contract_once ?rng ~succ ~pred ~active ~eligible
-          ~ring_of:(fun pos -> ring_of.(pos))
-          ()
+        contract_once ?rng ~succ ~pred ~active ~ring_of ~active_per_ring
+          ~slots ~index ()
       in
       coloring_rounds := !coloring_rounds + cv;
       (* CV exchange + the constant-round bridged forwarding via routing. *)

@@ -30,9 +30,18 @@ val compute :
 (** [compute ~support ~resistance ~b ()] solves the electrical-flow problem
     on [support] (edge ids of [support] index [resistance] and the output
     [flow]). [b] must sum to 0 and be supported on one connected component.
-    Default solver: [Cg 1e-10], which runs {!Linalg.Cg.solve_into} on a
-    fresh workspace over {!Graph.apply_laplacian_into}, from the centered
-    [b], and centers the potentials it returns. *)
+    Default solver: [Cg 1e-10]. It fills one conductance array per solve
+    ([1 / resistance id] per edge) and runs {!Linalg.Cg.solve_into} on a
+    fresh workspace over {!Graph.apply_conductance_laplacian_into} on
+    [support] with that array, from the centered [b], and centers the
+    potentials it returns. [Exact] and [Theorem_1_1] build the
+    conductance-weighted [Graph.t] they need. On a disconnected support,
+    [Theorem_1_1] solves on the component that carries [b] and centers
+    the potentials over all vertices; a [b] that is nonzero on two
+    components raises [Invalid_argument]. Raises [Invalid_argument] when
+    [b] does not have one entry per vertex of [support], on a resistance
+    [<= 0] ("Electrical: non-positive resistance") and on a conductance
+    that is not finite and positive, naming the edge. *)
 
 val effective_resistance :
   ?solver:solver -> Graph.t -> int -> int -> float
@@ -40,6 +49,5 @@ val effective_resistance :
     unit u→v electrical flow — used by examples and tests (and a classic
     Laplacian-paradigm quantity in its own right). It is [0.] when
     [u = v], and [infinity] when no path joins [u] and [v] (one BFS from
-    [u] decides this before any solve). Otherwise [Theorem_1_1] still
-    needs the whole of [g] connected. Raises [Invalid_argument] naming
+    [u] decides this before any solve). Raises [Invalid_argument] naming
     the vertex and [n] if [u] or [v] is not in [0 .. n-1]. *)

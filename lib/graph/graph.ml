@@ -94,6 +94,28 @@ let apply_laplacian_into g x y =
     y.(e.v) <- y.(e.v) -. d
   done
 
+(* [apply_laplacian_into] with [c.(i)] in place of edge [i]'s weight: the
+   same terms in the same order, so a conductance array equal to the
+   weights gives the same bits. *)
+(* cc_lint: hot apply_conductance_laplacian_into *)
+let apply_conductance_laplacian_into g c x y =
+  if Array.length c <> Array.length g.edges then
+    invalid_arg
+      "Graph.apply_conductance_laplacian_into: one conductance per edge";
+  if Array.length x <> g.n then
+    invalid_arg "Graph.apply_conductance_laplacian_into: dimension mismatch";
+  if Array.length y <> g.n then
+    invalid_arg
+      "Graph.apply_conductance_laplacian_into: output dimension mismatch";
+  Linalg.Vec.fill y 0.;
+  let edges = g.edges in
+  for i = 0 to Array.length edges - 1 do
+    let e = edges.(i) in
+    let d = c.(i) *. (x.(e.u) -. x.(e.v)) in
+    y.(e.u) <- y.(e.u) +. d;
+    y.(e.v) <- y.(e.v) -. d
+  done
+
 let apply_laplacian g x =
   if Array.length x <> g.n then
     invalid_arg "Graph.apply_laplacian: dimension mismatch";

@@ -58,6 +58,16 @@ val apply_laplacian_into : t -> Linalg.Vec.t -> Linalg.Vec.t -> unit
     ([y] must not alias [x]); the [apply_into] operator shape consumed by
     {!Linalg.Cg.solve_into} and {!Linalg.Chebyshev.solve_into}. *)
 
+val apply_conductance_laplacian_into :
+  t -> float array -> Linalg.Vec.t -> Linalg.Vec.t -> unit
+(** [apply_conductance_laplacian_into g c x y] sets [y <- L x] for the
+    Laplacian of [g]'s edges weighted by [c] ([c.(i)] replaces edge [i]'s
+    weight), without allocating. It runs {!apply_laplacian_into}'s loop
+    term for term, so it gives the same bits as that kernel on a graph
+    whose weights equal [c]. [Electrical.compute]'s CG backend runs it
+    on a per-solve conductance array. Raises [Invalid_argument] unless
+    [c] has one entry per edge and [x], [y] have [n g] entries. *)
+
 val quadratic_form : t -> Linalg.Vec.t -> float
 (** [quadratic_form g x = xᵀ L_G x = Σ_e w_e (x_u − x_v)²]. *)
 

@@ -346,12 +346,15 @@ let result_body ~id ~kind ~result ~metrics =
       ("metrics", Json.Assoc metrics);
     ]
 
-let frame ~kind ~id body =
+let frame_text ~kind ~id text =
   {
     Wire.Frame.kind;
     src = 0;
     dst = 0;
     seq = id;
     epoch = 0;
-    payload = Bytes.of_string (Json.to_string ~minify:true body);
+    payload = Bytes.of_string text;
   }
+
+let frame ~kind ~id body =
+  frame_text ~kind ~id (Json.to_string ~minify:true body)

@@ -109,3 +109,6 @@ val result_body :
 
 val frame : kind:int -> id:int -> Json.t -> Wire.Frame.t
 (** Wrap a JSON body into a protocol frame (minified payload, [seq = id]). *)
+
+val frame_text : kind:int -> id:int -> string -> Wire.Frame.t
+(** {!frame} with the payload given as text, sent byte for byte. *)

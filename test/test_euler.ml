@@ -186,3 +186,104 @@ let suite =
       Alcotest.test_case "randomized drops coloring rounds" `Quick
         test_randomized_drops_coloring_rounds;
     ]
+
+(* ------------------------------------------------ golden orientations *)
+
+(* Every output of [orient], pinned: the orientation (MD5 of its 0/1
+   string), rounds, rings, iterations, coloring rounds and the phase
+   ledger. The orientation pins the trails, so the order in which each
+   vertex pairs its edges; the counts pin the contraction. Recorded
+   before the trails and the contraction moved from hash tables to
+   arrays; the multigraph has parallel edges, as flow rounding's odd-arc
+   graphs do, and the cost rule compares ring costs as flow rounding's
+   does. *)
+let orientation_fp o =
+  Digest.to_hex
+    (Digest.string
+       (String.init (Array.length o) (fun i -> if o.(i) then '1' else '0')))
+
+let cost_choose ring =
+  let fwd = ref 0 and bwd = ref 0 in
+  List.iter
+    (fun re ->
+      let c = (re.Euler.Orientation.edge * 37) mod 11 in
+      if re.Euler.Orientation.along then fwd := !fwd + c else bwd := !bwd + c)
+    ring;
+  !fwd <= !bwd
+
+let golden_multigraph () =
+  let a = Graph_gen.cycle_union ~seed:5L 64 4 in
+  Graph.union (Graph.union a a) (Graph_gen.cycle_union ~seed:6L 64 3)
+
+let golden_cycle_union s () = Graph_gen.cycle_union ~seed:s 512 8
+
+let phases ~bridge ~coloring ~decision ~reverse =
+  [
+    ("bridge", bridge);
+    ("coloring", coloring);
+    ("decision", decision);
+    ("reverse", reverse);
+  ]
+
+let golden_cases =
+  let cv = Euler.Orientation.Cole_vishkin in
+  let sampling s = Euler.Orientation.Sampling s in
+  [
+    ( "cycle_union seed 1", golden_cycle_union 1L, cv, false,
+      ("1fa8124fc8e0e4fa9ea52f06521e3d81", 398, 8, 9, 53),
+      phases ~bridge:144 ~coloring:53 ~decision:4 ~reverse:197 );
+    ( "cycle_union seed 2", golden_cycle_union 2L, cv, false,
+      ("63fb431e0756ea043453895be1916b9a", 396, 8, 9, 52),
+      phases ~bridge:144 ~coloring:52 ~decision:4 ~reverse:196 );
+    ( "cycle_union seed 3", golden_cycle_union 3L, cv, false,
+      ("66ec9f9505b01ddef05b42649c07ffc3", 396, 8, 9, 52),
+      phases ~bridge:144 ~coloring:52 ~decision:4 ~reverse:196 );
+    ( "cycle_union seed 4", golden_cycle_union 4L, cv, false,
+      ("e8b97b41ac3a8e0eb519ee57f8af60aa", 400, 8, 9, 54),
+      phases ~bridge:144 ~coloring:54 ~decision:4 ~reverse:198 );
+    ( "multigraph", golden_multigraph, cv, false,
+      ("4a22029d446be85c4bcc2a7c84634567", 266, 11, 6, 35),
+      phases ~bridge:96 ~coloring:35 ~decision:4 ~reverse:131 );
+    ( "multigraph, cost choose", golden_multigraph, cv, true,
+      ("c77a16e024a3abd231607619c31af43d", 266, 11, 6, 35),
+      phases ~bridge:96 ~coloring:35 ~decision:4 ~reverse:131 );
+    ( "cycle_union seed 1, cost choose", golden_cycle_union 1L, cv, true,
+      ("25c666b8881e8ae22e0e778bbdfc3668", 398, 8, 9, 53),
+      phases ~bridge:144 ~coloring:53 ~decision:4 ~reverse:197 );
+    ( "cycle_union seed 1, sampling 7", golden_cycle_union 1L, sampling 7L,
+      false,
+      ("1fa8124fc8e0e4fa9ea52f06521e3d81", 292, 8, 9, 0),
+      phases ~bridge:144 ~coloring:0 ~decision:4 ~reverse:144 );
+    ( "cycle_union seed 2, sampling 14", golden_cycle_union 2L, sampling 14L,
+      false,
+      ("63fb431e0756ea043453895be1916b9a", 292, 8, 9, 0),
+      phases ~bridge:144 ~coloring:0 ~decision:4 ~reverse:144 );
+    ( "multigraph, sampling 3", golden_multigraph, sampling 3L, false,
+      ("4a22029d446be85c4bcc2a7c84634567", 196, 11, 6, 0),
+      phases ~bridge:96 ~coloring:0 ~decision:4 ~reverse:96 );
+  ]
+
+let test_golden_orientations () =
+  List.iter
+    (fun (name, g, selector, cost, (fp, rounds, rings, iterations, coloring),
+          phase_rounds) ->
+      let g = g () in
+      let choose = if cost then Some cost_choose else None in
+      let r = Euler.Orientation.orient ~selector ?choose g in
+      let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+      Alcotest.(check string) (name ^ ": orientation") fp
+        (orientation_fp r.Euler.Orientation.orientation);
+      check "rounds" rounds r.Euler.Orientation.rounds;
+      check "rings" rings r.Euler.Orientation.rings;
+      check "iterations" iterations r.Euler.Orientation.iterations;
+      check "coloring rounds" coloring r.Euler.Orientation.coloring_rounds;
+      Alcotest.(check (list (pair string int)))
+        (name ^ ": phase rounds") phase_rounds
+        r.Euler.Orientation.phase_rounds)
+    golden_cases
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "golden orientations" `Quick test_golden_orientations;
+    ]

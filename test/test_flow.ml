@@ -377,10 +377,12 @@ let test_electrical_solver_rounds_reported () =
   Alcotest.(check bool) "rounds = iterations" true
     (r.Electrical.solver_rounds = r.Electrical.solver_iterations)
 
-(* Two unit edges, 0–1 and 2–3: R(0,1) = 1, and no path joins 0 and 2.
-   The solvers used to answer R(0,2) with 2 (CG), 4.9996e11 (Exact) or a
-   "graph must be connected" error (Theorem 1.1), and a vertex out of
-   range with a bare index error or, for (7,7), with 0. *)
+(* Two unit edges, 0–1 and 2–3: R(0,1) = R(2,3) = 1, and no path joins
+   0 and 2. The solvers used to answer R(0,2) with 2 (CG), 4.9996e11
+   (Exact) or a "graph must be connected" error (Theorem 1.1), and a
+   vertex out of range with a bare index error or, for (7,7), with 0.
+   Theorem 1.1 also refused R(0,1), as its solver needs one component;
+   it now solves on the component that carries the demand. *)
 let test_effective_resistance_components () =
   let g =
     Graph.create 4
@@ -388,19 +390,38 @@ let test_effective_resistance_components () =
   in
   let solvers =
     [
-      ("cg", Electrical.Cg 1e-10);
-      ("exact", Electrical.Exact);
-      ("theorem 1.1", Electrical.Theorem_1_1 1e-6);
+      ("cg", Electrical.Cg 1e-10, 1e-9);
+      ("exact", Electrical.Exact, 1e-9);
+      ("theorem 1.1", Electrical.Theorem_1_1 1e-6, 1e-5);
     ]
   in
   List.iter
-    (fun (name, solver) ->
-      if name <> "theorem 1.1" then
-        Alcotest.(check (float 1e-9)) (name ^ ": R(0,1)") 1.
-          (Electrical.effective_resistance ~solver g 0 1);
+    (fun (name, solver, tol) ->
+      Alcotest.(check (float tol)) (name ^ ": R(0,1)") 1.
+        (Electrical.effective_resistance ~solver g 0 1);
+      Alcotest.(check (float tol)) (name ^ ": R(2,3)") 1.
+        (Electrical.effective_resistance ~solver g 2 3);
       Alcotest.(check (float 0.)) (name ^ ": R(0,2)") infinity
         (Electrical.effective_resistance ~solver g 0 2))
     solvers;
+  (* On its component, the potentials sum to 0 over all four vertices. *)
+  let r =
+    Electrical.compute ~solver:(Electrical.Theorem_1_1 1e-6) ~support:g
+      ~resistance:(fun _ -> 1.)
+      ~b:[| 1.; -1.; 0.; 0. |] ()
+  in
+  Alcotest.(check (float 1e-12)) "theorem 1.1: potentials centered" 0.
+    (Array.fold_left ( +. ) 0. r.Electrical.potentials);
+  Alcotest.(check (float 1e-5)) "theorem 1.1: energy" 1. r.Electrical.energy;
+  Alcotest.check_raises "theorem 1.1: b on two components"
+    (Invalid_argument
+       "Electrical.compute: b is nonzero on two components of the support; \
+        Theorem_1_1 solves on one")
+    (fun () ->
+      ignore
+        (Electrical.compute ~solver:(Electrical.Theorem_1_1 1e-6) ~support:g
+           ~resistance:(fun _ -> 1.)
+           ~b:[| 1.; 0.; -1.; 0. |] ()));
   Alcotest.(check (float 0.)) "Core: R(0,2)" infinity
     (Core.effective_resistance g 0 2);
   let out_of_range what u v =
@@ -491,6 +512,80 @@ let test_electrical_cg_matches_grounded_reference () =
       ("barbell 6", Graph_gen.barbell 6, fun id -> 1. +. (0.37 *. float_of_int id));
     ]
 
+(* The inputs [compute] refuses: a demand of the wrong length (Exact used
+   to answer a 5-entry b on 4 vertices, and Theorem_1_1 on a disconnected
+   support a 3- or 5-entry one), r <= 0 by name, and a conductance 1/r
+   that is not finite and positive with the edge named. *)
+let test_electrical_refuses_bad_inputs () =
+  let g = Graph_gen.cycle 4 in
+  let b = Linalg.Vec.sub (Linalg.Vec.basis 4 0) (Linalg.Vec.basis 4 2) in
+  let with_r2 r id = if id = 2 then r else 1. in
+  let disconnected =
+    Graph.create 4
+      [ { Graph.u = 0; v = 1; w = 1. }; { Graph.u = 2; v = 3; w = 1. } ]
+  in
+  List.iter
+    (fun solver ->
+      List.iter
+        (fun (support, len) ->
+          Alcotest.check_raises
+            (Printf.sprintf "b of length %d" len)
+            (Invalid_argument
+               (Printf.sprintf
+                  "Electrical.compute: b has %d entries but the support has \
+                   4 vertices"
+                  len))
+            (fun () ->
+              ignore
+                (Electrical.compute ~solver ~support
+                   ~resistance:(fun _ -> 1.)
+                   ~b:(Array.init len (fun i -> if i = 0 then 1. else 0.))
+                   ())))
+        [ (g, 3); (g, 5); (disconnected, 3); (disconnected, 5) ];
+      Alcotest.check_raises "r = 0"
+        (Invalid_argument "Electrical: non-positive resistance") (fun () ->
+          ignore
+            (Electrical.compute ~solver ~support:g ~resistance:(with_r2 0.)
+               ~b ()));
+      Alcotest.check_raises "r = 1e-320"
+        (Invalid_argument
+           "Electrical: conductance inf of edge 2 (2,3) is not finite and \
+            positive") (fun () ->
+          ignore
+            (Electrical.compute ~solver ~support:g
+               ~resistance:(with_r2 1e-320) ~b ()));
+      Alcotest.check_raises "r = nan"
+        (Invalid_argument
+           "Electrical: conductance nan of edge 2 (2,3) is not finite and \
+            positive") (fun () ->
+          ignore
+            (Electrical.compute ~solver ~support:g
+               ~resistance:(with_r2 Float.nan) ~b ())))
+    [ Electrical.Cg 1e-10; Electrical.Exact; Electrical.Theorem_1_1 1e-6 ]
+
+(* One CG solve on the support of random_mcf 40/150/10 (seed 3: 40
+   vertices, 189 edges, 33 CG iterations) with non-uniform resistances.
+   Built through a conductance Graph.t per solve, it allocated 6,440 minor
+   words; over the conductance array it allocates about 1,850. The bound
+   is half the former count. Bytecode boxes every float, so native only. *)
+let test_electrical_cg_allocation_bounded () =
+  if Sys.backend_type = Sys.Native then begin
+    let g, _ = Graph_gen.random_mcf ~seed:3L 40 150 10 in
+    let support = Digraph.underlying g in
+    let n = Graph.n support in
+    let resistance id = 0.5 +. float_of_int ((id * 5) mod 9) in
+    let b = Linalg.Vec.init n (fun i -> float_of_int ((i * 7) mod 5) -. 2.) in
+    let solve () = Electrical.compute ~support ~resistance ~b () in
+    let r = solve () in
+    Alcotest.(check int) "CG iterations" 33 r.Electrical.solver_iterations;
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (solve ()));
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check bool)
+      (Printf.sprintf "one solve allocates %.0f <= 3220 minor words" words)
+      true (words <= 3220.)
+  end
+
 let more_flow_qcheck =
   let open QCheck in
   [
@@ -545,6 +640,10 @@ let suite =
         test_effective_resistance_components;
       Alcotest.test_case "electrical cg = grounded reference" `Quick
         test_electrical_cg_matches_grounded_reference;
+      Alcotest.test_case "electrical refuses bad inputs" `Quick
+        test_electrical_refuses_bad_inputs;
+      Alcotest.test_case "electrical cg allocation bounded" `Quick
+        test_electrical_cg_allocation_bounded;
     ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) more_flow_qcheck
 

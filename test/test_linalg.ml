@@ -804,12 +804,25 @@ let test_cg_iterations_allocate_nothing () =
       Vec.center (Vec.init 60 (fun i -> float_of_int ((i * 7) mod 11) -. 5.))
     in
     let ws = Cg.Workspace.create 60 in
-    let apply_into src dst = Graph.apply_laplacian_into g src dst in
-    let run k = ignore (Cg.solve_into ~max_iters:k ~tol:0. ws apply_into b) in
-    run 2 (* warm-up *);
-    let d1 = minor_words_delta (fun () -> run 5) in
-    let d2 = minor_words_delta (fun () -> run 25) in
-    check_float "20 extra CG iterations allocate zero words" 0. 0. (d2 -. d1)
+    (* The edge weights, and the conductance array Electrical's CG backend
+       runs on. *)
+    let c = Array.init (Graph.m g) (fun i -> 1. /. float_of_int (1 + (i mod 5))) in
+    List.iter
+      (fun (what, apply_into) ->
+        let run k =
+          ignore (Cg.solve_into ~max_iters:k ~tol:0. ws apply_into b)
+        in
+        run 2 (* warm-up *);
+        let d1 = minor_words_delta (fun () -> run 5) in
+        let d2 = minor_words_delta (fun () -> run 25) in
+        check_float
+          (what ^ ": 20 extra CG iterations allocate zero words")
+          0. 0. (d2 -. d1))
+      [
+        ("apply_laplacian_into", Graph.apply_laplacian_into g);
+        ("apply_conductance_laplacian_into",
+         Graph.apply_conductance_laplacian_into g c);
+      ]
   end
 
 let test_chebyshev_iterations_allocate_nothing () =
@@ -887,6 +900,52 @@ let test_apply_laplacian_into_allocates_nothing () =
   calls_allocate_nothing "Graph.apply_laplacian_into" (fun () ->
       Graph.apply_laplacian_into g x y)
 
+(* The conductance kernel on an array equal to the weights gives the
+   weight kernel's bits; on other conductances it matches a graph built
+   with them as weights. *)
+let test_conductance_laplacian_matches_weighted () =
+  let g = Graph_gen.weighted_gnp ~seed:25L 50 0.2 16 in
+  let x = Linalg.Vec.init 50 (fun i -> float_of_int ((i * 7) mod 13) -. 6.) in
+  let same_bits a b =
+    Array.for_all2
+      (fun p q -> Int64.equal (Int64.bits_of_float p) (Int64.bits_of_float q))
+      a b
+  in
+  let run apply =
+    let y = Linalg.Vec.create 50 in
+    apply x y;
+    y
+  in
+  let weights = Array.map (fun e -> e.Graph.w) (Graph.edges g) in
+  Alcotest.(check bool) "c = weights" true
+    (same_bits
+       (run (Graph.apply_laplacian_into g))
+       (run (Graph.apply_conductance_laplacian_into g weights)));
+  let c = Array.mapi (fun i _ -> 1. /. (0.5 +. float_of_int (i mod 7))) weights in
+  let h =
+    Graph.create 50
+      (Array.to_list
+         (Array.mapi (fun i e -> { e with Graph.w = c.(i) }) (Graph.edges g)))
+  in
+  Alcotest.(check bool) "c = other weights" true
+    (same_bits
+       (run (Graph.apply_laplacian_into h))
+       (run (Graph.apply_conductance_laplacian_into g c)));
+  Alcotest.check_raises "one conductance per edge"
+    (Invalid_argument
+       "Graph.apply_conductance_laplacian_into: one conductance per edge")
+    (fun () ->
+      Graph.apply_conductance_laplacian_into g [| 1. |] x
+        (Linalg.Vec.create 50))
+
+let test_apply_conductance_laplacian_into_allocates_nothing () =
+  let g = Graph_gen.weighted_gnp ~seed:24L 80 0.2 16 in
+  let c = Array.init (Graph.m g) (fun i -> 0.25 +. float_of_int (i mod 3)) in
+  let x = Linalg.Vec.init 80 (fun i -> float_of_int ((i * 7) mod 13) -. 6.) in
+  let y = Linalg.Vec.create 80 in
+  calls_allocate_nothing "Graph.apply_conductance_laplacian_into" (fun () ->
+      Graph.apply_conductance_laplacian_into g c x y)
+
 let suite =
   suite
   @ [
@@ -916,4 +975,8 @@ let suite =
         test_dense_cholesky_solve_into_allocates_nothing;
       Alcotest.test_case "apply_laplacian_into zero-alloc calls" `Quick
         test_apply_laplacian_into_allocates_nothing;
+      Alcotest.test_case "conductance laplacian = weighted laplacian" `Quick
+        test_conductance_laplacian_matches_weighted;
+      Alcotest.test_case "apply_conductance_laplacian_into zero-alloc calls"
+        `Quick test_apply_conductance_laplacian_into_allocates_nothing;
     ]

@@ -136,34 +136,18 @@ let test_bad_graph_refused () =
 
 (* The solver refuses an eps that is not finite and positive, by name;
    the CG baseline used to answer "eps":1e400 (which parses to ∞) after
-   0 iterations with residual 1.0, and "eps":0 unconverged. The body is
-   sent verbatim: [Client.request_string] would re-encode ∞ as null. *)
+   0 iterations with residual 1.0, and "eps":0 unconverged. The body goes
+   through [Client.request_string], which must send the caller's text as
+   written: re-encoded, 1e400 would reach the daemon as null. *)
 let test_bad_eps_refused () =
   with_daemon (fun addr ->
-      let link = Link.dial ~peer:"test" (Link.address addr) in
       List.iter
         (fun (eps, shown) ->
-          Link.send link
-            {
-              Wire.Frame.kind = Serve.Job.frame_job;
-              src = 0;
-              dst = 0;
-              seq = 1;
-              epoch = 0;
-              payload =
-                Bytes.of_string
-                  (Printf.sprintf
-                     {|{"kind":"solve","solver":"cg","graph":{"gen":"weighted_gnp","n":30,"p":0.3,"u":8},"eps":%s}|}
-                     eps);
-            };
           let r =
-            match
-              Json.of_string
-                (Bytes.to_string
-                   (Link.recv ~deadline:(deadline ()) link).Wire.Frame.payload)
-            with
-            | Ok j -> j
-            | Error e -> Alcotest.fail e
+            request addr
+              (Printf.sprintf
+                 {|{"kind":"solve","solver":"cg","graph":{"gen":"weighted_gnp","n":30,"p":0.3,"u":8},"eps":%s}|}
+                 eps)
           in
           check_refused ("eps " ^ eps) r;
           Alcotest.(check (option string))
@@ -172,8 +156,7 @@ let test_bad_eps_refused () =
                (Printf.sprintf
                   "Solver.prepare_cg: eps %s is not finite and positive" shown))
             (Serve.Client.error_message r))
-        [ ("1e400", "inf"); ("0", "0") ];
-      Link.close link)
+        [ ("1e400", "inf"); ("0", "0") ])
 
 let test_oversized_frame_refused_connection_kept () =
   with_daemon ~max_bytes:256 (fun addr ->
