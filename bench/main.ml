@@ -1164,9 +1164,7 @@ let e12_resilience () =
       (fun n ->
         let reference, ref_rounds = e12_reference n in
         let outboxes = e9_outboxes n in
-        let t =
-          Clique.Socket.create ~shards ~policy ~timeout:10.0 ~backoff:0.05 n
-        in
+        let t = Clique.Socket.create ~shards ~policy ~timeout:10.0 n in
         let last = ref [||] in
         for r = 1 to e12_rounds do
           if r = e12_rounds / 2 then e12_kill t victim;

@@ -32,13 +32,10 @@ let harness path =
 let transport_privileged path =
   under "runtime" path || under "clique" path || harness path
 
-(* The only code allowed to issue raw socket syscalls: the wire layer
-   itself and the socket transport built directly on it. Everything else
-   must go through Wire.Link so framing, checksums and the byte counters
-   cannot be bypassed. *)
-let wire_privileged path =
-  under "wire" path
-  || (under "clique" path && Filename.basename path = "socket.ml")
+(* The only code allowed to issue raw socket syscalls: the wire layer.
+   Everything else must go through Wire.Link so framing, checksums and the
+   byte counters cannot be bypassed. *)
+let wire_privileged path = under "wire" path
 
 (* The only lib code allowed to name Shard_down: the supervisor that
    raises and recovers from it (the socket coordinator and the fault

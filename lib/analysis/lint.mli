@@ -7,7 +7,7 @@
     (L7); transports may only be driven through the [Runtime] ledger
     outside [lib/runtime] and [lib/clique] (L3); [Obj.magic] (L4) and
     catch-all handlers (L5) are forbidden everywhere; raw socket syscalls
-    are confined to [lib/wire] and the socket transport (L9); [Shard_down]
+    are confined to [lib/wire] (L9); [Shard_down]
     is named only by the supervisor layer (L13); [Array.unsafe_get] and
     [Array.unsafe_set] only in [lib/linalg] (L14). Every lib module ships an
     [.mli] (L6, over the file list). The tree comes from the compiler's
@@ -58,5 +58,5 @@ val transport_privileged : string -> bool
 
 val wire_privileged : string -> bool
 (** Whether a path may issue raw socket syscalls ([Unix.socket],
-    [Unix.connect], [Unix.read], [Unix.write], ...): [lib/wire/**] and
-    [lib/clique/socket.ml] only. Rule L9 flags them everywhere else. *)
+    [Unix.connect], [Unix.read], [Unix.write], ...): [lib/wire/**] only.
+    Rule L9 flags them everywhere else. *)

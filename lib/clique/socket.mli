@@ -1,6 +1,8 @@
 (** The multi-process clique: a {!Runtime.TRANSPORT} instance whose
     delivery runs on [CC_SHARDS] worker processes connected by framed
-    sockets (DESIGN.md §11), under supervision (§14).
+    sockets (DESIGN.md §11), under supervision (§14). This module is the
+    coordinator; {!Socket_worker} is the worker process, and
+    {!Socket_protocol} holds every frame kind and payload layout.
 
     Node IDs are partitioned into contiguous shard ranges
     ([Runtime.Shard]); each worker delivers its range on a private
@@ -35,8 +37,8 @@
 
     - [Fail] (default): raise [Runtime.Shard.Shard_down] naming the shard
       and round, exactly the pre-supervision behaviour.
-    - [Respawn]: replace the dead worker (up to 3 attempts per death,
-      exponential backoff from [?backoff] seconds, default 0.2), bump the
+    - [Respawn]: replace the dead worker (up to 3 attempts per death, with
+      a pause of 0.2 s before the second, doubled before each later), bump the
       epoch, rebuild the mesh, and replay the interrupted operation from
       its retained input — output bit-identical to an undisturbed run.
     - [Drain]: mark the shard dead, merge its node range into a surviving
@@ -71,7 +73,6 @@ val create :
   ?remote:int ->
   ?policy:Runtime.Shard.policy ->
   ?timeout:float ->
-  ?backoff:float ->
   int ->
   t
 (** [create n] spawns the worker family by re-executing the current
@@ -92,8 +93,8 @@ val create :
     and bootstrap waits for them like any other worker, bounded by
     [timeout]. [policy] and [timeout] default to their environment knobs
     as documented above; a [timeout] that is not positive or is above
-    [Runtime.Config.max_timeout] also takes the knob's value. [backoff]
-    is the first respawn pause, in seconds. [CC_SHARD_LOG=path] appends
+    [Runtime.Config.max_timeout] also takes the knob's value.
+    [CC_SHARD_LOG=path] appends
     the supervisor's events to [path]. Every bootstrap failure is a
     structured [Runtime.Shard.Shard_down] with [round = 0]. *)
 

@@ -40,37 +40,28 @@ let frames_sent t = t.frames_sent
 
 let frames_recv t = t.frames_recv
 
-(* The select loop of the shard mesh does its own raw I/O on [fd]; it
-   reports the traffic back through these so the counters stay whole. *)
-let note_sent t ~bytes ~frames =
-  t.bytes_sent <- t.bytes_sent + bytes;
-  t.frames_sent <- t.frames_sent + frames
-
-let note_recv t ~bytes ~frames =
-  t.bytes_recv <- t.bytes_recv + bytes;
-  t.frames_recv <- t.frames_recv + frames
-
 let close t =
   if not t.closed then begin
     t.closed <- true;
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-(* Wait until [t.fd] is ready in the requested direction or [deadline]
+(* Wait until [fd] is ready in the requested direction or [deadline]
    (absolute [Unix.gettimeofday] time) passes — the bounded-wait primitive
-   behind both directions of a supervised link. [None] blocks. *)
-let await_ready ?deadline t ~read =
+   behind both directions of a supervised link, and behind a bounded
+   accept. [None] blocks. *)
+let await_ready ?deadline ~peer fd ~read =
   match deadline with
   | None -> ()
   | Some d ->
     let rec wait () =
       let remaining = d -. Unix.gettimeofday () in
-      if remaining <= 0.0 then raise (Timeout { peer = t.peer; after = remaining })
+      if remaining <= 0.0 then raise (Timeout { peer; after = remaining })
       else
-        let rfds = if read then [ t.fd ] else []
-        and wfds = if read then [] else [ t.fd ] in
+        let rfds = if read then [ fd ] else []
+        and wfds = if read then [] else [ fd ] in
         match Unix.select rfds wfds [] remaining with
-        | [], [], _ -> raise (Timeout { peer = t.peer; after = remaining })
+        | [], [], _ -> raise (Timeout { peer; after = remaining })
         | _ -> ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
     in
@@ -78,7 +69,7 @@ let await_ready ?deadline t ~read =
 
 let rec write_all ?deadline t b off len =
   if len > 0 then begin
-    await_ready ?deadline t ~read:false;
+    await_ready ?deadline ~peer:t.peer t.fd ~read:false;
     match Unix.write t.fd b off len with
     | k ->
       t.bytes_sent <- t.bytes_sent + k;
@@ -95,7 +86,7 @@ let rec write_all ?deadline t b off len =
    coordinator is unbounded. [deadline = None] blocks indefinitely. *)
 let rec read_exact ?deadline t b off len =
   if len > 0 then begin
-    await_ready ?deadline t ~read:true;
+    await_ready ?deadline ~peer:t.peer t.fd ~read:true;
     match Unix.read t.fd b off len with
     | 0 -> raise (Closed { peer = t.peer; during = "read" })
     | k ->
@@ -176,6 +167,105 @@ let recv_into ?deadline t b =
   in
   t.frames_recv <- t.frames_recv + 1;
   received
+
+(* ----------------------------------------------------- several at once *)
+
+type 'k multiplexed =
+  | Received of ('k * Frame.t) list
+  | Hung_up of 'k
+  | Expired of 'k list
+
+type outgoing = { target : t; bytes : Bytes.t; mutable sent : int }
+
+(* [buf] holds the header until it is decoded, then the payload. *)
+type incoming = {
+  source : t;
+  mutable hdr : Frame.header option;
+  mutable buf : Bytes.t;
+  mutable got : int;
+  mutable frame : Frame.t option;
+}
+
+(* One select over every link with something left to move, so opposing
+   bulk sends cannot deadlock on full socket buffers: each ready link
+   moves one [single_write] or [read]. A frame is read in {!recv}'s
+   steps, and every link counts its bytes and frames as {!send} and
+   {!recv} do. *)
+let multiplex (type k) ~deadline ~(send : (k * t * Frame.t) list)
+    ~(recv : (k * t) list) : k multiplexed =
+  let exception Gone of k in
+  let outs =
+    List.map
+      (fun (key, target, f) ->
+        (key, { target; bytes = Frame.encode f; sent = 0 }))
+      send
+  in
+  let ins =
+    List.map
+      (fun (key, source) ->
+        ( key,
+          { source; hdr = None; buf = Bytes.create Frame.header_bytes; got = 0;
+            frame = None } ))
+      recv
+  in
+  let write ready (key, o) =
+    let left = Bytes.length o.bytes - o.sent in
+    if List.mem o.target.fd ready then
+      match Unix.single_write o.target.fd o.bytes o.sent left with
+      | k ->
+        o.sent <- o.sent + k;
+        o.target.bytes_sent <- o.target.bytes_sent + k;
+        if k = left then o.target.frames_sent <- o.target.frames_sent + 1
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
+        raise (Gone key)
+  in
+  let complete i hdr =
+    i.source.frames_recv <- i.source.frames_recv + 1;
+    i.frame <- Some (Frame.verify hdr i.buf)
+  in
+  let read ready (key, i) =
+    let left = Bytes.length i.buf - i.got in
+    if List.mem i.source.fd ready then
+      match Unix.read i.source.fd i.buf i.got left with
+      | 0 -> raise (Gone key)
+      | k ->
+        i.source.bytes_recv <- i.source.bytes_recv + k;
+        i.got <- i.got + k;
+        if k = left then begin
+          match i.hdr with
+          | Some hdr -> complete i hdr
+          | None ->
+            let hdr = Frame.decode_header i.buf in
+            i.hdr <- Some hdr;
+            i.buf <- Bytes.create hdr.Frame.len;
+            i.got <- 0;
+            if hdr.Frame.len = 0 then complete i hdr
+        end
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> raise (Gone key)
+  in
+  let rec loop outs =
+    let waiting = List.filter (fun (_, i) -> i.frame = None) ins in
+    let remaining = deadline -. Unix.gettimeofday () in
+    if outs = [] && waiting = [] then
+      Received (List.map (fun (key, i) -> (key, Option.get i.frame)) ins)
+    else if remaining <= 0.0 then Expired (List.map fst waiting)
+    else
+      match
+        Unix.select
+          (List.map (fun (_, i) -> i.source.fd) waiting)
+          (List.map (fun (_, o) -> o.target.fd) outs)
+          [] remaining
+      with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop outs
+      | [], [], _ -> Expired (List.map fst waiting)
+      | readable, writable, _ ->
+        List.iter (write writable) outs;
+        List.iter (read readable) waiting;
+        loop (List.filter (fun (_, o) -> o.sent < Bytes.length o.bytes) outs)
+  in
+  match loop outs with r -> r | exception Gone key -> Hung_up key
 
 (* ------------------------------------------------------------ endpoints *)
 
@@ -274,7 +364,8 @@ let listen a =
   | Tcp (host, _), Unix.ADDR_INET (_, port) -> (fd, Tcp (host, port))
   | _ -> (fd, a)
 
-let accept ?(tcp_nodelay = false) lsock =
+let accept ?deadline ?(tcp_nodelay = false) lsock =
+  await_ready ?deadline ~peer:"accept" lsock ~read:true;
   let fd, _ = Unix.accept ~cloexec:true lsock in
   if tcp_nodelay then Unix.setsockopt fd Unix.TCP_NODELAY true;
   fd

@@ -78,11 +78,32 @@ val frames_sent : t -> int
 
 val frames_recv : t -> int
 
-val note_sent : t -> bytes:int -> frames:int -> unit
-(** Fold externally-performed raw writes on {!fd} into the counters (the
-    shard mesh's select loop does its own I/O). *)
+(** {2 Several links at once} *)
 
-val note_recv : t -> bytes:int -> frames:int -> unit
+type 'k multiplexed =
+  | Received of ('k * Frame.t) list
+      (** every frame sent, and one frame from each receiving link, in
+          the order the links were given *)
+  | Hung_up of 'k
+      (** that link's peer went away ([EOF], [EPIPE], [ECONNRESET]) *)
+  | Expired of 'k list
+      (** the deadline passed with these receiving links still short of
+          a frame (sends may be pending too) *)
+
+val multiplex :
+  deadline:float ->
+  send:('k * t * Frame.t) list ->
+  recv:('k * t) list ->
+  'k multiplexed
+(** Write every frame of [send] on its link and read one frame from each
+    link of [recv], interleaved through one [select] bounded by
+    [deadline] (an absolute [Unix.gettimeofday] instant), so two
+    processes sending each other large frames cannot stall on full
+    socket buffers. The keys name the links in the outcome. Reads check
+    frames as {!recv} does ([Frame.Malformed] on a corrupt stream), and
+    every link counts the bytes and frames moved on it. After [Hung_up]
+    or [Expired] a link may be part-way through a frame, so its stream is
+    out of step until it is closed. *)
 
 val pair : ?peer:string -> unit -> t * t
 (** A connected Unix-domain socket pair, both ends in the calling
@@ -135,5 +156,7 @@ val unlink : address -> unit
     whoever bound the endpoint removes it when done — never a path only
     a peer reported. *)
 
-val accept : ?tcp_nodelay:bool -> Unix.file_descr -> Unix.file_descr
-(** Accept one connection on a listening descriptor. *)
+val accept :
+  ?deadline:float -> ?tcp_nodelay:bool -> Unix.file_descr -> Unix.file_descr
+(** Accept one connection on a listening descriptor. With [deadline], wait
+    for one at most until then, and raise {!Timeout} after. *)

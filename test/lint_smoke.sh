@@ -49,6 +49,7 @@ grep -q ' L10 ' "$out" || fail "missing L10 finding"
 grep -q ' L11 ' "$out" || fail "missing L11 finding"
 grep -q ' L12 ' "$out" || fail "missing L12 finding"
 grep -q ' L2 ' "$out" || fail "missing L2 finding (per-file rules not run?)"
+grep -q ' L9 ' "$out" || fail "missing L9 finding (raw socket I/O outside lib/wire)"
 grep -q ' L13 ' "$out" || fail "missing L13 finding (supervision bypass)"
 grep -q ' L14 ' "$out" || fail "missing L14 finding (unchecked access outside lib/linalg)"
 grep -q 'Planted_l10.choose -> Entropy_pool.draw -> Random.int' "$out" ||

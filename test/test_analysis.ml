@@ -290,7 +290,8 @@ let test_l9_wire_privilege () =
   let src = [ "let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0" ] in
   check_findings "lib/wire may open sockets" []
     (scan ~file:"lib/wire/fake_link.ml" src);
-  check_findings "the socket transport may too" []
+  check_findings "the socket transport may not"
+    [ (Rule.L9, 1) ]
     (scan ~file:"lib/clique/socket.ml" src);
   check_findings "the rest of lib/clique may not"
     [ (Rule.L9, 1) ]

@@ -6,6 +6,7 @@ let () =
       ("clique", Test_clique.suite);
       ("runtime", Test_runtime.suite);
       ("wire", Test_wire.suite);
+      ("protocol", Test_protocol.suite);
       ("sanitize", Test_sanitize.suite);
       ("determinism", Test_determinism.suite);
       (* The analysis suite runs as its own executable (test_analysis.exe):

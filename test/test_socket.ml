@@ -7,6 +7,7 @@
    owns the bit-identity legs. *)
 
 module Sock = Clique.Socket
+module P = Clique.Socket_protocol
 module Shard = Runtime.Shard
 module M = Runtime.Mailbox
 module S = Fault.Schedule
@@ -65,59 +66,53 @@ let () =
 
 (* Join the rendezvous in CC_TEST_RENDEZVOUS as a remote worker whose
    hello reports mesh address [mesh]: read the slot assignment and the
-   Config, answer it with a Ready, and return the link and the slot.
-   Kinds 9 and 11 are the hello and ready frames of DESIGN §11.1. *)
+   Config, answer it with a Ready, and return the link and the slot. *)
 let join_remote ~mesh =
   let l = dial_rendezvous (Sys.getenv "CC_TEST_RENDEZVOUS") in
-  let hello = Wire.Frame.Writer.create ~hint:64 () in
-  Wire.Frame.Writer.string hello mesh;
   Wire.Link.send l
-    { Wire.Frame.kind = 9; src = -1; dst = -1; seq = 0; epoch = 0;
-      payload = Wire.Frame.Writer.contents hello };
+    { Wire.Frame.kind = P.k_hello; src = -1; dst = -1; seq = 0; epoch = 0;
+      payload = P.encode_hello mesh };
   let assign = Wire.Link.recv l in
   let config = Wire.Link.recv l in
   Wire.Link.send l
-    { Wire.Frame.kind = 11; src = assign.Wire.Frame.dst; dst = -1;
+    { Wire.Frame.kind = P.k_ready; src = assign.Wire.Frame.dst; dst = -1;
       seq = config.Wire.Frame.seq; epoch = config.Wire.Frame.epoch;
       payload = Bytes.empty };
   (l, assign.Wire.Frame.dst)
 
-(* Diversion: spawned as a remote worker that reports a foreign mesh
-   address, [unix:<CC_TEST_FOREIGN_MESH>], this process joins and stays
-   until the coordinator hangs up. *)
+(* Diversion: spawned as a remote worker that reports the foreign mesh
+   address in CC_TEST_FOREIGN_MESH, this process joins and stays until
+   the coordinator hangs up, or leaves if the coordinator refuses it. *)
 let () =
   match Sys.getenv_opt "CC_TEST_FOREIGN_MESH" with
   | None -> ()
-  | Some file ->
-    let l, _ = join_remote ~mesh:("unix:" ^ file) in
-    drain_until_closed l
+  | Some mesh -> (
+    match join_remote ~mesh with
+    | l, _ -> drain_until_closed l
+    | exception Wire.Link.Closed _ -> exit 0)
 
 (* Diversion: spawned as a remote worker that answers its first Exchange
    with a reply that does not hold what it announces — an Inboxes frame
-   of -1 slices ([CC_TEST_BAD_REPLY=slices]) or a PeerDown frame naming
-   slot 99 ([peer]) — then stays until the coordinator hangs up. Kinds 3
-   and 7 are the inboxes and peer-down frames of DESIGN §11.1. *)
+   of -1 slices ([CC_TEST_BAD_REPLY=slices], built by hand: no encoder
+   writes it) or a PeerDown frame naming slot 99 ([peer]) — then stays
+   until the coordinator hangs up. *)
 let () =
   match Sys.getenv_opt "CC_TEST_BAD_REPLY" with
   | None -> ()
   | Some what ->
     let l, slot = join_remote ~mesh:"unix:/nonexistent" in
     let exchange = Wire.Link.recv l in
-    let w = Wire.Frame.Writer.create () in
-    let kind =
+    let kind, payload =
       if what = "slices" then begin
+        let w = Wire.Frame.Writer.create () in
         List.iter (Wire.Frame.Writer.int w) [ 0; 0; 0; 0; -1 ];
-        3
+        (P.k_inboxes, Wire.Frame.Writer.contents w)
       end
-      else begin
-        Wire.Frame.Writer.ints w [| 99 |];
-        7
-      end
+      else (P.k_peer_down, P.encode_peer_down [ 99 ])
     in
     Wire.Link.send l
       { Wire.Frame.kind; src = slot; dst = -1; seq = exchange.Wire.Frame.seq;
-        epoch = exchange.Wire.Frame.epoch;
-        payload = Wire.Frame.Writer.contents w };
+        epoch = exchange.Wire.Frame.epoch; payload };
     drain_until_closed l
 
 (* Diversion: spawned as a remote worker whose hello announces a mesh
@@ -132,7 +127,7 @@ let () =
     let hello = Wire.Frame.Writer.create ~hint:8 () in
     Wire.Frame.Writer.int hello (max_int - 3);
     Wire.Link.send l
-      { Wire.Frame.kind = 9; src = -1; dst = -1; seq = 0; epoch = 0;
+      { Wire.Frame.kind = P.k_hello; src = -1; dst = -1; seq = 0; epoch = 0;
         payload = Wire.Frame.Writer.contents hello };
     drain_until_closed l
 
@@ -347,9 +342,7 @@ let kill_shard t victim =
    with the certified verify-and-retry driver unchanged. *)
 let test_respawn_bit_identical () =
   let n = 8 in
-  let t =
-    Sock.create ~shards:2 ~policy:Shard.Respawn ~timeout:10.0 ~backoff:0.05 n
-  in
+  let t = Sock.create ~shards:2 ~policy:Shard.Respawn ~timeout:10.0 n in
   let rt = RSock.create t in
   let out = all_to_all n in
   let reference, _ = M.deliver ~n ~width:2 out in
@@ -443,9 +436,7 @@ let test_drain_exhaustion_fails () =
 
 let test_heartbeat_probes_and_recovers () =
   let n = 6 in
-  let t =
-    Sock.create ~shards:2 ~policy:Shard.Respawn ~timeout:10.0 ~backoff:0.05 n
-  in
+  let t = Sock.create ~shards:2 ~policy:Shard.Respawn ~timeout:10.0 n in
   Sock.heartbeat t;
   Alcotest.(check int) "both workers probed" 2 (stat "shard.heartbeat.sent" t);
   Alcotest.(check int) "both acked" 2 (stat "shard.heartbeat.acked" t);
@@ -475,7 +466,7 @@ let test_heartbeat_probes_and_recovers () =
    from an unset CC_SHARD_TIMEOUT. *)
 let test_stopped_worker policy () =
   let n = 9 in
-  let t = Sock.create ~shards:3 ~policy ~timeout:3.0 ~backoff:0.05 n in
+  let t = Sock.create ~shards:3 ~policy ~timeout:3.0 n in
   let out = all_to_all n in
   let reference, _ = M.deliver ~n ~width:2 out in
   let victim = List.nth (Sock.pids t) 1 in
@@ -594,7 +585,7 @@ let test_reported_mesh_path_kept addr () =
   let file = Filename.temp_file "cc-decoy" ".keep" in
   let fake =
     spawn_with_env
-      [ "CC_TEST_FOREIGN_MESH=" ^ file; "CC_TEST_RENDEZVOUS=" ^ addr ]
+      [ "CC_TEST_FOREIGN_MESH=unix:" ^ file; "CC_TEST_RENDEZVOUS=" ^ addr ]
   in
   Fun.protect
     ~finally:(fun () ->
@@ -607,6 +598,31 @@ let test_reported_mesh_path_kept addr () =
       Sock.close t;
       Alcotest.(check bool) "reported file left in place" true
         (Sys.file_exists file))
+
+(* A hello's mesh address is parsed at the rendezvous: one outside the
+   address grammar fails bootstrap there, as an undecodable hello does,
+   not in a higher slot that dials it. With one slot no worker ever
+   dials the address, so only the rendezvous's check can fail this
+   session. *)
+let test_bogus_mesh_address () =
+  let addr = Printf.sprintf "127.0.0.1:%d" (ephemeral_port ()) in
+  let fake =
+    spawn_with_env
+      [ "CC_TEST_FOREIGN_MESH=bogus"; "CC_TEST_RENDEZVOUS=" ^ addr ]
+  in
+  let outcome =
+    Fun.protect
+      ~finally:(fun () -> reap fake)
+      (fun () ->
+        match Sock.create ~shards:1 ~remote:1 ~addr ~timeout:10.0 2 with
+        | t ->
+          Sock.close t;
+          None
+        | exception Shard.Shard_down { during; _ } -> Some during)
+  in
+  Alcotest.(check (option string)) "failed in the hello rendezvous"
+    (Some "hello") outcome;
+  Alcotest.(check bool) "no child left running" false (live_child ())
 
 (* A worker's reply is decoded like any untrusted payload: one announcing
    -1 slices, or naming a slot that does not exist as dead, is a dead
@@ -812,10 +828,7 @@ let test_workers_hold_no_coordinator_socket () =
   if not (Sys.file_exists "/proc/self/fd") then ()
   else begin
     let n = 9 in
-    let t =
-      Sock.create ~shards:3 ~policy:Shard.Respawn ~timeout:10.0 ~backoff:0.05
-        n
-    in
+    let t = Sock.create ~shards:3 ~policy:Shard.Respawn ~timeout:10.0 n in
     let check what =
       let mine = sockets_above_stdio "self" in
       List.iter
@@ -936,6 +949,8 @@ let () =
                ^ Filename.concat
                    (Filename.get_temp_dir_name ())
                    (Printf.sprintf "cc-wire-%d-rendezvous" (Unix.getpid ()))));
+          Alcotest.test_case "mesh address outside the grammar fails hello"
+            `Quick test_bogus_mesh_address;
           Alcotest.test_case "reply of -1 slices is a dead worker" `Quick
             (test_bad_reply_is_dead_worker "slices");
           Alcotest.test_case "peer-down naming no slot is a dead worker"

@@ -480,6 +480,74 @@ let test_link_recv_into_oversized () =
   Link.close a;
   Link.close b
 
+(* ------------------------------------------------ several links at once *)
+
+let outcome = function
+  | Link.Received got ->
+    "received " ^ String.concat "," (List.map (fun (k, _) -> string_of_int k) got)
+  | Link.Hung_up k -> Printf.sprintf "hung up %d" k
+  | Link.Expired ks -> "expired " ^ String.concat "," (List.map string_of_int ks)
+
+let counters l =
+  [ Link.bytes_sent l; Link.frames_sent l; Link.bytes_recv l;
+    Link.frames_recv l ]
+
+(* A 1-MiB frame each way over one socket pair, in one call that also
+   reads them: a blocking write of either would fill the socket buffer
+   and stall before anything read it. Every link counts what moved. *)
+let test_link_multiplex_bulk () =
+  let a, b = Link.pair ~peer:"bulk" () in
+  let len = 1 lsl 20 in
+  let fa = filled_frame ~seq:1 ~len 'a' and fb = filled_frame ~seq:2 ~len 'b' in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  (match Link.multiplex ~deadline ~send:[ (0, a, fa); (1, b, fb) ]
+           ~recv:[ (1, b); (0, a) ] with
+  | Link.Received [ (1, ga); (0, gb) ] ->
+    Alcotest.(check bool) "b received a's frame" true
+      (frame_fields ga = frame_fields fa);
+    Alcotest.(check bool) "a received b's frame" true
+      (frame_fields gb = frame_fields fb)
+  | o -> Alcotest.fail (outcome o));
+  let moved = Frame.header_bytes + len in
+  List.iter
+    (fun l ->
+      Alcotest.(check (list int)) "bytes and frames, each way"
+        [ moved; 1; moved; 1 ] (counters l))
+    [ a; b ];
+  Link.close a;
+  Link.close b
+
+(* The outcome names the link at fault: one whose peer is gone, whether
+   it was to be read (EOF) or written (EPIPE), and at the deadline the
+   receiving links still without a frame — not one that delivered. *)
+let test_link_multiplex_faults () =
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe sigpipe)
+  @@ fun () ->
+  let far () = Unix.gettimeofday () +. 10.0 in
+  let a, gone = Link.pair ~peer:"gone" () in
+  let c, d = Link.pair ~peer:"live" () in
+  Link.close gone;
+  Alcotest.(check string) "a closed reader is named" "hung up 1"
+    (outcome (Link.multiplex ~deadline:(far ()) ~send:[] ~recv:[ (1, a) ]));
+  Alcotest.(check string) "a closed writer is named" "hung up 1"
+    (outcome
+       (Link.multiplex ~deadline:(far ())
+          ~send:[ (1, a, filled_frame ~seq:1 ~len:8 'x') ]
+          ~recv:[]));
+  let e, f = Link.pair ~peer:"silent" () in
+  let frame = filled_frame ~seq:2 ~len:100 'y' in
+  Link.send c frame;
+  let t0 = Unix.gettimeofday () in
+  Alcotest.(check string) "the silent link is named" "expired 3"
+    (outcome
+       (Link.multiplex ~deadline:(t0 +. 0.05) ~send:[] ~recv:[ (2, d); (3, f) ]));
+  Alcotest.(check bool) "not before the deadline" true
+    (Unix.gettimeofday () -. t0 >= 0.05);
+  Alcotest.(check (list int)) "the delivered frame counted"
+    [ 0; 0; Frame.header_bytes + 100; 1 ] (counters d);
+  List.iter Link.close [ a; c; d; e; f ]
+
 (* ------------------------------------------------- shard partitioning *)
 
 let owners_consistent ~shards ~n =
@@ -791,6 +859,10 @@ let suite =
       test_link_recv_into_keeps_64k;
     Alcotest.test_case "link recv_into drains oversized" `Quick
       test_link_recv_into_oversized;
+    Alcotest.test_case "link multiplex: 1 MiB each way" `Quick
+      test_link_multiplex_bulk;
+    Alcotest.test_case "link multiplex: names hung-up and silent links"
+      `Quick test_link_multiplex_faults;
     Alcotest.test_case "shard owners/bounds" `Quick test_owners;
     Alcotest.test_case "bounds edge cases" `Quick test_bounds_edge_cases;
     Alcotest.test_case "partition drain" `Quick test_partition_drain;
